@@ -106,6 +106,8 @@ def _cross_check_unsat(theory: SmaspTheory) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.enumerate < 1:
+        raise InputError(f"--enumerate needs K >= 1, got {args.enumerate}")
     if args.enumerate > 1 and args.trace:
         print("--trace supports single-model solving only", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -11,6 +11,7 @@ resulting trail.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,6 +129,8 @@ class _TheoryContext:
     atoms: tuple[Atom, ...]
     opened: Program
     up_sources: tuple[Clause, ...]  # clause set first, program reading after
+    atom_set: frozenset[Atom]
+    source_set: frozenset[Clause]
 
 
 @lru_cache(maxsize=512)
@@ -139,7 +142,8 @@ def _context(theory: SmaspTheory) -> _TheoryContext:
             sources.append(c)
             seen.add(c)
     opened = translations.open_program(theory.program, theory.atoms)
-    return _TheoryContext(theory.atoms, opened, tuple(sources))
+    return _TheoryContext(theory.atoms, opened, tuple(sources),
+                          frozenset(theory.atoms), frozenset(seen))
 
 
 def digest_trail(trail: Trail) -> str:
@@ -334,19 +338,24 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
         raise ValueError("no transition applies to the failed state")
     trail = state.trail
 
+    # UnitPropagate(Learn) and Decide accept exactly the candidates that
+    # applicable_unit_propagate / applicable_decide list, checked locally
     if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-        include_learned = rule == RULE_UNIT_PROPAGATE_LEARN
-        pair = (transition.literal, transition.clause)
-        if pair not in applicable_unit_propagate(state, theory, include_learned):
+        lit, cl = transition.literal, transition.clause
+        m = trail.literal_set
+        known = cl in _context(theory).source_set or (
+            rule == RULE_UNIT_PROPAGATE_LEARN and cl in state.learned)
+        if not (known and lit in cl and lit not in m
+                and all(o.complement() in m for o in cl if o != lit)):
             raise ValueError(f"inapplicable {rule}: {transition}")
-        return AugmentedState(trail.append(transition.literal, reason=transition.clause),
-                              state.learned, False)
+        return AugmentedState(trail.append(lit, reason=cl), state.learned, False)
 
     if rule == RULE_DECIDE:
-        if transition.literal not in applicable_decide(state, theory):
+        lit = transition.literal
+        if not (isinstance(lit, Literal) and trail.is_consistent
+                and lit.atom in _context(theory).atom_set and trail.is_unassigned(lit)):
             raise ValueError(f"inapplicable Decide: {transition}")
-        return AugmentedState(trail.append(transition.literal, decision=True),
-                              state.learned, False)
+        return AugmentedState(trail.append(lit, decision=True), state.learned, False)
 
     if rule == RULE_FAIL:
         if not applicable_fail(state, theory):
@@ -395,14 +404,127 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
             raise ValueError("Learn carries a clause")
         if cl in state.learned:
             raise ValueError("clause is already in the learned store")
-        if not set(cl.atoms) <= set(_context(theory).atoms):
+        if not _context(theory).atom_set.issuperset(cl.atoms):
             raise ValueError("learned clause mentions atoms outside the theory")
         return AugmentedState(trail, state.learned + (cl,), False)
 
     raise AssertionError(rule)
 
 
-def _choose(state: AugmentedState, theory: SmaspTheory, strategy: Strategy) -> Optional[Transition]:
+class _PropagationIndex:
+    """The trail of one run, kept incrementally for the canonical choice.
+
+    Literals are interned as codes (atom ``i`` of the theory is ``2i``,
+    its negation ``2i + 1``); clauses are numbered in unit-propagation
+    order, theory sources first, then learned clauses as they are
+    learned. Each clause counts its true and its falsified literals, and
+    a min-heap holds every clause that is unit or falsified (no true
+    literal, at most one unfalsified) plus stale entries that are
+    dropped when they surface. On a consistent trail those clauses are
+    exactly the ones offering a unit-propagation candidate.
+    """
+
+    def __init__(self, ctx: _TheoryContext) -> None:
+        self.literals: list[Literal] = []
+        for a in ctx.atoms:
+            self.literals += (Literal(a), Literal(a, positive=False))
+        self.code = {l: x for x, l in enumerate(self.literals)}
+        self.true = [False] * len(self.literals)
+        self.trail: list[int] = []
+        self.decide_from = 0  # every atom below it is assigned
+        self.clauses: list[Clause] = []
+        self.codes: list[tuple[int, ...]] = []
+        self.n_true: list[int] = []
+        self.n_false: list[int] = []
+        self.occurs: list[list[int]] = [[] for _ in self.literals]
+        self.pending: list[int] = []
+        self.sources = ctx.source_set
+        for c in ctx.up_sources:
+            self._add(c)
+        self.n_sources = len(self.clauses)
+
+    def _add(self, c: Clause) -> None:
+        i = len(self.clauses)
+        codes = tuple(self.code[l] for l in c)
+        self.clauses.append(c)
+        self.codes.append(codes)
+        true = sum(self.true[x] for x in codes)
+        false = sum(self.true[x ^ 1] for x in codes)
+        self.n_true.append(true)
+        self.n_false.append(false)
+        for x in codes:
+            self.occurs[x].append(i)
+        if not true and false >= len(codes) - 1:
+            heapq.heappush(self.pending, i)
+
+    def learn(self, c: Clause) -> None:
+        if c not in self.sources:  # a source keeps its place in the order
+            self._add(c)
+
+    def follow(self, trail: Trail) -> None:
+        """Catch up with ``trail``: a prefix of the indexed trail plus
+        one literal, which is what every trail-changing rule yields."""
+        keep = len(trail) - 1
+        while len(self.trail) > keep:
+            self._unassign(self.trail.pop())
+        self._assign(self.code[trail.entries[keep].literal])
+
+    def _assign(self, x: int) -> None:
+        self.true[x] = True
+        self.trail.append(x)
+        n_true, n_false, codes = self.n_true, self.n_false, self.codes
+        for i in self.occurs[x]:
+            n_true[i] += 1
+        for i in self.occurs[x ^ 1]:
+            n_false[i] += 1
+            if n_false[i] == len(codes[i]) - 1 and not n_true[i]:
+                heapq.heappush(self.pending, i)
+
+    def _unassign(self, x: int) -> None:
+        self.true[x] = False
+        n_true, n_false, codes = self.n_true, self.n_false, self.codes
+        for i in self.occurs[x ^ 1]:
+            n_false[i] -= 1
+        for i in self.occurs[x]:
+            n_true[i] -= 1
+            if not n_true[i] and n_false[i] >= len(codes[i]) - 1:
+                heapq.heappush(self.pending, i)
+        self.decide_from = min(self.decide_from, x >> 1)
+
+    def first_unit(self, include_learned: bool) -> Optional[tuple[Literal, Clause]]:
+        """``applicable_unit_propagate(...)[0]`` on a consistent trail:
+        the smallest unit or falsified clause with its only unfalsified
+        literal, or its first literal when all are falsified."""
+        pending, n_true, n_false, codes = self.pending, self.n_true, self.n_false, self.codes
+        while pending:
+            i = pending[0]
+            if not n_true[i] and n_false[i] >= len(codes[i]) - 1:
+                break
+            heapq.heappop(pending)
+        else:
+            return None
+        if i >= self.n_sources and not include_learned:
+            return None
+        x = codes[i][0]
+        if n_false[i] < len(codes[i]):
+            x = next(y for y in codes[i] if not self.true[y ^ 1])
+        return self.literals[x], self.clauses[i]
+
+    def first_unassigned(self) -> Optional[Literal]:
+        """``applicable_decide(...)[0]`` on a consistent trail."""
+        true, x = self.true, 2 * self.decide_from
+        while x < len(true) and (true[x] or true[x + 1]):
+            x += 2
+        self.decide_from = x >> 1
+        return self.literals[x] if x < len(true) else None
+
+
+def _canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
+               index: _PropagationIndex) -> Optional[Transition]:
+    """The first candidate of the highest-priority applicable rule.
+    Unit propagation and Decide read ``index``, which must mirror
+    ``state``; they are only reached on consistent trails, because
+    every strategy ranks conflict handling first."""
     if state.failed:
         return None
     for group in strategy.priority:
@@ -419,15 +541,13 @@ def _choose(state: AugmentedState, theory: SmaspTheory, strategy: Strategy) -> O
                 if tr is not None:
                     return tr
             elif rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-                cands = applicable_unit_propagate(
-                    state, theory, include_learned=(rule == RULE_UNIT_PROPAGATE_LEARN))
-                if cands:
-                    lit, cl = cands[0]
-                    return Transition(rule, literal=lit, clause=cl)
+                cand = index.first_unit(rule == RULE_UNIT_PROPAGATE_LEARN)
+                if cand is not None:
+                    return Transition(rule, literal=cand[0], clause=cand[1])
             elif rule == RULE_DECIDE:
-                lits = applicable_decide(state, theory)
-                if lits:
-                    return Transition(RULE_DECIDE, literal=lits[0])
+                lit = index.first_unassigned()
+                if lit is not None:
+                    return Transition(RULE_DECIDE, literal=lit)
             elif rule == RULE_UNFOUNDED:
                 cands = applicable_unfounded(state, theory)
                 if cands:
@@ -467,14 +587,22 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
     semantic oracle by default at desk scale; pass ``self_check=False``
     to run a strategy outside its sound pairing (e.g. the plain
     backtracking mode over a theory with a non-empty program).
+
+    The strategy's first priority group must resolve every conflict
+    (``Fail`` plus ``Backtrack`` or ``Backjump``), as in every built-in
+    mode: the propagation index only answers on consistent trails.
     """
     if isinstance(strategy, str):
         strategy = for_mode(strategy)
+    first = set(strategy.priority[0]) if strategy.priority else set()
+    if RULE_FAIL not in first or not first & {RULE_BACKTRACK, RULE_BACKJUMP}:
+        raise ValueError("the first priority group must hold Fail and Backtrack or Backjump")
     ctx = _context(theory)
     if self_check is None:
         self_check = len(ctx.atoms) <= SELF_CHECK_ATOM_LIMIT
 
     state = AugmentedState()
+    index = _PropagationIndex(ctx)
     steps: list[TraceStep] = []
     stats: Counter[str] = Counter()
     limit = False
@@ -486,23 +614,31 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
             trail_digest=digest_trail(state.trail)))
         stats[tr.rule] += 1
 
+    upcoming: Optional[Transition] = None
     while True:
         if len(steps) >= max_steps:
             limit = True
             break
-        tr = _choose(state, theory, strategy)
+        tr = upcoming or _canonical(state, theory, strategy, index)
+        upcoming = None
         if tr is None:
             break
         state = step(state, tr, theory)
+        if not state.failed:
+            index.follow(state.trail)
         record(tr)
         if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in state.learned:
-            if _choose(state, theory, strategy) is None:
+            # Learning cannot change this choice: the clause is the reason
+            # of the literal just asserted, so it offers no candidate.
+            upcoming = _canonical(state, theory, strategy, index)
+            if upcoming is None:
                 break  # semi-terminal: nothing basic applies, so no Learn
             if len(state.learned) >= max_learned:
                 limit = True
                 break
             learn = Transition(RULE_LEARN, clause=tr.clause)
             state = step(state, learn, theory)
+            index.learn(tr.clause)
             record(learn)
 
     if limit:

@@ -430,6 +430,14 @@ class SmaspTheory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", sorted_clauses(self.clauses))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the engine looks theories up by value several times per step
+        return hash((self.clauses, self.program))
+
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         return sorted_atoms(atoms_of_clauses(self.clauses) + self.program.atoms)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
 from . import engine, oracles
-from .model import Clause, SmaspTheory, __version__, satisfies
+from .model import Clause, Literal, SmaspTheory, __version__, satisfies
 from .parsing import ParseError, format_clause, format_literal, format_program, parse_literal_token
 
 
@@ -77,20 +77,37 @@ def write_trace(path: str, trace: Trace) -> None:
         handle.write(dump_trace(trace))
 
 
+def _object(line: str) -> dict:
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ParseError(f"trace line is not a JSON object: {line.strip()[:40]}")
+    return record
+
+
+def _literal(token) -> Literal:
+    if not isinstance(token, str):
+        raise ParseError(f"literal token is not a string: {token!r}")
+    return parse_literal_token(token)
+
+
 def _step_from_json(record: dict) -> engine.TraceStep:
     rule = record.get("rule")
-    if rule not in engine.ALL_RULES:
+    if not isinstance(rule, str) or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {rule!r}")
-    literal = parse_literal_token(record["literal"]) if "literal" in record else None
+    prefix_length = record.get("prefix_length")
+    if prefix_length is not None and (
+            not isinstance(prefix_length, int) or isinstance(prefix_length, bool)):
+        raise ParseError(f"prefix_length is not an integer: {prefix_length!r}")
+    literal = _literal(record["literal"]) if "literal" in record else None
     clause = None
     if "clause" in record:
-        clause = Clause(tuple(parse_literal_token(t) for t in record["clause"]))
+        clause = Clause(tuple(_literal(t) for t in record["clause"]))
     witness = None
     if "witness" in record:
-        witness = tuple(parse_literal_token(t).atom for t in record["witness"])
+        witness = tuple(_literal(t).atom for t in record["witness"])
     return engine.TraceStep(
         index=int(record["index"]), rule=rule, literal=literal, clause=clause,
-        witness=witness, prefix_length=record.get("prefix_length"),
+        witness=witness, prefix_length=prefix_length,
         trail_digest=record.get("trail", ""))
 
 
@@ -100,9 +117,9 @@ def load_trace(source: Union[str, TextIO]) -> Trace:
     if not lines:
         raise ParseError("empty trace file")
     try:
-        header = json.loads(lines[0])
-        steps = tuple(_step_from_json(json.loads(l)) for l in lines[1:])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        header = _object(lines[0])
+        steps = tuple(_step_from_json(_object(l)) for l in lines[1:])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed trace: {exc}") from None
     return Trace(TraceHeader(header.get("mode", ""), header.get("theory", ""),
                              header.get("version", __version__)), steps)

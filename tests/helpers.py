@@ -1,5 +1,7 @@
 """Construction shortcuts shared by the test modules."""
 
+from smasp import engine
+from smasp.engine import Transition
 from smasp.model import Atom, Clause, Literal, Program, Rule, Trail, TrailEntry
 
 
@@ -60,3 +62,40 @@ PI4 = prog(rule("a", negneg="a"))
 
 F0 = (cl("b", "-c"),)
 F1 = (cl("x1", "x2"), cl("-x1", "x3"))  # renamed copy of {a|b, -a|c}
+
+
+def reference_choice(state, theory, strategy):
+    """The canonical transition out of ``state``, derived from the
+    definitional ``applicable_*`` functions: the first candidate of the
+    first applicable rule in priority order, or None when none applies."""
+    if state.failed:
+        return None
+    for group in strategy.priority:
+        for name in group:
+            if name == engine.RULE_FAIL:
+                if engine.applicable_fail(state, theory):
+                    return Transition(name)
+            elif name == engine.RULE_BACKTRACK:
+                literal = engine.applicable_backtrack(state, theory)
+                if literal is not None:
+                    return Transition(name, literal=literal)
+            elif name == engine.RULE_BACKJUMP:
+                if not state.trail.is_consistent and state.trail.decision_indices:
+                    learned, asserting, kept = engine.analyze_conflict(
+                        state, engine.conflicting_clause(state), theory)
+                    return Transition(name, literal=asserting, clause=learned,
+                                      prefix_length=kept)
+            elif name in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
+                cands = engine.applicable_unit_propagate(
+                    state, theory, include_learned=(name == engine.RULE_UNIT_PROPAGATE_LEARN))
+                if cands:
+                    return Transition(name, literal=cands[0][0], clause=cands[0][1])
+            elif name == engine.RULE_DECIDE:
+                cands = engine.applicable_decide(state, theory)
+                if cands:
+                    return Transition(name, literal=cands[0])
+            elif name == engine.RULE_UNFOUNDED:
+                cands = engine.applicable_unfounded(state, theory)
+                if cands:
+                    return Transition(name, literal=cands[0][0], witness=cands[0][1])
+    return None

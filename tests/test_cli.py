@@ -68,6 +68,13 @@ class TestSolve:
         out = capsys.readouterr().out.splitlines()
         assert out.count("MODEL") == 3  # three assignments satisfy x1 | x2
 
+    def test_enumerate_needs_at_least_one_model(self, f1, capsys):
+        assert main(["solve", "--mode", "dpll", "--format", "cnf",
+                     "--enumerate", "0", f1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--enumerate" in captured.err
+
     def test_pcid_minisatid(self, pcid0, capsys):
         assert main(["solve", "--mode", "minisatid", "--format", "pcid",
                      "--self-check", pcid0]) == 10

@@ -186,6 +186,12 @@ class TestStrategyPriority:
 
 
 class TestRun:
+    def test_strategy_must_rank_conflict_handling_first(self):
+        late = engine.Strategy("late", (("UnitPropagate",), ("Fail", "Backtrack"), ("Decide",)),
+                               learning=False)
+        with pytest.raises(ValueError):
+            run(F1, late)
+
     def test_plain_backtracking_path(self):
         out = run(F1, "dpll")
         assert out.verdict == engine.VERDICT_MODEL

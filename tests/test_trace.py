@@ -15,9 +15,11 @@ from smasp.trace import (
     trace_from_outcome,
     validate_trace,
 )
+from smasp.parsing import ParseError
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
+HEADER = '{"mode": "dpll", "theory": "", "version": "0.1.0"}'
 
 
 def make_trace(theory, steps, mode="dpll"):
@@ -96,9 +98,34 @@ class TestSerialization:
         assert loaded.steps[2].literal.atom.origin == "fresh-body"
 
     def test_malformed_trace_is_a_parse_error(self):
-        from smasp.parsing import ParseError
         with pytest.raises(ParseError):
             load_trace("not json\n")
+
+    @pytest.mark.parametrize("lines", [
+        ['["dpll"]'],
+        [HEADER, '[1, "Decide", "a"]'],
+    ])
+    def test_line_that_is_not_an_object_is_a_parse_error(self, lines):
+        with pytest.raises(ParseError):
+            load_trace("\n".join(lines) + "\n")
+
+    def test_null_index_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            load_trace(HEADER + '\n{"index": null, "rule": "Decide", "literal": "a"}\n')
+
+    @pytest.mark.parametrize("step", [
+        '{"index": 1, "rule": "Decide", "literal": 5}',
+        '{"index": 1, "rule": "Learn", "clause": ["a", null]}',
+    ])
+    def test_non_string_literal_token_is_a_parse_error(self, step):
+        with pytest.raises(ParseError):
+            load_trace(HEADER + "\n" + step + "\n")
+
+    def test_string_prefix_length_is_a_parse_error(self):
+        step = ('{"index": 1, "rule": "Backjump", "literal": "-a", "clause": ["-a"], '
+                '"prefix_length": "0"}')
+        with pytest.raises(ParseError):
+            load_trace(HEADER + "\n" + step + "\n")
 
 
 def test_every_emitted_trace_validates():
