@@ -294,9 +294,5 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT_ERROR
 
 
-def cli_main(argv: Optional[list[str]] = None) -> int:
-    return main(argv)
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -375,9 +375,11 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
             raise ValueError("Unfounded requires a consistent trail")
         witness = transition.witness or ()
         lit = transition.literal
-        if lit is None or lit.positive or lit.atom not in witness or lit in trail:
+        ctx = _context(theory)
+        if (lit is None or lit.positive or lit.atom not in witness or lit in trail
+                or lit.atom not in ctx.atom_set):
             raise ValueError(f"inapplicable Unfounded: {transition}")
-        opened = _context(theory).opened
+        opened = ctx.opened
         if not oracles.is_unfounded(witness, trail.literal_set, opened):
             raise ValueError(f"witness {witness} is not unfounded on the trail")
         reason = unfounded_reason(lit.atom, witness, trail, opened)
@@ -395,6 +397,8 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
         prefix_lits = frozenset(e.literal for e in trail.entries[:plen])
         if lit not in cl or not duals(l for l in cl if l != lit) <= prefix_lits:
             raise ValueError("Backjump clause must be asserting for the kept prefix")
+        if lit.atom not in _context(theory).atom_set:
+            raise ValueError(f"Backjump literal {lit!r} is outside the theory")
         return AugmentedState(trail.truncate(plen).append(lit, reason=cl),
                               state.learned, False)
 
@@ -411,8 +415,9 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
     raise AssertionError(rule)
 
 
-class _PropagationIndex:
-    """The trail of one run, kept incrementally for the canonical choice.
+class PropagationIndex:
+    """The trail of one run or strict replay, kept incrementally for the
+    canonical choice.
 
     Literals are interned as codes (atom ``i`` of the theory is ``2i``,
     its negation ``2i + 1``); clauses are numbered in unit-propagation
@@ -519,8 +524,17 @@ class _PropagationIndex:
         return self.literals[x] if x < len(true) else None
 
 
-def _canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
-               index: _PropagationIndex) -> Optional[Transition]:
+def require_conflict_first(strategy: Strategy) -> None:
+    """Reject a strategy whose first priority group does not resolve
+    every conflict (``Fail`` plus ``Backtrack`` or ``Backjump``): the
+    propagation index only answers on consistent trails."""
+    first = set(strategy.priority[0]) if strategy.priority else set()
+    if RULE_FAIL not in first or not first & {RULE_BACKTRACK, RULE_BACKJUMP}:
+        raise ValueError("the first priority group must hold Fail and Backtrack or Backjump")
+
+
+def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
+              index: PropagationIndex) -> Optional[Transition]:
     """The first candidate of the highest-priority applicable rule.
     Unit propagation and Decide read ``index``, which must mirror
     ``state``; they are only reached on consistent trails, because
@@ -588,21 +602,18 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
     to run a strategy outside its sound pairing (e.g. the plain
     backtracking mode over a theory with a non-empty program).
 
-    The strategy's first priority group must resolve every conflict
-    (``Fail`` plus ``Backtrack`` or ``Backjump``), as in every built-in
-    mode: the propagation index only answers on consistent trails.
+    The strategy must pass :func:`require_conflict_first`, as every
+    built-in mode does.
     """
     if isinstance(strategy, str):
         strategy = for_mode(strategy)
-    first = set(strategy.priority[0]) if strategy.priority else set()
-    if RULE_FAIL not in first or not first & {RULE_BACKTRACK, RULE_BACKJUMP}:
-        raise ValueError("the first priority group must hold Fail and Backtrack or Backjump")
+    require_conflict_first(strategy)
     ctx = _context(theory)
     if self_check is None:
         self_check = len(ctx.atoms) <= SELF_CHECK_ATOM_LIMIT
 
     state = AugmentedState()
-    index = _PropagationIndex(ctx)
+    index = PropagationIndex(ctx)
     steps: list[TraceStep] = []
     stats: Counter[str] = Counter()
     limit = False
@@ -619,7 +630,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         if len(steps) >= max_steps:
             limit = True
             break
-        tr = upcoming or _canonical(state, theory, strategy, index)
+        tr = upcoming or canonical(state, theory, strategy, index)
         upcoming = None
         if tr is None:
             break
@@ -630,7 +641,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in state.learned:
             # Learning cannot change this choice: the clause is the reason
             # of the literal just asserted, so it offers no candidate.
-            upcoming = _canonical(state, theory, strategy, index)
+            upcoming = canonical(state, theory, strategy, index)
             if upcoming is None:
                 break  # semi-terminal: nothing basic applies, so no Learn
             if len(state.learned) >= max_learned:

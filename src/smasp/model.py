@@ -250,10 +250,6 @@ class Program:
     def is_weakly_normal(self) -> bool:
         return all(r.head is not None for r in self.rules)
 
-    @property
-    def is_normal(self) -> bool:
-        return self.is_weakly_normal and all(not r.negneg for r in self.rules)
-
     def is_fact_atom(self, atom: Atom) -> bool:
         """True when some rule for ``atom`` has an empty body."""
         return any(b.is_empty for b in self.bodies(atom))
@@ -358,18 +354,24 @@ class Trail:
 
     def append(self, literal: Literal, decision: bool = False,
                reason: Optional[Clause] = None) -> "Trail":
-        return Trail(self.entries + (TrailEntry(literal, decision, reason),))
+        """The trail extended by one entry; its cached views are derived
+        from this trail's instead of rescanning the entries."""
+        if literal in self.literal_set:
+            raise ValueError(f"literal {literal!r} occurs twice in trail")
+        n = len(self.entries)
+        conflict = self.first_conflict_index
+        if conflict is None and literal.complement() in self.literal_set:
+            conflict = n
+        child = object.__new__(Trail)
+        object.__setattr__(child, "entries", self.entries + (TrailEntry(literal, decision, reason),))
+        child.__dict__.update(
+            literal_set=self.literal_set | {literal},
+            first_conflict_index=conflict,
+            decision_indices=self.decision_indices + (n,) if decision else self.decision_indices)
+        return child
 
     def truncate(self, length: int) -> "Trail":
         return Trail(self.entries[:length])
-
-    @property
-    def positive_atoms(self) -> frozenset[Atom]:
-        return frozenset(e.literal.atom for e in self.entries if e.literal.positive)
-
-    def restricted_to(self, atoms: Iterable[Atom]) -> frozenset[Literal]:
-        keep = set(atoms)
-        return frozenset(l for l in self.literal_set if l.atom in keep)
 
     def __repr__(self) -> str:
         toks = [repr(e.literal) + ("^" if e.is_decision else "") for e in self.entries]

@@ -35,8 +35,6 @@ from . import translations
 
 DEFAULT_ENUMERATION_CAP = 20
 
-LiteralSet = frozenset  # alias; oracle arguments accept any literal iterable
-
 
 @dataclass(frozen=True)
 class ThreeValuedModel:

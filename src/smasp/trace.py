@@ -90,14 +90,23 @@ def _literal(token) -> Literal:
     return parse_literal_token(token)
 
 
+def _integer(key: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{key} is not an integer: {value!r}")
+    return value
+
+
 def _step_from_json(record: dict) -> engine.TraceStep:
     rule = record.get("rule")
     if not isinstance(rule, str) or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {rule!r}")
+    index = _integer("index", record["index"])
     prefix_length = record.get("prefix_length")
-    if prefix_length is not None and (
-            not isinstance(prefix_length, int) or isinstance(prefix_length, bool)):
-        raise ParseError(f"prefix_length is not an integer: {prefix_length!r}")
+    if prefix_length is not None:
+        _integer("prefix_length", prefix_length)
+    digest = record.get("trail", "")
+    if not isinstance(digest, str):
+        raise ParseError(f"trail digest is not a string: {digest!r}")
     literal = _literal(record["literal"]) if "literal" in record else None
     clause = None
     if "clause" in record:
@@ -106,9 +115,8 @@ def _step_from_json(record: dict) -> engine.TraceStep:
     if "witness" in record:
         witness = tuple(_literal(t).atom for t in record["witness"])
     return engine.TraceStep(
-        index=int(record["index"]), rule=rule, literal=literal, clause=clause,
-        witness=witness, prefix_length=prefix_length,
-        trail_digest=record.get("trail", ""))
+        index=index, rule=rule, literal=literal, clause=clause,
+        witness=witness, prefix_length=prefix_length, trail_digest=digest)
 
 
 def load_trace(source: Union[str, TextIO]) -> Trace:
@@ -131,40 +139,22 @@ def _transition_of(step: engine.TraceStep) -> engine.Transition:
 
 
 def _strict_violation(state: engine.AugmentedState, theory: SmaspTheory,
-                      strategy: engine.Strategy, rule: str) -> Optional[str]:
+                      strategy: engine.Strategy, rule: str,
+                      index: engine.PropagationIndex) -> Optional[str]:
     """Under strict checking the step's rule must sit in the first
-    priority group that has any applicable rule."""
+    priority group that has any applicable rule: the group of the
+    canonical choice."""
     if rule == engine.RULE_LEARN:
         return None  # the learning policy, not a priority slot
     allowed = {r for group in strategy.priority for r in group}
     if rule not in allowed:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
-    for group in strategy.priority:
-        applicable = [r for r in group if _rule_applicable(state, theory, r)]
-        if applicable:
-            if rule not in group:
-                return f"higher-priority rule {applicable[0]} was applicable"
-            return None
-    return f"no rule of mode {strategy.mode!r} is applicable"
-
-
-def _rule_applicable(state: engine.AugmentedState, theory: SmaspTheory, rule: str) -> bool:
-    if rule == engine.RULE_FAIL:
-        return engine.applicable_fail(state, theory)
-    if rule == engine.RULE_BACKTRACK:
-        return engine.applicable_backtrack(state, theory) is not None
-    if rule == engine.RULE_BACKJUMP:
-        return (not state.failed and not state.trail.is_consistent
-                and bool(state.trail.decision_indices))
-    if rule == engine.RULE_UNIT_PROPAGATE:
-        return bool(engine.applicable_unit_propagate(state, theory))
-    if rule == engine.RULE_UNIT_PROPAGATE_LEARN:
-        return bool(engine.applicable_unit_propagate(state, theory, include_learned=True))
-    if rule == engine.RULE_DECIDE:
-        return bool(engine.applicable_decide(state, theory))
-    if rule == engine.RULE_UNFOUNDED:
-        return bool(engine.applicable_unfounded(state, theory))
-    return False
+    chosen = engine.canonical(state, theory, strategy, index)
+    if chosen is None:
+        return f"no rule of mode {strategy.mode!r} is applicable"
+    if rule not in next(g for g in strategy.priority if chosen.rule in g):
+        return f"higher-priority rule {chosen.rule} was applicable"
+    return None
 
 
 def validate_trace(trace: Trace, theory: SmaspTheory,
@@ -174,14 +164,21 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
     of its rule (payload included) and reproduce the recorded trail
     digest; entailment side conditions are oracle-checked at desk
     scale. Strategy priorities are only enforced under
-    ``strict_strategy``.
+    ``strict_strategy``: the replay then keeps a propagation index in
+    step with its trail, and each step's rule must sit in the priority
+    group of the canonical choice (:func:`engine.canonical`). The
+    strategy must pass :func:`engine.require_conflict_first`.
     """
     if isinstance(strategy, str):
         strategy = engine.for_mode(strategy)
     if trace.header.theory_digest and trace.header.theory_digest != theory_digest(theory):
         return Validation(False, 0, "trace header does not match the theory digest")
-    if strict_strategy and strategy is None:
-        raise ValueError("strict validation needs a strategy")
+    index = None
+    if strict_strategy:
+        if strategy is None:
+            raise ValueError("strict validation needs a strategy")
+        engine.require_conflict_first(strategy)
+        index = engine.PropagationIndex(engine._context(theory))
 
     theory_models = None  # enumerated once, on the first semantic check
 
@@ -197,8 +194,8 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
     for position, step in enumerate(trace.steps, start=1):
         if step.index != position:
             return Validation(False, position, f"step index {step.index} out of order")
-        if strict_strategy and strategy is not None:
-            violation = _strict_violation(state, theory, strategy, step.rule)
+        if index is not None:
+            violation = _strict_violation(state, theory, strategy, step.rule, index)
             if violation:
                 return Validation(False, position, violation)
         if check_entailment and step.rule == engine.RULE_BACKJUMP and step.clause is not None:
@@ -216,4 +213,9 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
             return Validation(False, position, str(exc))
         if step.trail_digest and engine.digest_trail(state.trail) != step.trail_digest:
             return Validation(False, position, "trail digest mismatch after step")
+        if index is not None and not state.failed:
+            if step.rule == engine.RULE_LEARN:
+                index.learn(step.clause)
+            else:
+                index.follow(state.trail)
     return Validation(True)

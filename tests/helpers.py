@@ -99,3 +99,40 @@ def reference_choice(state, theory, strategy):
                 if cands:
                     return Transition(name, literal=cands[0][0], witness=cands[0][1])
     return None
+
+
+def _rule_applicable(state, theory, name):
+    if name == engine.RULE_FAIL:
+        return engine.applicable_fail(state, theory)
+    if name == engine.RULE_BACKTRACK:
+        return engine.applicable_backtrack(state, theory) is not None
+    if name == engine.RULE_BACKJUMP:
+        return (not state.failed and not state.trail.is_consistent
+                and bool(state.trail.decision_indices))
+    if name == engine.RULE_UNIT_PROPAGATE:
+        return bool(engine.applicable_unit_propagate(state, theory))
+    if name == engine.RULE_UNIT_PROPAGATE_LEARN:
+        return bool(engine.applicable_unit_propagate(state, theory, include_learned=True))
+    if name == engine.RULE_DECIDE:
+        return bool(engine.applicable_decide(state, theory))
+    if name == engine.RULE_UNFOUNDED:
+        return bool(engine.applicable_unfounded(state, theory))
+    return False
+
+
+def reference_strict_violation(state, theory, strategy, rule):
+    """The strict-strategy verdict on taking ``rule`` in ``state``,
+    derived from the definitional ``applicable_*`` functions: the rule
+    must sit in the first priority group that has an applicable rule."""
+    if rule == engine.RULE_LEARN:
+        return None  # the learning policy, not a priority slot
+    allowed = {r for group in strategy.priority for r in group}
+    if rule not in allowed:
+        return f"rule {rule} is not part of mode {strategy.mode!r}"
+    for group in strategy.priority:
+        applicable = [r for r in group if _rule_applicable(state, theory, r)]
+        if applicable:
+            if rule not in group:
+                return f"higher-priority rule {applicable[0]} was applicable"
+            return None
+    return f"no rule of mode {strategy.mode!r} is applicable"

@@ -1,10 +1,13 @@
 """The engine against its definitional side.
 
-``run`` picks transitions from an incremental index and ``step`` checks
-them locally; both must agree exactly with the ``applicable_*``
-functions, which enumerate every candidate of every rule from scratch.
+``run`` picks transitions from an incremental index, strict
+``validate_trace`` asks the same index for the canonical choice, and
+``step`` checks transitions locally; all three must agree exactly with
+the ``applicable_*`` functions, which enumerate every candidate of
+every rule from scratch.
 """
 
+import functools
 import random
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from helpers import reference_choice
-from smasp import engine
-from smasp.engine import AugmentedState, Transition, run, step
+from helpers import reference_choice, reference_strict_violation
+from smasp import engine, oracles, trace
+from smasp.engine import AugmentedState, TraceStep, Transition, run, step
 from smasp.model import Atom, Clause, Literal, Program, SmaspTheory, Trail, TrailEntry
+from smasp.trace import Trace, TraceHeader, theory_digest, validate_trace
 from smasp.translations import completion, ed_completion
 
 
@@ -71,6 +75,138 @@ def test_runs_on_random_3sat_above_the_oracle_caps_take_the_canonical_transition
         assert len(theory.atoms) > 14
         verdicts = {_assert_canonical_run(theory, mode).verdict for mode in engine.MODES}
         assert len(verdicts) == 1
+
+
+# -- strict validate_trace agrees with the reference strict check ------------
+
+def _first_group_candidates(state, theory, strategy):
+    """Every transition of the first priority group that has one; a
+    Backjump's only candidate is the one conflict analysis derives."""
+    for group in strategy.priority:
+        out = []
+        for name in group:
+            if name == engine.RULE_FAIL and engine.applicable_fail(state, theory):
+                out.append(Transition(name))
+            elif name == engine.RULE_BACKTRACK:
+                literal = engine.applicable_backtrack(state, theory)
+                if literal is not None:
+                    out.append(Transition(name, literal=literal))
+            elif name == engine.RULE_BACKJUMP:
+                if not state.failed and not state.trail.is_consistent and state.trail.decision_indices:
+                    learned, asserting, kept = engine.analyze_conflict(
+                        state, engine.conflicting_clause(state), theory)
+                    out.append(Transition(name, literal=asserting, clause=learned,
+                                          prefix_length=kept))
+            elif name in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
+                out += [Transition(name, literal=l, clause=c)
+                        for l, c in engine.applicable_unit_propagate(
+                            state, theory, name == engine.RULE_UNIT_PROPAGATE_LEARN)]
+            elif name == engine.RULE_DECIDE:
+                out += [Transition(name, literal=l)
+                        for l in engine.applicable_decide(state, theory)]
+            elif name == engine.RULE_UNFOUNDED:
+                out += [Transition(name, literal=l, witness=w)
+                        for l, w in engine.applicable_unfounded(state, theory)]
+        if out:
+            return out
+    return []
+
+
+def _random_strict_walk(theory, strategy, rng, max_steps=60):
+    """Steps of a random walk that honours the priorities but takes any
+    candidate of the chosen group, so the index must follow trails that
+    ``run`` never builds."""
+    state, steps = AugmentedState(), []
+
+    def record(tr):
+        steps.append(TraceStep(len(steps) + 1, tr.rule, tr.literal, tr.clause, tr.witness,
+                               tr.prefix_length, engine.digest_trail(state.trail)))
+
+    while len(steps) < max_steps:
+        options = _first_group_candidates(state, theory, strategy)
+        if not options:
+            break
+        tr = rng.choice(options)
+        state = step(state, tr, theory)
+        record(tr)
+        if (tr.rule == engine.RULE_BACKJUMP and strategy.learning
+                and tr.clause not in state.learned and rng.random() < 0.8):
+            tr = Transition(engine.RULE_LEARN, clause=tr.clause)
+            state = step(state, tr, theory)
+            record(tr)
+    return steps
+
+
+def _mutants(steps, theory, rng, count):
+    """Traces with one step deleted, two swapped, a rule replaced or a
+    Decide injected; renumbered, with the recorded digests kept or all
+    dropped."""
+    rules = sorted(engine.ALL_RULES)
+    for _ in range(count):
+        out = list(steps)
+        kind = rng.randrange(4) if out else 3
+        i = rng.randrange(len(out)) if out else 0
+        if kind == 0:
+            del out[i]
+        elif kind == 1:
+            j = rng.randrange(len(out))
+            out[i], out[j] = out[j], out[i]
+        elif kind == 2:
+            out[i] = TraceStep(i + 1, rng.choice(rules), out[i].literal, out[i].clause,
+                               out[i].witness, out[i].prefix_length, out[i].trail_digest)
+        else:  # possibly past the last step
+            i, a = rng.randrange(len(out) + 1), rng.choice(theory.atoms)
+            out.insert(i, TraceStep(i + 1, engine.RULE_DECIDE, Literal(a, rng.random() < 0.5)))
+        keep = rng.random() < 0.5
+        yield tuple(TraceStep(k, s.rule, s.literal, s.clause, s.witness, s.prefix_length,
+                              s.trail_digest if keep else "")
+                    for k, s in enumerate(out, start=1))
+
+
+def _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch):
+    tr = Trace(TraceHeader(mode, theory_digest(theory)), tuple(steps))
+    got = validate_trace(tr, theory, mode, strict_strategy=True)
+    with monkeypatch.context() as patched:
+        patched.setattr(trace, "_strict_violation",
+                        lambda state, theory, strategy, rule, index:
+                        reference_strict_violation(state, theory, strategy, rule))
+        want = validate_trace(tr, theory, mode, strict_strategy=True)
+    assert (got.ok, got.step_index, got.reason) == (want.ok, want.step_index, want.reason), mode
+    return got
+
+
+def test_strict_check_matches_the_reference_on_random_programs(monkeypatch):
+    # each theory is replayed dozens of times; enumerate its models once
+    monkeypatch.setattr(oracles, "enumerate_smasp_models",
+                        functools.lru_cache(maxsize=None)(oracles.enumerate_smasp_models))
+    rng = random.Random(157)
+    valid = invalid = 0
+    for _ in range(25):
+        pi = gen.random_program(rng, n_atoms=6, max_rules=10)
+        for mode, theory in _theories_per_mode(pi):
+            strategy = engine.for_mode(mode)
+            walks = [run(theory, mode, self_check=False).steps]
+            walks += [_random_strict_walk(theory, strategy, rng) for _ in range(2)]
+            for steps in walks:
+                assert _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch).ok
+                for mutant in _mutants(steps, theory, rng, 6):
+                    ok = _assert_strict_check_matches_reference(
+                        theory, mode, mutant, monkeypatch).ok
+                    valid, invalid = valid + ok, invalid + (not ok)
+    assert valid > 50 and invalid > 500
+
+
+@pytest.mark.parametrize("n", range(16, 23))
+def test_strict_check_matches_the_reference_on_random_3sat(n, monkeypatch):
+    for seed in (1, 2):
+        theory = _random_3sat(random.Random(100 * seed + n), n)
+        rng = random.Random(seed * 1000 + n)
+        for mode in engine.MODES:
+            strategy = engine.for_mode(mode)
+            for steps in (run(theory, mode).steps, _random_strict_walk(theory, strategy, rng)):
+                assert _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch).ok
+                for mutant in _mutants(steps, theory, rng, 1):
+                    _assert_strict_check_matches_reference(theory, mode, mutant, monkeypatch)
 
 
 # -- step accepts exactly the definitional candidates ------------------------

@@ -155,6 +155,19 @@ class TestStep:
         assert nxt.trail.literals == (lit("-a"),)
         assert not nxt.trail.entries[0].is_decision
 
+    def test_backjump_literal_outside_the_theory_is_rejected(self):
+        t = SmaspTheory(ed_completion(PI3), PI3)
+        s = state("a* b -a", reasons={"b": cl("-a", "b"), "-a": cl("-a")})
+        with pytest.raises(ValueError, match="outside the theory"):
+            step(s, Transition("Backjump", literal=lit("z"), clause=cl("z"),
+                               prefix_length=0), t)
+
+    def test_unfounded_literal_outside_the_theory_is_rejected(self):
+        t = SmaspTheory(completion(PI3), PI3)
+        with pytest.raises(ValueError, match="inapplicable Unfounded"):
+            step(state(""), Transition("Unfounded", literal=lit("-z"),
+                                       witness=atoms("z")), t)
+
     def test_inapplicable_transition_is_an_error(self):
         with pytest.raises(ValueError):
             step(state(""), Transition("UnitPropagate", literal=lit("c"),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import PI0, atom, atoms, cl, lit, lits, prog, rule, trail
 from smasp.model import (
@@ -158,3 +160,24 @@ def test_decision_levels_are_monotone_along_the_trail():
     for _ in range(200):
         t = _random_trail(rng)
         assert list(t.levels) == sorted(t.levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcdef"), st.booleans(), st.booleans(),
+                          st.booleans()), max_size=14))
+def test_appended_trail_views_match_a_trail_built_from_its_entries(moves):
+    t = Trail()
+    for name, positive, decision, with_reason in moves:
+        literal = Literal(Atom(name), positive)
+        if literal in t:
+            with pytest.raises(ValueError):
+                t.append(literal)
+            continue
+        t = t.append(literal, decision=decision,
+                     reason=Clause((literal,)) if with_reason else None)
+        built = Trail(t.entries)
+        assert t == built
+        assert t.literal_set == built.literal_set
+        assert t.first_conflict_index == built.first_conflict_index
+        assert t.decision_indices == built.decision_indices
+        assert t.levels == built.levels

@@ -4,7 +4,7 @@ import pytest
 
 import gen
 from helpers import PI0, PI3, cl, lit
-from smasp.engine import TraceStep, run
+from smasp.engine import Strategy, TraceStep, run
 from smasp.model import SmaspTheory
 from smasp.trace import (
     Trace,
@@ -77,6 +77,13 @@ class TestValidate:
                                 strict_strategy=True)
         assert lax.ok and not strict.ok
 
+    def test_strict_strategy_must_rank_conflict_handling_first(self):
+        late = Strategy("late", (("UnitPropagate",), ("Fail", "Backtrack"), ("Decide",)),
+                        learning=False)
+        with pytest.raises(ValueError):
+            validate_trace(make_trace(F1, ()), F1, late, strict_strategy=True)
+        assert validate_trace(make_trace(F1, ()), F1, late).ok
+
     def test_strict_strategy_rejects_foreign_rules(self):
         steps = (bare(1, "UnitPropagateLearn", literal=lit("c"), clause=cl("-a", "c")),)
         result = validate_trace(make_trace(F1, steps), F1, "dpll", strict_strategy=True)
@@ -112,6 +119,18 @@ class TestSerialization:
     def test_null_index_is_a_parse_error(self):
         with pytest.raises(ParseError):
             load_trace(HEADER + '\n{"index": null, "rule": "Decide", "literal": "a"}\n')
+
+    @pytest.mark.parametrize("index", ["1.7", "true", '"1"'])
+    def test_index_that_is_not_an_integer_is_a_parse_error(self, index):
+        step = f'{{"index": {index}, "rule": "Decide", "literal": "a"}}'
+        with pytest.raises(ParseError):
+            load_trace(HEADER + "\n" + step + "\n")
+
+    @pytest.mark.parametrize("digest", ["5", "null", '["0"]'])
+    def test_trail_digest_that_is_not_a_string_is_a_parse_error(self, digest):
+        step = f'{{"index": 1, "rule": "Decide", "literal": "a", "trail": {digest}}}'
+        with pytest.raises(ParseError):
+            load_trace(HEADER + "\n" + step + "\n")
 
     @pytest.mark.parametrize("step", [
         '{"index": 1, "rule": "Decide", "literal": 5}',
