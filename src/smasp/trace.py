@@ -16,6 +16,7 @@ from .parsing import ParseError, format_clause, format_literal, format_program, 
 
 
 ENTAILMENT_CHECK_ATOM_LIMIT = 14
+_CONFLICT_RULES = (engine.RULE_FAIL, engine.RULE_BACKTRACK, engine.RULE_BACKJUMP)
 
 
 @dataclass(frozen=True)
@@ -143,17 +144,28 @@ def _strict_violation(state: engine.AugmentedState, theory: SmaspTheory,
                       index: engine.PropagationIndex) -> Optional[str]:
     """Under strict checking the step's rule must sit in the first
     priority group that has any applicable rule: the group of the
-    canonical choice."""
+    canonical choice. On an inconsistent trail that is the first
+    group (:func:`engine.require_conflict_first`), whose Fail applies
+    without a decision and Backtrack/Backjump with one, so no conflict
+    analysis is needed."""
     if rule == engine.RULE_LEARN:
         return None  # the learning policy, not a priority slot
     allowed = {r for group in strategy.priority for r in group}
     if rule not in allowed:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
-    chosen = engine.canonical(state, theory, strategy, index)
-    if chosen is None:
+    if state.failed:
         return f"no rule of mode {strategy.mode!r} is applicable"
-    if rule not in next(g for g in strategy.priority if chosen.rule in g):
-        return f"higher-priority rule {chosen.rule} was applicable"
+    if state.trail.is_consistent:
+        chosen = engine.canonical(state, theory, strategy, index)
+        if chosen is None:
+            return f"no rule of mode {strategy.mode!r} is applicable"
+        first = chosen.rule
+    else:
+        decided = bool(state.trail.decision_indices)
+        first = next(r for r in strategy.priority[0] if r in _CONFLICT_RULES
+                     and (r == engine.RULE_FAIL) != decided)
+    if rule not in next(g for g in strategy.priority if first in g):
+        return f"higher-priority rule {first} was applicable"
     return None
 
 

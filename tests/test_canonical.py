@@ -93,8 +93,11 @@ def _first_group_candidates(state, theory, strategy):
                     out.append(Transition(name, literal=literal))
             elif name == engine.RULE_BACKJUMP:
                 if not state.failed and not state.trail.is_consistent and state.trail.decision_indices:
-                    learned, asserting, kept = engine.analyze_conflict(
-                        state, engine.conflicting_clause(state), theory)
+                    try:
+                        learned, asserting, kept = engine.analyze_conflict(
+                            state, engine.conflicting_clause(state), theory)
+                    except ValueError:  # resolution reached a Backtrack literal
+                        continue
                     out.append(Transition(name, literal=asserting, clause=learned,
                                           prefix_length=kept))
             elif name in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
@@ -163,15 +166,18 @@ def _mutants(steps, theory, rng, count):
                     for k, s in enumerate(out, start=1))
 
 
-def _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch):
-    tr = Trace(TraceHeader(mode, theory_digest(theory)), tuple(steps))
-    got = validate_trace(tr, theory, mode, strict_strategy=True)
+def _assert_strict_check_matches_reference(theory, strategy, steps, monkeypatch):
+    if isinstance(strategy, str):
+        strategy = engine.for_mode(strategy)
+    tr = Trace(TraceHeader(strategy.mode, theory_digest(theory)), tuple(steps))
+    got = validate_trace(tr, theory, strategy, strict_strategy=True)
     with monkeypatch.context() as patched:
         patched.setattr(trace, "_strict_violation",
                         lambda state, theory, strategy, rule, index:
                         reference_strict_violation(state, theory, strategy, rule))
-        want = validate_trace(tr, theory, mode, strict_strategy=True)
-    assert (got.ok, got.step_index, got.reason) == (want.ok, want.step_index, want.reason), mode
+        want = validate_trace(tr, theory, strategy, strict_strategy=True)
+    assert (got.ok, got.step_index, got.reason) == (want.ok, want.step_index, want.reason), \
+        strategy.mode
     return got
 
 
@@ -207,6 +213,57 @@ def test_strict_check_matches_the_reference_on_random_3sat(n, monkeypatch):
                 assert _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch).ok
                 for mutant in _mutants(steps, theory, rng, 1):
                     _assert_strict_check_matches_reference(theory, mode, mutant, monkeypatch)
+
+
+# Backjump ranked before Backtrack: a flipped decision has no reason, so
+# conflict analysis can fail on a trail that a Backtrack step built
+BACKJUMP_FIRST = engine.Strategy("backjump-first", (
+    (engine.RULE_BACKJUMP, engine.RULE_FAIL, engine.RULE_BACKTRACK),
+    (engine.RULE_UNIT_PROPAGATE,),
+    (engine.RULE_DECIDE,),
+), learning=False)
+
+
+def test_strict_check_on_a_conflict_analysis_cannot_resolve(monkeypatch):
+    x, y, z, w, u = (Literal(Atom(n)) for n in "xyzwu")
+    nx, ny, nz, nw, nu = (l.complement() for l in (x, y, z, w, u))
+    c = [Clause((nx, ny, z)), Clause((nx, ny, nz)), Clause((nx, y, w)),
+         Clause((y, nw, u)), Clause((y, nw, nu))]
+    theory = SmaspTheory(tuple(c))
+    up = engine.RULE_UNIT_PROPAGATE
+    transitions = [
+        Transition(engine.RULE_DECIDE, literal=x), Transition(engine.RULE_DECIDE, literal=y),
+        Transition(up, literal=z, clause=c[0]), Transition(up, literal=nz, clause=c[1]),
+        Transition(engine.RULE_BACKTRACK, literal=ny),
+        Transition(up, literal=w, clause=c[2]), Transition(up, literal=u, clause=c[3]),
+        Transition(up, literal=nu, clause=c[4]), Transition(engine.RULE_BACKTRACK, literal=nx),
+    ]
+    state, steps = AugmentedState(), []
+    for tr in transitions:
+        if tr is transitions[-1]:
+            with pytest.raises(ValueError):  # resolution reaches the flipped ny
+                engine.analyze_conflict(state, engine.conflicting_clause(state), theory)
+        state = step(state, tr, theory)
+        steps.append(TraceStep(len(steps) + 1, tr.rule, tr.literal, tr.clause, tr.witness,
+                               tr.prefix_length, engine.digest_trail(state.trail)))
+    assert _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, steps, monkeypatch).ok
+    decide = steps[:-1] + [TraceStep(len(steps), engine.RULE_DECIDE, nx)]
+    got = _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, decide, monkeypatch)
+    assert (got.step_index, got.reason) == (9, "higher-priority rule Backjump was applicable")
+    for mutant in _mutants(steps, theory, random.Random(163), 40):
+        _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, mutant, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_strict_check_matches_the_reference_under_a_backjump_first_strategy(seed, monkeypatch):
+    rng = random.Random(seed)
+    theory = _random_3sat(rng, 8)
+    for _ in range(4):
+        steps = _random_strict_walk(theory, BACKJUMP_FIRST, rng)
+        assert _assert_strict_check_matches_reference(
+            theory, BACKJUMP_FIRST, steps, monkeypatch).ok
+        for mutant in _mutants(steps, theory, rng, 4):
+            _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, mutant, monkeypatch)
 
 
 # -- step accepts exactly the definitional candidates ------------------------

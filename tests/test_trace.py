@@ -120,23 +120,17 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_trace(HEADER + '\n{"index": null, "rule": "Decide", "literal": "a"}\n')
 
-    @pytest.mark.parametrize("index", ["1.7", "true", '"1"'])
-    def test_index_that_is_not_an_integer_is_a_parse_error(self, index):
-        step = f'{{"index": {index}, "rule": "Decide", "literal": "a"}}'
-        with pytest.raises(ParseError):
-            load_trace(HEADER + "\n" + step + "\n")
-
-    @pytest.mark.parametrize("digest", ["5", "null", '["0"]'])
-    def test_trail_digest_that_is_not_a_string_is_a_parse_error(self, digest):
-        step = f'{{"index": 1, "rule": "Decide", "literal": "a", "trail": {digest}}}'
-        with pytest.raises(ParseError):
-            load_trace(HEADER + "\n" + step + "\n")
-
     @pytest.mark.parametrize("step", [
         '{"index": 1, "rule": "Decide", "literal": 5}',
         '{"index": 1, "rule": "Learn", "clause": ["a", null]}',
+        '{"index": 1.7, "rule": "Decide", "literal": "a"}',
+        '{"index": true, "rule": "Decide", "literal": "a"}',
+        '{"index": "1", "rule": "Decide", "literal": "a"}',
+        '{"index": 1, "rule": "Decide", "literal": "a", "trail": 5}',
+        '{"index": 1, "rule": "Decide", "literal": "a", "trail": null}',
+        '{"index": 1, "rule": "Decide", "literal": "a", "trail": ["0"]}',
     ])
-    def test_non_string_literal_token_is_a_parse_error(self, step):
+    def test_malformed_step_field_is_a_parse_error(self, step):
         with pytest.raises(ParseError):
             load_trace(HEADER + "\n" + step + "\n")
 
