@@ -2,12 +2,16 @@
 and the two theory pairings.
 
 Everything is an immutable value; derived views are cached per instance.
-All orderings are total so that candidate enumeration is reproducible
-across runs (the trace-identity tests depend on it).
+Atoms and literals are interned: equal arguments give the one live
+object, so they compare and hash by identity, and each literal keeps
+its dual. All orderings are total so that candidate enumeration is
+reproducible across runs (the trace-identity tests depend on it).
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -26,27 +30,52 @@ class CapExceeded(Exception):
     """An enumeration or output budget would be exceeded."""
 
 
-@dataclass(frozen=True)
-class Atom:
+_set = object.__setattr__
+
+
+class _Interned:
+    """Base of the interned value types: instances are made only by the
+    class's ``__new__``, never change, and compare and hash by
+    identity, which interning makes the same as comparing by value."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Atom(_Interned):
     """A propositional atom.
 
     ``origin`` separates user atoms from the fresh body aliases
     introduced by the linear completion; alias names never collide with
-    parseable user tokens.
+    parseable user tokens. Atoms are interned: ``Atom(n, o)`` returns
+    the one live atom with that name and origin.
     """
 
-    name: str
-    origin: str = ORIGIN_USER
+    __slots__ = ("name", "origin", "key")
+    _table: weakref.WeakValueDictionary[tuple[str, str], Atom] = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, origin: str = ORIGIN_USER) -> "Atom":
+        atom = cls._table.get((name, origin))
+        if atom is not None:
+            return atom
+        if not name:
             raise ValueError("atom name must be a non-empty token")
-        if self.origin not in _ORIGIN_RANK:
-            raise ValueError(f"unknown atom origin: {self.origin!r}")
+        if origin not in _ORIGIN_RANK:
+            raise ValueError(f"unknown atom origin: {origin!r}")
+        atom = object.__new__(cls)
+        _set(atom, "name", name)
+        _set(atom, "origin", origin)
+        _set(atom, "key", (_ORIGIN_RANK[origin], name))
+        cls._table[name, origin] = atom
+        return atom
 
-    @property
-    def key(self) -> tuple[int, str]:
-        return (_ORIGIN_RANK[self.origin], self.name)
+    def __reduce__(self):
+        return (Atom, (self.name, self.origin))
 
     def __lt__(self, other: "Atom") -> bool:
         return self.key < other.key
@@ -57,17 +86,36 @@ class Atom:
         return f"Atom({self.name!r}, fresh)"
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    positive: bool = True
+class Literal(_Interned):
+    """An atom with a polarity; interned like atoms, and each literal
+    keeps its dual once :meth:`complement` has made it."""
 
-    @property
-    def key(self) -> tuple[int, str, int]:
-        return (*self.atom.key, 0 if self.positive else 1)
+    __slots__ = ("atom", "positive", "key", "_dual")
+    _table: weakref.WeakValueDictionary[tuple[Atom, bool], Literal] = weakref.WeakValueDictionary()
+
+    def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
+        literal = cls._table.get((atom, positive))
+        if literal is not None:
+            return literal
+        positive = bool(positive)
+        literal = object.__new__(cls)
+        _set(literal, "atom", atom)
+        _set(literal, "positive", positive)
+        _set(literal, "key", (*atom.key, 0 if positive else 1))
+        _set(literal, "_dual", None)
+        cls._table[atom, positive] = literal
+        return literal
+
+    def __reduce__(self):
+        return (Literal, (self.atom, self.positive))
 
     def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
+        dual = self._dual
+        if dual is None:
+            dual = Literal(self.atom, not self.positive)
+            _set(self, "_dual", dual)
+            _set(dual, "_dual", self)
+        return dual
 
     def __lt__(self, other: "Literal") -> bool:
         return self.key < other.key
@@ -238,13 +286,17 @@ class Program:
     def heads(self) -> frozenset[Atom]:
         return frozenset(r.head for r in self.rules if r.head is not None)
 
+    @cached_property
+    def _bodies_by_head(self) -> dict[Atom, tuple[Body, ...]]:
+        index: dict[Atom, dict[Body, None]] = {}
+        for r in self.rules:
+            if r.head is not None:
+                index.setdefault(r.head, {})[r.body] = None
+        return {a: tuple(bodies) for a, bodies in index.items()}
+
     def bodies(self, atom: Atom) -> tuple[Body, ...]:
         """Distinct bodies of the rules with head ``atom``, in rule order."""
-        out: list[Body] = []
-        for r in self.rules:
-            if r.head == atom and r.body not in out:
-                out.append(r.body)
-        return tuple(out)
+        return self._bodies_by_head.get(atom, ())
 
     @property
     def is_weakly_normal(self) -> bool:
@@ -328,7 +380,7 @@ class Trail:
     def consistent_prefix(self) -> "Trail":
         """Longest prefix in which no atom occurs in both polarities."""
         i = self.first_conflict_index
-        return self if i is None else Trail(self.entries[:i])
+        return self if i is None else self.truncate(i)
 
     @cached_property
     def decision_indices(self) -> tuple[int, ...]:
@@ -362,20 +414,37 @@ class Trail:
         conflict = self.first_conflict_index
         if conflict is None and literal.complement() in self.literal_set:
             conflict = n
-        child = object.__new__(Trail)
-        object.__setattr__(child, "entries", self.entries + (TrailEntry(literal, decision, reason),))
-        child.__dict__.update(
+        return _derived(
+            self.entries + (TrailEntry(literal, decision, reason),),
             literal_set=self.literal_set | {literal},
             first_conflict_index=conflict,
             decision_indices=self.decision_indices + (n,) if decision else self.decision_indices)
-        return child
 
     def truncate(self, length: int) -> "Trail":
-        return Trail(self.entries[:length])
+        """The first ``length`` entries. A prefix of a duplicate-free
+        trail is duplicate-free, and its first conflict and decisions
+        are this trail's below the cut, so nothing is rescanned."""
+        entries = self.entries[:length]
+        n = len(entries)
+        conflict = self.first_conflict_index
+        decisions = self.decision_indices
+        return _derived(
+            entries,
+            first_conflict_index=None if conflict is None or conflict >= n else conflict,
+            decision_indices=decisions[:bisect_left(decisions, n)])
 
     def __repr__(self) -> str:
         toks = [repr(e.literal) + ("^" if e.is_decision else "") for e in self.entries]
         return "Trail(" + " ".join(toks) + ")"
+
+
+def _derived(entries: tuple[TrailEntry, ...], **views) -> Trail:
+    """A trail over ``entries``, known to be duplicate-free, with the
+    given cached views set instead of computed."""
+    trail = object.__new__(Trail)
+    _set(trail, "entries", entries)
+    trail.__dict__.update(views)
+    return trail
 
 
 def trail_state(trail: Trail) -> str:

@@ -91,6 +91,12 @@ def _literal(token) -> Literal:
     return parse_literal_token(token)
 
 
+def _literals(key: str, value) -> tuple[Literal, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{key} is not a JSON array: {value!r}")
+    return tuple(_literal(t) for t in value)
+
+
 def _integer(key: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{key} is not an integer: {value!r}")
@@ -111,10 +117,10 @@ def _step_from_json(record: dict) -> engine.TraceStep:
     literal = _literal(record["literal"]) if "literal" in record else None
     clause = None
     if "clause" in record:
-        clause = Clause(tuple(_literal(t) for t in record["clause"]))
+        clause = Clause(_literals("clause", record["clause"]))
     witness = None
     if "witness" in record:
-        witness = tuple(_literal(t).atom for t in record["witness"])
+        witness = tuple(l.atom for l in _literals("witness", record["witness"]))
     return engine.TraceStep(
         index=index, rule=rule, literal=literal, clause=clause,
         witness=witness, prefix_length=prefix_length, trail_digest=digest)
@@ -130,6 +136,8 @@ def load_trace(source: Union[str, TextIO]) -> Trace:
         steps = tuple(_step_from_json(_object(l)) for l in lines[1:])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed trace: {exc}") from None
+    except RecursionError:
+        raise ParseError("malformed trace: JSON nested too deeply") from None
     return Trace(TraceHeader(header.get("mode", ""), header.get("theory", ""),
                              header.get("version", __version__)), steps)
 

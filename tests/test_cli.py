@@ -203,6 +203,14 @@ class TestCheckTrace:
                      str(other)]) == 0
         assert "invalid at step 0" in capsys.readouterr().out
 
+    def test_deeply_nested_trace_is_an_input_error(self, f1, tmp_path, capsys):
+        trace_file = tmp_path / "deep.trace"
+        trace_file.write_text("[" * 100_000 + "\n")
+        assert main(["check-trace", "--trace", str(trace_file), "--format", "cnf",
+                     "--strict-strategy", f1]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("mode", ["smodels", "cmodels", "clasp", "minisatid"])
     def test_lp_traces_round_trip(self, pi0, tmp_path, capsys, mode):
         trace_file = str(tmp_path / f"{mode}.trace")

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gen
 from helpers import PI0, atom, atoms, cl, lit, lits, prog, rule, trail
 from smasp.model import (
     Atom,
@@ -175,9 +178,86 @@ def test_appended_trail_views_match_a_trail_built_from_its_entries(moves):
             continue
         t = t.append(literal, decision=decision,
                      reason=Clause((literal,)) if with_reason else None)
-        built = Trail(t.entries)
-        assert t == built
-        assert t.literal_set == built.literal_set
-        assert t.first_conflict_index == built.first_conflict_index
-        assert t.decision_indices == built.decision_indices
-        assert t.levels == built.levels
+        derived = [t, t.consistent_prefix()] + [t.truncate(n) for n in range(len(t) + 1)]
+        for view in derived:
+            built = Trail(view.entries)
+            assert view == built
+            assert view.literal_set == built.literal_set
+            assert view.first_conflict_index == built.first_conflict_index
+            assert view.decision_indices == built.decision_indices
+            assert view.levels == built.levels
+
+
+def test_equal_atoms_and_literals_are_one_object():
+    assert Atom("a") is Atom("a", origin="user")
+    assert Atom("f{a}", ORIGIN_FRESH) is Atom("f{a}", origin=ORIGIN_FRESH)
+    assert Literal(atom("a")) is Literal(Atom("a"), positive=True)
+    assert Literal(atom("a"), False) is lit("-a")
+
+
+def test_complement_of_the_complement_is_the_literal_itself():
+    for l in (lit("a"), lit("-b"), Literal(Atom("f{c}", ORIGIN_FRESH), False)):
+        assert l.complement().complement() is l
+        assert l.complement() is Literal(l.atom, not l.positive)
+
+
+def test_fresh_and_user_atoms_of_one_name_are_distinct():
+    user, fresh = Atom("f{a}"), Atom("f{a}", ORIGIN_FRESH)
+    assert user is not fresh and user != fresh
+    assert Literal(user) != Literal(fresh)
+    assert len({user, fresh, Atom("f{a}")}) == 2
+
+
+@pytest.mark.parametrize("args", [("",), ("", ORIGIN_FRESH), ("a", "other")])
+def test_bad_atom_raises_on_every_call(args):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Atom(*args)
+
+
+@pytest.mark.parametrize("value, field", [
+    (Atom("a"), "name"), (Atom("a"), "origin"), (Atom("a"), "key"),
+    (lit("a"), "atom"), (lit("a"), "positive"), (lit("-a"), "key"),
+])
+def test_atoms_and_literals_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_copies_and_pickles_are_the_interned_objects():
+    fresh = Literal(Atom("f{b}", ORIGIN_FRESH), False)
+    for value in (Atom("a"), lit("-a"), fresh):
+        assert copy.copy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+    assert copy.deepcopy(PI0) == PI0
+
+
+def test_repr_and_order_of_atoms_and_literals():
+    fresh = Atom("f{b}", ORIGIN_FRESH)
+    assert repr(Atom("a")) == "Atom('a')"
+    assert repr(fresh) == "Atom('f{b}', fresh)"
+    assert repr(lit("a")) == "a" and repr(lit("-a")) == "-a"
+    assert Atom("a").key == (1, "a") and fresh.key == (0, "f{b}")
+    assert lit("-a").key == (1, "a", 1)
+    assert sorted([atom("b"), fresh, atom("a")]) == [fresh, atom("a"), atom("b")]
+    assert sorted([lit("b"), lit("-a"), Literal(fresh, False), lit("a")]) == \
+        [Literal(fresh, False), lit("a"), lit("-a"), lit("b")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_bodies_match_the_definitional_scan(rng, negneg):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 8), max_rules=12,
+                            allow_negneg=negneg, pool=gen.POOL8)
+    for a in gen.POOL8:
+        scan: list = []
+        for r in pi.rules:
+            if r.head == a and r.body not in scan:
+                scan.append(r.body)
+        assert pi.bodies(a) == tuple(scan)
+    assert pi.bodies(Atom("z")) == ()
+    assert pi.bodies(Atom("a", ORIGIN_FRESH)) == ()

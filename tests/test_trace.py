@@ -129,10 +129,19 @@ class TestSerialization:
         '{"index": 1, "rule": "Decide", "literal": "a", "trail": 5}',
         '{"index": 1, "rule": "Decide", "literal": "a", "trail": null}',
         '{"index": 1, "rule": "Decide", "literal": "a", "trail": ["0"]}',
+        '{"index": 1, "rule": "Learn", "clause": "ab"}',
+        '{"index": 1, "rule": "Learn", "clause": {"a": 1}}',
+        '{"index": 1, "rule": "Unfounded", "literal": "-a", "witness": "ab"}',
     ])
     def test_malformed_step_field_is_a_parse_error(self, step):
         with pytest.raises(ParseError):
             load_trace(HEADER + "\n" + step + "\n")
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"index": ' + "[" * 100_000],
+                             ids=["line", "field"])
+    def test_deeply_nested_line_is_a_parse_error(self, line):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_trace(HEADER + "\n" + line + "\n")
 
     def test_string_prefix_length_is_a_parse_error(self):
         step = ('{"index": 1, "rule": "Backjump", "literal": "-a", "clause": ["-a"], '
