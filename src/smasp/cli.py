@@ -108,6 +108,8 @@ def _cross_check_unsat(theory: SmaspTheory) -> None:
 def _cmd_solve(args) -> int:
     if args.enumerate < 1:
         raise InputError(f"--enumerate needs K >= 1, got {args.enumerate}")
+    if args.max_steps < 0:
+        raise InputError(f"--max-steps needs N >= 0, got {args.max_steps}")
     if args.enumerate > 1 and args.trace:
         print("--trace supports single-model solving only", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -26,6 +26,11 @@ ORIGIN_FRESH = "fresh-body"
 _ORIGIN_RANK = {ORIGIN_FRESH: 0, ORIGIN_USER: 1}
 
 
+# Largest universe the enumerative checks walk before raising
+# CapExceeded.
+DEFAULT_ENUMERATION_CAP = 20
+
+
 class CapExceeded(Exception):
     """An enumeration or output budget would be exceeded."""
 

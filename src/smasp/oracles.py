@@ -5,6 +5,9 @@ fixpoints, the two model relations, and entailment.
 This is the slow trusted side of every dual-route check; the transition
 engine is validated against it. All functions are pure; enumerations
 are capped and raise :class:`CapExceeded` instead of running away.
+Enumerations over the models of a clause set walk the assignment tree
+(:func:`clause_models`), skip every branch that falsifies a clause, and
+apply the definitional model test to the assignments that remain.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .model import (
     Atom,
     CapExceeded,
     Clause,
+    DEFAULT_ENUMERATION_CAP,
     Literal,
     PcidTheory,
     Program,
@@ -32,8 +36,6 @@ from .model import (
     sorted_atoms,
 )
 from . import translations
-
-DEFAULT_ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -229,23 +231,56 @@ def enumerate_assignments(atoms: Iterable[Atom]) -> Iterator[frozenset[Literal]]
         yield frozenset(Literal(a, s) for a, s in zip(atoms, signs))
 
 
+def clause_models(clauses: Iterable[Clause], atoms: Iterable[Atom]) -> Iterator[frozenset[Literal]]:
+    """The assignments of :func:`enumerate_assignments` over ``atoms``
+    that satisfy ``clauses``, in the same order.
+
+    Walks the sorted atoms depth-first, positive polarity first, and
+    drops a branch once a clause whose atoms are all assigned is
+    falsified, since every extension falsifies it too. Literals over
+    atoms outside the universe are false, as in :func:`satisfies`.
+    """
+    atoms = sorted_atoms(atoms)
+    depth = {a: d for d, a in enumerate(atoms)}
+    # closing[d]: every clause whose last atom is atoms[d], as its
+    # literals over the universe paired with their atom's depth
+    closing: list[list[tuple[tuple[int, Literal], ...]]] = [[] for _ in atoms]
+    for c in clauses:
+        lits = tuple((depth[l.atom], l) for l in c if l.atom in depth)
+        if not lits:
+            return
+        closing[max(d for d, _ in lits)].append(lits)
+    polarities = [(Literal(a), Literal(a, False)) for a in atoms]
+    chosen: list[Optional[Literal]] = [None] * len(atoms)
+
+    def walk(d: int) -> Iterator[frozenset[Literal]]:
+        if d == len(atoms):
+            yield frozenset(chosen)
+            return
+        for literal in polarities[d]:
+            chosen[d] = literal
+            if all(any(chosen[i] is l for i, l in c) for c in closing[d]):
+                yield from walk(d + 1)
+
+    yield from walk(0)
+
+
 def enumerate_models(clauses: Iterable[Clause], atoms: Iterable[Atom],
                      cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[frozenset[Literal], ...]:
-    clauses = tuple(clauses)
     atoms = _check_cap(atoms, cap)
-    return tuple(m for m in enumerate_assignments(atoms) if satisfies(m, clauses))
+    return tuple(clause_models(clauses, atoms))
 
 
 def enumerate_smasp_models(theory: SmaspTheory,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[frozenset[Literal], ...]:
     atoms = _check_cap(theory.atoms, cap)
-    return tuple(m for m in enumerate_assignments(atoms) if is_smasp_model(theory, m))
+    return tuple(m for m in clause_models(theory.clauses, atoms) if is_smasp_model(theory, m))
 
 
 def enumerate_pcid_models(theory: PcidTheory,
                           cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[frozenset[Literal], ...]:
     atoms = _check_cap(theory.atoms, cap)
-    return tuple(m for m in enumerate_assignments(atoms) if is_pcid_model(theory, m))
+    return tuple(m for m in clause_models(theory.clauses, atoms) if is_pcid_model(theory, m))
 
 
 def entails(theory: SmaspTheory, goal: Union[Clause, Iterable[Clause]],
@@ -258,7 +293,7 @@ def entails(theory: SmaspTheory, goal: Union[Clause, Iterable[Clause]],
         if not set(c.atoms) <= theory_atoms:
             raise ValueError(f"goal clause {c!r} mentions atoms outside the theory")
     atoms = _check_cap(theory.atoms, cap)
-    for m in enumerate_assignments(atoms):
+    for m in clause_models(theory.clauses, atoms):
         if is_smasp_model(theory, m) and not satisfies(m, goal_clauses):
             return False
     return True
@@ -275,8 +310,8 @@ def is_total_on(theory: PcidTheory, m: Iterable[Literal]) -> bool:
 def is_total(theory: PcidTheory, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Total on every model of the clause part."""
     atoms = _check_cap(theory.atoms, cap)
-    for m in enumerate_assignments(atoms):
-        if satisfies(m, theory.clauses) and not is_total_on(theory, m):
+    for m in clause_models(theory.clauses, atoms):
+        if not is_total_on(theory, m):
             return False
     return True
 

@@ -90,9 +90,11 @@ def parse_dimacs(text: str) -> tuple[Clause, ...]:
                 raise ParseError(f"malformed DIMACS header: {line!r}")
             try:
                 var_count = int(parts[2])
-                int(parts[3])
+                clause_count = int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed DIMACS header: {line!r}") from None
+            if var_count < 0 or clause_count < 0:
+                raise ParseError(f"malformed DIMACS header: {line!r}")
             continue
         if var_count is None:
             raise ParseError("clause before the 'p cnf' header")

@@ -14,6 +14,7 @@ from .model import (
     Body,
     CapExceeded,
     Clause,
+    DEFAULT_ENUMERATION_CAP,
     Literal,
     ORIGIN_FRESH,
     PcidTheory,
@@ -148,7 +149,7 @@ def pi_translation(theory: PcidTheory) -> Program:
     return opened.extend(clause_constraint(c) for c in theory.clauses)
 
 
-def is_pi_safe(f: Iterable[Clause], pi: Program, cap: int = 20) -> bool:
+def is_pi_safe(f: Iterable[Clause], pi: Program, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """The clause set forces every non-head atom false, and every
     answer set of the program is the head projection of one of its
     models."""

@@ -75,6 +75,18 @@ class TestSolve:
         assert captured.out == ""
         assert "--enumerate" in captured.err
 
+    def test_negative_max_steps_is_an_input_error(self, pi0, capsys):
+        assert main(["solve", "--mode", "clasp", "--format", "lp",
+                     "--max-steps", "-5", pi0]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--max-steps" in captured.err
+
+    def test_zero_max_steps_is_a_limit(self, pi0, capsys):
+        assert main(["solve", "--mode", "clasp", "--format", "lp",
+                     "--max-steps", "0", pi0]) == 2
+        assert capsys.readouterr().out.strip() == "LIMIT EXCEEDED"
+
     def test_pcid_minisatid(self, pcid0, capsys):
         assert main(["solve", "--mode", "minisatid", "--format", "pcid",
                      "--self-check", pcid0]) == 10

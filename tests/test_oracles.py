@@ -2,12 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, PI2, PI3, PI4, F0, atoms, cl, lits, prog, rule
 from smasp import oracles
 from smasp.model import (
+    Atom,
     CapExceeded,
+    Clause,
+    Literal,
     PcidTheory,
     Program,
     SmaspTheory,
@@ -15,8 +20,12 @@ from smasp.model import (
     satisfies,
 )
 from smasp.oracles import (
+    clause_models,
     enumerate_answer_sets,
     enumerate_assignments,
+    enumerate_models,
+    enumerate_pcid_models,
+    enumerate_smasp_models,
     entails,
     greatest_unfounded_set,
     is_answer_set,
@@ -24,6 +33,7 @@ from smasp.oracles import (
     is_pcid_model,
     is_smasp_model,
     is_total,
+    is_total_on,
     is_unfounded,
     reduct,
     simplify_by,
@@ -228,6 +238,65 @@ class TestTotality:
 
     def test_empty_theory_is_vacuously_total(self):
         assert is_total(PcidTheory((), Program()))
+
+
+def filtered(atoms, keep):
+    """The definitional enumeration: every assignment, then the test."""
+    return tuple(m for m in enumerate_assignments(atoms) if keep(m))
+
+
+class TestClauseModels:
+    def test_empty_universe_has_one_empty_assignment(self):
+        assert tuple(clause_models((), ())) == (frozenset(),)
+
+    def test_empty_universe_falsifies_every_clause(self):
+        assert tuple(clause_models((cl("a"),), ())) == ()
+
+    def test_clause_without_a_literal_over_the_universe_has_no_model(self):
+        assert tuple(clause_models((cl("a", "-b"), cl("z")), atoms("a b"))) == ()
+
+    def test_literals_outside_the_universe_are_false(self):
+        assert tuple(clause_models((cl("-a", "z"),), atoms("a b"))) == (
+            lits("-a b"), lits("-a -b"))
+
+    def test_unmentioned_atoms_range_freely_in_enumeration_order(self):
+        assert tuple(clause_models((cl("b"),), atoms("a b c"))) == (
+            lits("a b c"), lits("a b -c"), lits("-a b c"), lits("-a b -c"))
+
+    def test_enumerate_models_respects_the_cap(self):
+        with pytest.raises(CapExceeded):
+            enumerate_models((), atoms("a b c"), cap=2)
+
+
+OUTSIDE = (Atom("y"), Atom("z"))
+_literals = st.builds(Literal, st.sampled_from(gen.POOL8 + OUTSIDE), st.booleans())
+_clauses = st.lists(st.lists(_literals, min_size=1, max_size=4).map(
+    lambda ls: Clause(tuple(ls))), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clauses, st.lists(st.sampled_from(gen.POOL8), max_size=8, unique=True))
+def test_clause_models_is_the_filtered_enumeration(clauses, universe):
+    # universes of 0-8 atoms, some unmentioned; clauses may reach outside
+    # the universe, partly or entirely
+    assert tuple(clause_models(clauses, universe)) == filtered(
+        universe, lambda m: satisfies(m, clauses))
+
+
+def test_model_enumerators_are_the_filtered_enumeration():
+    rng = random.Random(71)
+    for _ in range(60):
+        pi = gen.random_program(rng, n_atoms=5, max_rules=6)
+        t = SmaspTheory(gen.random_clauses(rng, gen.POOL), pi)
+        assert enumerate_smasp_models(t) == filtered(t.atoms, lambda m: is_smasp_model(t, m))
+        goal = gen.random_clauses(rng, t.atoms, max_clauses=2)
+        assert entails(t, goal) == all(
+            satisfies(m, goal) for m in filtered(t.atoms, lambda m: is_smasp_model(t, m)))
+        wn = gen.random_weakly_normal_program(rng, n_atoms=5, max_rules=6)
+        p = PcidTheory(gen.random_clauses(rng, gen.POOL), wn)
+        assert enumerate_pcid_models(p) == filtered(p.atoms, lambda m: is_pcid_model(p, m))
+        assert is_total(p) == all(
+            is_total_on(p, m) for m in filtered(p.atoms, lambda m: satisfies(m, p.clauses)))
 
 
 class TestSimplifyBy:

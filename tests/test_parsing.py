@@ -46,6 +46,11 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p dnf 2 1\n1 0")
 
+    @pytest.mark.parametrize("header", ["p cnf -3 1", "p cnf 3 -1"])
+    def test_negative_header_counts_are_rejected(self, header):
+        with pytest.raises(ParseError, match="malformed DIMACS header"):
+            parse_dimacs(header + "\n1 0")
+
     def test_clause_may_span_lines(self):
         assert parse_dimacs("p cnf 3 1\n1 2\n3 0") == (cl("x1", "x2", "x3"),)
 
