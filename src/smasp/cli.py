@@ -111,8 +111,7 @@ def _cmd_solve(args) -> int:
     if args.max_steps < 0:
         raise InputError(f"--max-steps needs N >= 0, got {args.max_steps}")
     if args.enumerate > 1 and args.trace:
-        print("--trace supports single-model solving only", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputError("--trace supports single-model solving only")
     text = _read(args.input)
     theory, report_kind, report_atoms = build_theory(args.mode, args.format, text)
 

@@ -135,15 +135,10 @@ class _TheoryContext:
 
 @lru_cache(maxsize=512)
 def _context(theory: SmaspTheory) -> _TheoryContext:
-    sources = list(theory.clauses)
-    seen = set(sources)
-    for c in translations.clausal(theory.program):
-        if c not in seen:
-            sources.append(c)
-            seen.add(c)
+    sources = tuple(dict.fromkeys(theory.clauses + translations.clausal(theory.program)))
     opened = translations.open_program(theory.program, theory.atoms)
-    return _TheoryContext(theory.atoms, opened, tuple(sources),
-                          frozenset(theory.atoms), frozenset(seen))
+    return _TheoryContext(theory.atoms, opened, sources,
+                          frozenset(theory.atoms), frozenset(sources))
 
 
 def digest_trail(trail: Trail) -> str:
@@ -238,11 +233,7 @@ def unfounded_reason(atom: Atom, u: Iterable[Atom], m: Union[Trail, Iterable[Lit
     ms = m.literal_set if isinstance(m, Trail) else frozenset(m)
     us = frozenset(u)
     lits = {Literal(atom, positive=False)}
-    bodies = []
-    for a in sorted_atoms(us):
-        for body in pio.bodies(a):
-            if not (body.pos_set & us) and body not in bodies:
-                bodies.append(body)
+    bodies = {body for a in us for body in pio.bodies(a) if not (body.pos_set & us)}
     for body in sorted(bodies, key=lambda b: b.key):
         falsified = [l for l in body.s_literals if l.complement() in ms]
         if not falsified:
@@ -432,20 +423,25 @@ class PropagationIndex:
     def __init__(self, ctx: _TheoryContext) -> None:
         self.literals: list[Literal] = []
         for a in ctx.atoms:
-            self.literals += (Literal(a), Literal(a, positive=False))
+            positive = Literal(a)
+            self.literals += (positive, positive.complement())
         self.code = {l: x for x, l in enumerate(self.literals)}
         self.true = [False] * len(self.literals)
         self.trail: list[int] = []
         self.decide_from = 0  # every atom below it is assigned
-        self.clauses: list[Clause] = []
-        self.codes: list[tuple[int, ...]] = []
-        self.n_true: list[int] = []
-        self.n_false: list[int] = []
+        # the sources in bulk: on the empty trail every count is 0 and
+        # the pending clauses are the unit ones, a sorted list is a heap
+        self.clauses: list[Clause] = list(ctx.up_sources)
+        self.codes: list[tuple[int, ...]] = [tuple(map(self.code.__getitem__, c.literals))
+                                             for c in self.clauses]
+        self.n_true: list[int] = [0] * len(self.clauses)
+        self.n_false: list[int] = [0] * len(self.clauses)
         self.occurs: list[list[int]] = [[] for _ in self.literals]
-        self.pending: list[int] = []
+        for i, codes in enumerate(self.codes):
+            for x in codes:
+                self.occurs[x].append(i)
+        self.pending: list[int] = [i for i, codes in enumerate(self.codes) if len(codes) <= 1]
         self.sources = ctx.source_set
-        for c in ctx.up_sources:
-            self._add(c)
         self.n_sources = len(self.clauses)
 
     def _add(self, c: Clause) -> None:

@@ -2,10 +2,13 @@
 and the two theory pairings.
 
 Everything is an immutable value; derived views are cached per instance.
-Atoms and literals are interned: equal arguments give the one live
-object, so they compare and hash by identity, and each literal keeps
-its dual. All orderings are total so that candidate enumeration is
-reproducible across runs (the trace-identity tests depend on it).
+Atoms, literals, clauses, rule bodies and rules are interned: equal
+arguments (after sorting and deduplicating a clause's literals or a
+body's atom tuples) give the one live object, so they compare and hash
+by identity and membership tests never compare values. Each literal
+keeps its dual, each clause and body its sort key. All orderings are
+total so that candidate enumeration is reproducible across runs (the
+trace-identity tests depend on it).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Optional
 
 __version__ = "0.1.0"
@@ -38,10 +41,28 @@ class CapExceeded(Exception):
 _set = object.__setattr__
 
 
+def _live(table: dict, key):
+    """The live value interned under ``key`` in ``table``, or None."""
+    ref = table.get(key)
+    return None if ref is None else ref()
+
+
+def _enter(table: dict, key, value) -> None:
+    """Intern ``value`` under ``key``; the entry goes when the value dies."""
+    table[key] = weakref.ref(value, partial(_forget, table, key))
+
+
+def _forget(table: dict, key, ref: weakref.ref) -> None:
+    if table.get(key) is ref:  # not yet replaced by a newer value
+        del table[key]
+
+
 class _Interned:
     """Base of the interned value types: instances are made only by the
     class's ``__new__``, never change, and compare and hash by
-    identity, which interning makes the same as comparing by value."""
+    identity, which interning makes the same as comparing by value.
+    Each class's ``_table`` maps a normal form to a weak reference to
+    the one live value with that form."""
 
     __slots__ = ("__weakref__",)
 
@@ -62,10 +83,10 @@ class Atom(_Interned):
     """
 
     __slots__ = ("name", "origin", "key")
-    _table: weakref.WeakValueDictionary[tuple[str, str], Atom] = weakref.WeakValueDictionary()
+    _table: dict[tuple[str, str], weakref.ref] = {}
 
     def __new__(cls, name: str, origin: str = ORIGIN_USER) -> "Atom":
-        atom = cls._table.get((name, origin))
+        atom = _live(cls._table, (name, origin))
         if atom is not None:
             return atom
         if not name:
@@ -76,7 +97,7 @@ class Atom(_Interned):
         _set(atom, "name", name)
         _set(atom, "origin", origin)
         _set(atom, "key", (_ORIGIN_RANK[origin], name))
-        cls._table[name, origin] = atom
+        _enter(cls._table, (name, origin), atom)
         return atom
 
     def __reduce__(self):
@@ -96,10 +117,10 @@ class Literal(_Interned):
     keeps its dual once :meth:`complement` has made it."""
 
     __slots__ = ("atom", "positive", "key", "_dual")
-    _table: weakref.WeakValueDictionary[tuple[Atom, bool], Literal] = weakref.WeakValueDictionary()
+    _table: dict[tuple[Atom, bool], weakref.ref] = {}
 
     def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
-        literal = cls._table.get((atom, positive))
+        literal = _live(cls._table, (atom, positive))
         if literal is not None:
             return literal
         positive = bool(positive)
@@ -108,7 +129,7 @@ class Literal(_Interned):
         _set(literal, "positive", positive)
         _set(literal, "key", (*atom.key, 0 if positive else 1))
         _set(literal, "_dual", None)
-        cls._table[atom, positive] = literal
+        _enter(cls._table, (atom, positive), literal)
         return literal
 
     def __reduce__(self):
@@ -138,25 +159,48 @@ def duals(literals: Iterable[Literal]) -> frozenset[Literal]:
     return frozenset(l.complement() for l in literals)
 
 
+def _by_key(value):
+    return value.key
+
+
 def sorted_literals(literals: Iterable[Literal]) -> tuple[Literal, ...]:
-    return tuple(sorted(set(literals), key=lambda l: l.key))
+    return tuple(sorted(set(literals), key=_by_key))
 
 
 def sorted_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(set(atoms), key=lambda a: a.key))
+    return tuple(sorted(set(atoms), key=_by_key))
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A non-empty disjunction of literals, kept in canonical order."""
+class Clause(_Interned):
+    """A non-empty disjunction of literals, kept in canonical order.
 
-    literals: tuple[Literal, ...]
+    Interned: ``Clause(literals)`` sorts and dedupes the literals, then
+    returns the one live clause with that normal form.
+    """
 
-    def __post_init__(self) -> None:
-        lits = sorted_literals(self.literals)
-        if not lits:
+    __slots__ = ("literals", "key", "_atoms")
+    _table: dict[tuple[Literal, ...], weakref.ref] = {}
+
+    def __new__(cls, literals: Iterable[Literal]) -> "Clause":
+        literals = tuple(literals)
+        clause = _live(cls._table, literals)  # already in normal form
+        if clause is not None:
+            return clause
+        literals = sorted_literals(literals)
+        if not literals:
             raise ValueError("a clause is a non-empty disjunction")
-        object.__setattr__(self, "literals", lits)
+        clause = _live(cls._table, literals)
+        if clause is not None:
+            return clause
+        clause = object.__new__(cls)
+        _set(clause, "literals", literals)
+        _set(clause, "key", tuple(l.key for l in literals))
+        _set(clause, "_atoms", None)
+        _enter(cls._table, literals, clause)
+        return clause
+
+    def __reduce__(self):
+        return (Clause, (self.literals,))
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
@@ -169,11 +213,12 @@ class Clause:
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
-        return sorted_atoms(l.atom for l in self.literals)
-
-    @property
-    def key(self) -> tuple:
-        return tuple(l.key for l in self.literals)
+        atoms = self._atoms
+        if atoms is None:
+            # literals sort by atom first, so the atoms come out sorted
+            atoms = tuple(dict.fromkeys(l.atom for l in self.literals))
+            _set(self, "_atoms", atoms)
+        return atoms
 
     def __lt__(self, other: "Clause") -> bool:
         return self.key < other.key
@@ -182,26 +227,43 @@ class Clause:
         return "Clause(" + " | ".join(map(repr, self.literals)) + ")"
 
 
-def clause(*literals: Literal) -> Clause:
-    return Clause(tuple(literals))
-
-
 def sorted_clauses(clauses: Iterable[Clause]) -> tuple[Clause, ...]:
-    return tuple(sorted(set(clauses), key=lambda c: c.key))
+    return tuple(sorted(set(clauses), key=_by_key))
 
 
-@dataclass(frozen=True)
-class Body:
-    """A rule body split into its plain, negated, and doubly negated parts."""
+class Body(_Interned):
+    """A rule body split into its plain, negated, and doubly negated
+    parts; interned on the sorted, deduplicated parts."""
 
-    pos: tuple[Atom, ...] = ()
-    neg: tuple[Atom, ...] = ()
-    negneg: tuple[Atom, ...] = ()
+    __slots__ = ("pos", "neg", "negneg", "key", "s_literals", "pos_set")
+    _table: dict[tuple, weakref.ref] = {}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", sorted_atoms(self.pos))
-        object.__setattr__(self, "neg", sorted_atoms(self.neg))
-        object.__setattr__(self, "negneg", sorted_atoms(self.negneg))
+    def __new__(cls, pos: Iterable[Atom] = (), neg: Iterable[Atom] = (),
+                negneg: Iterable[Atom] = ()) -> "Body":
+        given = (tuple(pos), tuple(neg), tuple(negneg))
+        body = _live(cls._table, given)  # already in normal form
+        if body is not None:
+            return body
+        parts = tuple(sorted_atoms(part) for part in given)
+        body = _live(cls._table, parts)
+        if body is not None:
+            return body
+        body = object.__new__(cls)
+        pos, neg, negneg = parts
+        _set(body, "pos", pos)
+        _set(body, "neg", neg)
+        _set(body, "negneg", negneg)
+        _set(body, "key", tuple(tuple(a.key for a in part) for part in parts))
+        # the body read as literals: atoms and doubly negated atoms map
+        # to positive literals, negated atoms to negative ones
+        _set(body, "s_literals", sorted_literals(
+            [Literal(a) for a in pos + negneg] + [Literal(a, positive=False) for a in neg]))
+        _set(body, "pos_set", frozenset(pos))
+        _enter(cls._table, parts, body)
+        return body
+
+    def __reduce__(self):
+        return (Body, (self.pos, self.neg, self.negneg))
 
     def __len__(self) -> int:
         return len(self.pos) + len(self.neg) + len(self.negneg)
@@ -210,48 +272,40 @@ class Body:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    @cached_property
-    def s_literals(self) -> tuple[Literal, ...]:
-        """The body read as literals: atoms and doubly negated atoms map
-        to positive literals, negated atoms to negative ones."""
-        lits = [Literal(a) for a in self.pos]
-        lits += [Literal(a, positive=False) for a in self.neg]
-        lits += [Literal(a) for a in self.negneg]
-        return sorted_literals(lits)
-
-    @property
-    def pos_set(self) -> frozenset[Atom]:
-        return frozenset(self.pos)
-
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return sorted_atoms(self.pos + self.neg + self.negneg)
 
-    @property
-    def key(self) -> tuple:
-        return (
-            tuple(a.key for a in self.pos),
-            tuple(a.key for a in self.neg),
-            tuple(a.key for a in self.negneg),
-        )
+    def __repr__(self) -> str:
+        return f"Body(pos={self.pos!r}, neg={self.neg!r}, negneg={self.negneg!r})"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Interned):
     """A program rule; ``head`` is absent for constraints, which must
-    have a non-empty body."""
+    have a non-empty body. Interned on the head and the interned body."""
 
-    head: Optional[Atom]
-    pos: tuple[Atom, ...] = ()
-    neg: tuple[Atom, ...] = ()
-    negneg: tuple[Atom, ...] = ()
+    __slots__ = ("head", "pos", "neg", "negneg", "body")
+    _table: dict[tuple, weakref.ref] = {}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", sorted_atoms(self.pos))
-        object.__setattr__(self, "neg", sorted_atoms(self.neg))
-        object.__setattr__(self, "negneg", sorted_atoms(self.negneg))
-        if self.head is None and self.is_fact:
+    def __new__(cls, head: Optional[Atom], pos: Iterable[Atom] = (),
+                neg: Iterable[Atom] = (), negneg: Iterable[Atom] = ()) -> "Rule":
+        body = Body(pos, neg, negneg)
+        if head is None and body.is_empty:
             raise ValueError("a constraint must have a non-empty body")
+        rule = _live(cls._table, (head, body))
+        if rule is not None:
+            return rule
+        rule = object.__new__(cls)
+        _set(rule, "head", head)
+        _set(rule, "pos", body.pos)
+        _set(rule, "neg", body.neg)
+        _set(rule, "negneg", body.negneg)
+        _set(rule, "body", body)
+        _enter(cls._table, (head, body), rule)
+        return rule
+
+    def __reduce__(self):
+        return (Rule, (self.head, self.pos, self.neg, self.negneg))
 
     @property
     def is_constraint(self) -> bool:
@@ -261,14 +315,14 @@ class Rule:
     def is_fact(self) -> bool:
         return not (self.pos or self.neg or self.negneg)
 
-    @cached_property
-    def body(self) -> Body:
-        return Body(self.pos, self.neg, self.negneg)
-
     @property
     def atoms(self) -> tuple[Atom, ...]:
         head = (self.head,) if self.head is not None else ()
         return sorted_atoms(head + self.pos + self.neg + self.negneg)
+
+    def __repr__(self) -> str:
+        return (f"Rule(head={self.head!r}, pos={self.pos!r}, neg={self.neg!r}, "
+                f"negneg={self.negneg!r})")
 
 
 def body_literals(rule: Rule) -> tuple[Literal, ...]:
@@ -282,10 +336,10 @@ class Program:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        seen: list[Atom] = []
+        found = set(self.heads)
         for r in self.rules:
-            seen.extend(r.atoms)
-        return sorted_atoms(seen)
+            found.update(r.pos, r.neg, r.negneg)
+        return sorted_atoms(found)
 
     @cached_property
     def heads(self) -> frozenset[Atom]:
@@ -489,10 +543,7 @@ def satisfies(literals: Iterable[Literal], clauses: Iterable[Clause]) -> bool:
 
 
 def atoms_of_clauses(clauses: Iterable[Clause]) -> tuple[Atom, ...]:
-    out: list[Atom] = []
-    for c in clauses:
-        out.extend(c.atoms)
-    return sorted_atoms(out)
+    return sorted_atoms(l.atom for c in clauses for l in c.literals)
 
 
 @dataclass(frozen=True)

@@ -205,12 +205,18 @@ def open_view(theory: Union[SmaspTheory, PcidTheory]) -> tuple[Program, tuple[At
 
 
 def is_pcid_model(theory: PcidTheory, m: Iterable[Literal]) -> bool:
+    return _is_pcid_model(theory, m, open_view(theory))
+
+
+def _is_pcid_model(theory: PcidTheory, m: Iterable[Literal],
+                   view: tuple[Program, tuple[Atom, ...]]) -> bool:
+    """:func:`is_pcid_model`, given the theory's :func:`open_view`."""
     ms = frozenset(m)
     if not is_consistent_literals(ms) or not is_complete_over(ms, theory.atoms):
         return False
     if not satisfies(ms, theory.clauses):
         return False
-    opened, open_atoms = open_view(theory)
+    opened, open_atoms = view
     return w_fix(opened, restrict_literals(ms, open_atoms)) == ms
 
 
@@ -280,7 +286,9 @@ def enumerate_smasp_models(theory: SmaspTheory,
 def enumerate_pcid_models(theory: PcidTheory,
                           cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[frozenset[Literal], ...]:
     atoms = _check_cap(theory.atoms, cap)
-    return tuple(m for m in clause_models(theory.clauses, atoms) if is_pcid_model(theory, m))
+    view = open_view(theory)
+    return tuple(m for m in clause_models(theory.clauses, atoms)
+                 if _is_pcid_model(theory, m, view))
 
 
 def entails(theory: SmaspTheory, goal: Union[Clause, Iterable[Clause]],
@@ -302,7 +310,13 @@ def entails(theory: SmaspTheory, goal: Union[Clause, Iterable[Clause]],
 def is_total_on(theory: PcidTheory, m: Iterable[Literal]) -> bool:
     """The well-founded evaluation started from ``m``'s open part
     assigns every atom of the theory."""
-    opened, open_atoms = open_view(theory)
+    return _is_total_on(theory, m, open_view(theory))
+
+
+def _is_total_on(theory: PcidTheory, m: Iterable[Literal],
+                 view: tuple[Program, tuple[Atom, ...]]) -> bool:
+    """:func:`is_total_on`, given the theory's :func:`open_view`."""
+    opened, open_atoms = view
     fix = w_fix(opened, restrict_literals(frozenset(m), open_atoms))
     return frozenset(theory.atoms) <= atoms_of_literals(fix)
 
@@ -310,10 +324,8 @@ def is_total_on(theory: PcidTheory, m: Iterable[Literal]) -> bool:
 def is_total(theory: PcidTheory, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Total on every model of the clause part."""
     atoms = _check_cap(theory.atoms, cap)
-    for m in clause_models(theory.clauses, atoms):
-        if not is_total_on(theory, m):
-            return False
-    return True
+    view = open_view(theory)
+    return all(_is_total_on(theory, m, view) for m in clause_models(theory.clauses, atoms))
 
 
 def simplify_by(pi: Program, n: Iterable[Literal]) -> Program:

@@ -39,12 +39,7 @@ def clause_of_rule(rule: Rule) -> Clause:
 
 def clausal(pi: Program) -> tuple[Clause, ...]:
     """Clause reading of every rule, deduplicated in rule order."""
-    out: list[Clause] = []
-    for r in pi:
-        c = clause_of_rule(r)
-        if c not in out:
-            out.append(c)
-    return tuple(out)
+    return tuple(dict.fromkeys(clause_of_rule(r) for r in pi))
 
 
 def open_atoms(pi: Program, atoms: Iterable[Atom]) -> tuple[Atom, ...]:

@@ -1,6 +1,6 @@
 """Construction shortcuts shared by the test modules."""
 
-from smasp import engine
+from smasp import engine, translations
 from smasp.engine import Transition
 from smasp.model import Atom, Clause, Literal, Program, Rule, Trail, TrailEntry
 
@@ -49,6 +49,17 @@ def trail(spec, reasons=None):
             token = token[:-1]
         entries.append(TrailEntry(lit(token), decision, reasons.get(token)))
     return Trail(tuple(entries))
+
+
+def reference_clausal(pi):
+    """Clause reading of every rule, deduplicated in rule order by a
+    scan of the clauses kept so far."""
+    out = []
+    for r in pi:
+        c = translations.clause_of_rule(r)
+        if c not in out:
+            out.append(c)
+    return tuple(out)
 
 
 # the running example: a :- b, not c.  b.

@@ -82,6 +82,15 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--max-steps" in captured.err
 
+    def test_trace_with_enumeration_is_an_input_error(self, f1, tmp_path, capsys):
+        trace_file = tmp_path / "run.trace"
+        assert main(["solve", "--mode", "dpll", "--format", "cnf", "--enumerate", "2",
+                     "--trace", str(trace_file), f1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trace supports single-model solving only\n"
+        assert not trace_file.exists()
+
     def test_zero_max_steps_is_a_limit(self, pi0, capsys):
         assert main(["solve", "--mode", "clasp", "--format", "lp",
                      "--max-steps", "0", pi0]) == 2

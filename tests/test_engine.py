@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, PI3, atom, atoms, cl, lit, lits, prog, rule, trail
@@ -362,3 +365,23 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
             assert levels.count(top) == 1
             assert prefix.decision_level(st.literal.complement()) == top
     assert seen > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_bulk_built_index_equals_one_built_clause_by_clause(rng, alias_completion):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=8)
+    extra = gen.random_clauses(rng, gen.POOL, max_clauses=6)
+    clauses = (ed_completion(pi) if alias_completion else completion(pi)) + extra
+    ctx = engine._context(SmaspTheory(clauses, pi))
+    bulk = engine.PropagationIndex(ctx)
+    ref = engine.PropagationIndex(dataclasses.replace(ctx, up_sources=()))
+    for c in ctx.up_sources:
+        ref._add(c)
+    assert bulk.n_sources == len(ref.clauses) == len(ctx.up_sources)
+    assert bulk.clauses == ref.clauses
+    assert bulk.codes == ref.codes
+    assert bulk.n_true == ref.n_true and bulk.n_false == ref.n_false
+    assert bulk.occurs == ref.occurs
+    assert sorted(bulk.pending) == sorted(ref.pending)
+    assert bulk.pending == sorted(bulk.pending)  # a sorted list is a heap

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 
@@ -10,6 +11,7 @@ import gen
 from helpers import PI0, atom, atoms, cl, lit, lits, prog, rule, trail
 from smasp.model import (
     Atom,
+    Body,
     Clause,
     Literal,
     ORIGIN_FRESH,
@@ -261,3 +263,79 @@ def test_bodies_match_the_definitional_scan(rng, negneg):
         assert pi.bodies(a) == tuple(scan)
     assert pi.bodies(Atom("z")) == ()
     assert pi.bodies(Atom("a", ORIGIN_FRESH)) == ()
+
+
+def test_equal_clauses_bodies_and_rules_are_one_object():
+    a, b, c = atoms("a b c")
+    assert Clause((lit("-b"), lit("a"), lit("-b"))) is cl("a", "-b")
+    assert Clause([lit("a"), lit("-b")]) is Clause(literals=(lit("-b"), lit("a")))
+    assert Body((c, b, b), (a,)) is Body(pos=(b, c), neg=(a,), negneg=())
+    assert Rule(a, pos=(c, b), neg=(b, b)) is Rule(a, (b, c), (b,), ())
+    assert Rule(a, pos=(c, b)).body is Body((b, c))
+    assert rule(None, pos="a") is Rule(None, pos=(a,))
+    assert Rule(a) is not Rule(b) and Rule(a).body is Rule(b).body
+    assert Body(neg=(a,)) is not Body(negneg=(a,))
+
+
+def test_repr_key_and_order_of_clauses_bodies_and_rules():
+    a, b, c, d = atoms("a b c d")
+    r = Rule(a, pos=(c, b, b), neg=(b,), negneg=(d,))
+    assert repr(r) == ("Rule(head=Atom('a'), pos=(Atom('b'), Atom('c')), "
+                       "neg=(Atom('b'),), negneg=(Atom('d'),))")
+    assert repr(r.body) == ("Body(pos=(Atom('b'), Atom('c')), neg=(Atom('b'),), "
+                            "negneg=(Atom('d'),))")
+    assert r.body.key == (((1, "b"), (1, "c")), ((1, "b"),), ((1, "d"),))
+    assert repr(Rule(None, neg=(a,))) == "Rule(head=None, pos=(), neg=(Atom('a'),), negneg=())"
+    assert repr(Body()) == "Body(pos=(), neg=(), negneg=())" and Body().key == ((), (), ())
+    assert Body().s_literals == () and r.body.s_literals == (lit("b"), lit("-b"), lit("c"), lit("d"))
+    assert r.body.pos_set == frozenset((b, c))
+    clause = Clause((lit("-b"), lit("a"), lit("-b")))
+    assert repr(clause) == "Clause(a | -b)"
+    assert clause.key == ((1, "a", 0), (1, "b", 1)) and clause.atoms == (a, b)
+    assert cl("-a", "a", "b").atoms == (a, b)
+    fresh = Literal(Atom("f{x,y}", ORIGIN_FRESH))
+    assert repr(Clause((fresh, lit("-a")))) == "Clause(f{x,y} | -a)"
+    assert sorted([cl("b"), cl("-a", "b"), cl("a", "c")]) == [cl("a", "c"), cl("-a", "b"), cl("b")]
+
+
+def test_copies_and_pickles_of_clauses_bodies_and_rules_are_the_interned_objects():
+    r = Rule(Atom("a"), pos=atoms("b c"), neg=atoms("d"), negneg=atoms("a"))
+    for value in (cl("a", "-b"), Clause((Literal(Atom("f{b}", ORIGIN_FRESH)),)), r, r.body,
+                  Body(), Rule(None, neg=atoms("a")), Rule(Atom("a"))):
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+
+
+@pytest.mark.parametrize("value, field", [
+    (cl("a", "-b"), "literals"), (cl("a", "-b"), "key"),
+    (Body(atoms("a")), "pos"), (Body(atoms("a")), "key"), (Body(atoms("a")), "s_literals"),
+    (rule("a", pos="b"), "head"), (rule("a", pos="b"), "body"), (rule("a", pos="b"), "neg"),
+])
+def test_clauses_bodies_and_rules_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("make", [lambda: Clause(()), lambda: Clause([]),
+                                  lambda: Rule(None), lambda: Rule(None, (), (), ())])
+def test_empty_clause_and_empty_constraint_raise_on_every_call(make):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_interning_tables_let_go_of_dead_values():
+    name = "only-in-this-test"
+    first = Clause((Literal(Atom(name)),))
+    key = first.literals
+    assert Clause._table[key]() is first
+    del first
+    gc.collect()
+    assert key not in Clause._table
+    again = Clause(key)
+    assert Clause._table[key]() is again

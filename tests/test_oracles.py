@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, PI2, PI3, PI4, F0, atoms, cl, lits, prog, rule
-from smasp import oracles
+from smasp import oracles, translations
 from smasp.model import (
     Atom,
     CapExceeded,
@@ -297,6 +297,31 @@ def test_model_enumerators_are_the_filtered_enumeration():
         assert enumerate_pcid_models(p) == filtered(p.atoms, lambda m: is_pcid_model(p, m))
         assert is_total(p) == all(
             is_total_on(p, m) for m in filtered(p.atoms, lambda m: satisfies(m, p.clauses)))
+
+
+def test_pcid_enumerators_open_the_program_once_per_call(monkeypatch):
+    calls = []
+    real = translations.open_program
+
+    def counted(pi, atoms):
+        calls.append(pi)
+        return real(pi, atoms)
+
+    rng = random.Random(73)
+    for _ in range(40):
+        wn = gen.random_weakly_normal_program(rng, n_atoms=5, max_rules=6)
+        p = PcidTheory(gen.random_clauses(rng, gen.POOL), wn)
+        expected_models = filtered(p.atoms, lambda m: is_pcid_model(p, m))
+        expected_total = all(
+            is_total_on(p, m) for m in filtered(p.atoms, lambda m: satisfies(m, p.clauses)))
+        with monkeypatch.context() as patch:
+            patch.setattr(translations, "open_program", counted)
+            calls.clear()
+            assert enumerate_pcid_models(p) == expected_models
+            assert len(calls) <= 1
+            calls.clear()
+            assert is_total(p) == expected_total
+            assert len(calls) <= 1
 
 
 class TestSimplifyBy:

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
-from helpers import PI0, PI2, PI3, F0, atom, atoms, cl, lit, prog, rule
+from helpers import PI0, PI2, PI3, F0, atom, atoms, cl, lit, prog, reference_clausal, rule
 from smasp import oracles
 from smasp.model import (
     Atom,
@@ -224,3 +226,13 @@ def test_alias_completion_commutes_with_the_constraint_encoding():
         lhs = set(ed_completion(pi_translation(t)))
         rhs = set(ed_completion(opened)) | set(t.clauses)
         assert lhs == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.integers(1, 20))
+def test_clausal_matches_the_list_dedupe_reference(rng, negneg, max_rules):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 8), max_rules=max_rules,
+                            allow_negneg=negneg, pool=gen.POOL8)
+    doubled = pi.extend(reversed(pi.rules))
+    for program in (pi, doubled, open_program(pi, gen.POOL8)):
+        assert clausal(program) == reference_clausal(program)
