@@ -25,6 +25,7 @@ from .model import (
     Program,
     SmaspTheory,
     Trail,
+    TrailEntry,
     duals,
     sorted_atoms,
 )
@@ -141,14 +142,44 @@ def _context(theory: SmaspTheory) -> _TheoryContext:
                           frozenset(theory.atoms), frozenset(sources))
 
 
+def _entry_token(entry: TrailEntry) -> str:
+    """An entry as the digest hashes it: the atom name, ``-`` before a
+    negative literal, ``@d`` after a decision."""
+    name = entry.literal.atom.name
+    token = name if entry.literal.positive else "-" + name
+    return token + "@d" if entry.is_decision else token
+
+
 def digest_trail(trail: Trail) -> str:
-    toks = []
-    for e in trail:
-        t = e.literal.atom.name if e.literal.positive else "-" + e.literal.atom.name
-        if e.is_decision:
-            t += "@d"
-        toks.append(t)
-    return hashlib.sha256(" ".join(toks).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of the space-joined entry
+    tokens; the definition :class:`TrailDigest` extends step by step."""
+    return hashlib.sha256(" ".join(map(_entry_token, trail)).encode()).hexdigest()[:16]
+
+
+class TrailDigest:
+    """:func:`digest_trail` of the trail of one run or replay, kept with
+    one sha256 state per trail prefix so that a step costs one token.
+
+    It follows the trail like :meth:`PropagationIndex.follow`: each new
+    trail is a prefix of the previous one plus one entry, or empty
+    (Fail). Learn leaves the trail, and so the digest, unchanged.
+    """
+
+    def __init__(self) -> None:
+        self._states = [hashlib.sha256()]
+        self.digest = self._states[0].hexdigest()[:16]
+
+    def follow(self, trail: Trail) -> None:
+        states, keep = self._states, len(trail) - 1
+        if keep < 0:
+            del states[1:]
+        else:
+            del states[keep + 1:]
+            state = states[-1].copy()
+            token = _entry_token(trail.entries[keep])
+            state.update((" " + token if keep else token).encode())
+            states.append(state)
+        self.digest = states[-1].hexdigest()[:16]
 
 
 def applicable_unit_propagate(state: AugmentedState, theory: SmaspTheory,
@@ -610,6 +641,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
 
     state = AugmentedState()
     index = PropagationIndex(ctx)
+    digest = TrailDigest()
     steps: list[TraceStep] = []
     stats: Counter[str] = Counter()
     limit = False
@@ -618,7 +650,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         steps.append(TraceStep(
             index=len(steps) + 1, rule=tr.rule, literal=tr.literal, clause=tr.clause,
             witness=tr.witness, prefix_length=tr.prefix_length,
-            trail_digest=digest_trail(state.trail)))
+            trail_digest=digest.digest))
         stats[tr.rule] += 1
 
     upcoming: Optional[Transition] = None
@@ -633,6 +665,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         state = step(state, tr, theory)
         if not state.failed:
             index.follow(state.trail)
+        digest.follow(state.trail)
         record(tr)
         if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in state.learned:
             # Learning cannot change this choice: the clause is the reason

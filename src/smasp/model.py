@@ -235,7 +235,7 @@ class Body(_Interned):
     """A rule body split into its plain, negated, and doubly negated
     parts; interned on the sorted, deduplicated parts."""
 
-    __slots__ = ("pos", "neg", "negneg", "key", "s_literals", "pos_set")
+    __slots__ = ("pos", "neg", "negneg", "key", "s_literals", "pos_set", "_s_duals")
     _table: dict[tuple, weakref.ref] = {}
 
     def __new__(cls, pos: Iterable[Atom] = (), neg: Iterable[Atom] = (),
@@ -259,6 +259,7 @@ class Body(_Interned):
         _set(body, "s_literals", sorted_literals(
             [Literal(a) for a in pos + negneg] + [Literal(a, positive=False) for a in neg]))
         _set(body, "pos_set", frozenset(pos))
+        _set(body, "_s_duals", None)
         _enter(cls._table, parts, body)
         return body
 
@@ -271,6 +272,16 @@ class Body(_Interned):
     @property
     def is_empty(self) -> bool:
         return len(self) == 0
+
+    @property
+    def s_duals(self) -> frozenset[Literal]:
+        """``duals(s_literals)``: a literal set contradicts the body when
+        it meets this set."""
+        s_duals = self._s_duals
+        if s_duals is None:
+            s_duals = duals(self.s_literals)
+            _set(self, "_s_duals", s_duals)
+        return s_duals
 
     @property
     def atoms(self) -> tuple[Atom, ...]:

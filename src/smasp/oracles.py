@@ -139,7 +139,7 @@ def is_unfounded(u: Iterable[Atom], m: Iterable[Literal], pi: Program) -> bool:
     us = frozenset(u)
     for a in us:
         for body in pi.bodies(a):
-            if not (ms & duals(body.s_literals)) and not (us & body.pos_set):
+            if not (ms & body.s_duals) and not (us & body.pos_set):
                 return False
     return True
 
@@ -158,7 +158,7 @@ def greatest_unfounded_set(m: Iterable[Literal], pi: Program) -> frozenset[Atom]
             if a in founded:
                 continue
             for body in pi.bodies(a):
-                if not (ms & duals(body.s_literals)) and body.pos_set <= founded:
+                if not (ms & body.s_duals) and body.pos_set <= founded:
                     founded.add(a)
                     changed = True
                     break

@@ -85,16 +85,25 @@ def _object(line: str) -> dict:
     return record
 
 
-def _literal(token) -> Literal:
+class _Literals(dict):
+    """The literals of one load: each distinct token is parsed once.
+    Only parsed tokens are kept, so a bad token raises every time."""
+
+    def __missing__(self, token: str) -> Literal:
+        literal = self[token] = parse_literal_token(token)
+        return literal
+
+
+def _literal(token, literals: _Literals) -> Literal:
     if not isinstance(token, str):
         raise ParseError(f"literal token is not a string: {token!r}")
-    return parse_literal_token(token)
+    return literals[token]
 
 
-def _literals(key: str, value) -> tuple[Literal, ...]:
+def _literals(key: str, value, literals: _Literals) -> tuple[Literal, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{key} is not a JSON array: {value!r}")
-    return tuple(_literal(t) for t in value)
+    return tuple(_literal(t, literals) for t in value)
 
 
 def _integer(key: str, value) -> int:
@@ -103,7 +112,7 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _step_from_json(record: dict) -> engine.TraceStep:
+def _step_from_json(record: dict, literals: _Literals) -> engine.TraceStep:
     rule = record.get("rule")
     if not isinstance(rule, str) or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {rule!r}")
@@ -114,13 +123,13 @@ def _step_from_json(record: dict) -> engine.TraceStep:
     digest = record.get("trail", "")
     if not isinstance(digest, str):
         raise ParseError(f"trail digest is not a string: {digest!r}")
-    literal = _literal(record["literal"]) if "literal" in record else None
+    literal = _literal(record["literal"], literals) if "literal" in record else None
     clause = None
     if "clause" in record:
-        clause = Clause(_literals("clause", record["clause"]))
+        clause = Clause(_literals("clause", record["clause"], literals))
     witness = None
     if "witness" in record:
-        witness = tuple(l.atom for l in _literals("witness", record["witness"]))
+        witness = tuple(l.atom for l in _literals("witness", record["witness"], literals))
     return engine.TraceStep(
         index=index, rule=rule, literal=literal, clause=clause,
         witness=witness, prefix_length=prefix_length, trail_digest=digest)
@@ -133,7 +142,8 @@ def load_trace(source: Union[str, TextIO]) -> Trace:
         raise ParseError("empty trace file")
     try:
         header = _object(lines[0])
-        steps = tuple(_step_from_json(_object(l)) for l in lines[1:])
+        literals = _Literals()
+        steps = tuple(_step_from_json(_object(l), literals) for l in lines[1:])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed trace: {exc}") from None
     except RecursionError:
@@ -211,6 +221,7 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
 
     check_entailment = len(theory.atoms) <= ENTAILMENT_CHECK_ATOM_LIMIT
     state = engine.AugmentedState()
+    digest = engine.TrailDigest()
     for position, step in enumerate(trace.steps, start=1):
         if step.index != position:
             return Validation(False, position, f"step index {step.index} out of order")
@@ -231,11 +242,13 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
             state = engine.step(state, _transition_of(step), theory)
         except ValueError as exc:
             return Validation(False, position, str(exc))
-        if step.trail_digest and engine.digest_trail(state.trail) != step.trail_digest:
-            return Validation(False, position, "trail digest mismatch after step")
-        if index is not None and not state.failed:
-            if step.rule == engine.RULE_LEARN:
+        if step.rule == engine.RULE_LEARN:
+            if index is not None:
                 index.learn(step.clause)
-            else:
+        else:
+            digest.follow(state.trail)
+            if index is not None and not state.failed:
                 index.follow(state.trail)
+        if step.trail_digest and digest.digest != step.trail_digest:
+            return Validation(False, position, "trail digest mismatch after step")
     return Validation(True)

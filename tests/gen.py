@@ -3,7 +3,8 @@ tests."""
 
 import random
 
-from smasp.model import Atom, Clause, Literal, PcidTheory, Program, Rule
+from smasp.model import Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory
+from smasp.translations import completion, ed_completion
 
 from smasp import oracles
 
@@ -56,6 +57,26 @@ def random_clauses(rng: random.Random, atoms, max_clauses=4, max_len=3):
         picked = rng.sample(list(atoms), min(size, len(atoms)))
         clauses.append(Clause(tuple(Literal(a, rng.random() < 0.5) for a in picked)))
     return tuple(clauses)
+
+
+def theories_per_mode(pi: Program):
+    """``(mode, theory)`` for each mode, paired with the reading of
+    ``pi`` it is sound for."""
+    return (
+        ("smodels", SmaspTheory(completion(pi), pi)),
+        ("cmodels", SmaspTheory(ed_completion(pi), pi)),
+        ("clasp", SmaspTheory(ed_completion(pi), pi)),
+        ("minisatid", SmaspTheory(ed_completion(pi), pi)),
+        ("dpll", SmaspTheory(completion(pi))),
+    )
+
+
+def random_3sat(rng: random.Random, n: int) -> SmaspTheory:
+    """Random 3-SAT over ``x1..xn`` at clause ratio 4.26, empty program."""
+    atoms = [Atom(f"x{i}") for i in range(1, n + 1)]
+    return SmaspTheory(tuple(
+        Clause(tuple(Literal(a, rng.random() < 0.5) for a in rng.sample(atoms, 3)))
+        for _ in range(int(4.26 * n))))
 
 
 def random_weakly_normal_program(rng: random.Random, n_atoms=4, max_rules=6) -> Program:

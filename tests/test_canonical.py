@@ -20,24 +20,6 @@ from smasp import engine, oracles, trace
 from smasp.engine import AugmentedState, TraceStep, Transition, run, step
 from smasp.model import Atom, Clause, Literal, Program, SmaspTheory, Trail, TrailEntry
 from smasp.trace import Trace, TraceHeader, theory_digest, validate_trace
-from smasp.translations import completion, ed_completion
-
-
-def _theories_per_mode(pi):
-    return (
-        ("smodels", SmaspTheory(completion(pi), pi)),
-        ("cmodels", SmaspTheory(ed_completion(pi), pi)),
-        ("clasp", SmaspTheory(ed_completion(pi), pi)),
-        ("minisatid", SmaspTheory(ed_completion(pi), pi)),
-        ("dpll", SmaspTheory(completion(pi))),
-    )
-
-
-def _random_3sat(rng, n):
-    atoms = [Atom(f"x{i}") for i in range(1, n + 1)]
-    return SmaspTheory(tuple(
-        Clause(tuple(Literal(a, rng.random() < 0.5) for a in rng.sample(atoms, 3)))
-        for _ in range(int(4.26 * n))))
 
 
 def _assert_canonical_run(theory, mode):
@@ -64,14 +46,14 @@ def test_runs_on_random_programs_take_the_canonical_transitions():
     rng = random.Random(151)
     for _ in range(30):
         pi = gen.random_program(rng, n_atoms=6, max_rules=10)
-        for mode, theory in _theories_per_mode(pi):
+        for mode, theory in gen.theories_per_mode(pi):
             _assert_canonical_run(theory, mode)
 
 
 @pytest.mark.parametrize("n", range(16, 23))
 def test_runs_on_random_3sat_above_the_oracle_caps_take_the_canonical_transitions(n):
     for seed in (1, 2):
-        theory = _random_3sat(random.Random(100 * seed + n), n)
+        theory = gen.random_3sat(random.Random(100 * seed + n), n)
         assert len(theory.atoms) > 14
         verdicts = {_assert_canonical_run(theory, mode).verdict for mode in engine.MODES}
         assert len(verdicts) == 1
@@ -189,7 +171,7 @@ def test_strict_check_matches_the_reference_on_random_programs(monkeypatch):
     valid = invalid = 0
     for _ in range(25):
         pi = gen.random_program(rng, n_atoms=6, max_rules=10)
-        for mode, theory in _theories_per_mode(pi):
+        for mode, theory in gen.theories_per_mode(pi):
             strategy = engine.for_mode(mode)
             walks = [run(theory, mode, self_check=False).steps]
             walks += [_random_strict_walk(theory, strategy, rng) for _ in range(2)]
@@ -205,7 +187,7 @@ def test_strict_check_matches_the_reference_on_random_programs(monkeypatch):
 @pytest.mark.parametrize("n", range(16, 23))
 def test_strict_check_matches_the_reference_on_random_3sat(n, monkeypatch):
     for seed in (1, 2):
-        theory = _random_3sat(random.Random(100 * seed + n), n)
+        theory = gen.random_3sat(random.Random(100 * seed + n), n)
         rng = random.Random(seed * 1000 + n)
         for mode in engine.MODES:
             strategy = engine.for_mode(mode)
@@ -257,7 +239,7 @@ def test_strict_check_on_a_conflict_analysis_cannot_resolve(monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_strict_check_matches_the_reference_under_a_backjump_first_strategy(seed, monkeypatch):
     rng = random.Random(seed)
-    theory = _random_3sat(rng, 8)
+    theory = gen.random_3sat(rng, 8)
     for _ in range(4):
         steps = _random_strict_walk(theory, BACKJUMP_FIRST, rng)
         assert _assert_strict_check_matches_reference(

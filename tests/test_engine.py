@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -385,3 +386,66 @@ def test_bulk_built_index_equals_one_built_clause_by_clause(rng, alias_completio
     assert bulk.occurs == ref.occurs
     assert sorted(bulk.pending) == sorted(ref.pending)
     assert bulk.pending == sorted(bulk.pending)  # a sorted list is a heap
+
+
+def _assert_digests_follow_the_definition(theory, mode):
+    """Replay a run, feeding a :class:`engine.TrailDigest` as ``run``
+    and ``validate_trace`` do: after every step the follower, the
+    recorded digest and ``digest_trail`` of the trail all agree."""
+    out = run(theory, mode, self_check=False)
+    state, digest = AugmentedState(), engine.TrailDigest()
+    assert digest.digest == engine.digest_trail(state.trail)
+    for s in out.steps:
+        state = step(state, Transition(s.rule, s.literal, s.clause, s.witness,
+                                       s.prefix_length), theory)
+        if s.rule != engine.RULE_LEARN:
+            digest.follow(state.trail)
+        assert digest.digest == engine.digest_trail(state.trail) == s.trail_digest, \
+            (mode, s.index, s.rule)
+    return {s.rule for s in out.steps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_trail_digest_follower_matches_the_definition_on_random_programs(rng):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=10)
+    for mode, theory in gen.theories_per_mode(pi):
+        _assert_digests_follow_the_definition(theory, mode)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.integers(10, 18))
+def test_trail_digest_follower_matches_the_definition_on_random_3sat(seed, n):
+    theory = gen.random_3sat(random.Random(seed), n)
+    for mode in engine.MODES:
+        _assert_digests_follow_the_definition(theory, mode)
+
+
+def test_trail_digest_follower_sees_every_trail_changing_rule():
+    seen = set()
+    for seed in range(6):
+        theory = gen.random_3sat(random.Random(seed), 14)
+        for mode in ("dpll", "clasp"):
+            seen |= _assert_digests_follow_the_definition(theory, mode)
+    assert seen >= {"Decide", "UnitPropagate", "UnitPropagateLearn", "Backtrack",
+                    "Backjump", "Learn", "Fail"}
+    unfounded = SmaspTheory(ed_completion(PI3), PI3)
+    assert "Unfounded" in _assert_digests_follow_the_definition(unfounded, "clasp")
+
+
+def test_trail_digest_follower_truncates_and_resets():
+    digest = engine.TrailDigest()
+    empty = digest.digest
+    for spec in ("a*", "a* b", "a* b -c*", "a* -b", "a* -b c", "-a"):
+        digest.follow(trail(spec))
+        assert digest.digest == engine.digest_trail(trail(spec))
+    digest.follow(trail(""))  # Fail
+    assert digest.digest == empty == engine.digest_trail(trail(""))
+    digest.follow(trail("d*"))
+    assert digest.digest == engine.digest_trail(trail("d*"))
+
+
+def test_trail_digest_is_the_specified_hash():
+    t = trail("a* -b c -d*")
+    expected = hashlib.sha256(b"a@d -b c -d@d").hexdigest()[:16]
+    assert engine.digest_trail(t) == expected

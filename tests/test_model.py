@@ -21,6 +21,7 @@ from smasp.model import (
     Trail,
     body_literals,
     complement,
+    duals,
     trail_state,
 )
 
@@ -265,6 +266,16 @@ def test_bodies_match_the_definitional_scan(rng, negneg):
     assert pi.bodies(Atom("a", ORIGIN_FRESH)) == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_stored_body_duals_are_the_duals_of_the_body_literals(rng, negneg):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 8), max_rules=12,
+                            allow_negneg=negneg, pool=gen.POOL8)
+    for r in pi.rules:
+        assert r.body.s_duals == duals(r.body.s_literals)
+        assert r.body.s_duals is r.body.s_duals  # computed once, then stored
+
+
 def test_equal_clauses_bodies_and_rules_are_one_object():
     a, b, c = atoms("a b c")
     assert Clause((lit("-b"), lit("a"), lit("-b"))) is cl("a", "-b")
@@ -310,6 +321,7 @@ def test_copies_and_pickles_of_clauses_bodies_and_rules_are_the_interned_objects
 @pytest.mark.parametrize("value, field", [
     (cl("a", "-b"), "literals"), (cl("a", "-b"), "key"),
     (Body(atoms("a")), "pos"), (Body(atoms("a")), "key"), (Body(atoms("a")), "s_literals"),
+    (Body(atoms("a")), "s_duals"),
     (rule("a", pos="b"), "head"), (rule("a", pos="b"), "body"), (rule("a", pos="b"), "neg"),
 ])
 def test_clauses_bodies_and_rules_are_immutable(value, field):

@@ -1,6 +1,10 @@
+import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, PI3, cl, lit
@@ -9,13 +13,14 @@ from smasp.model import SmaspTheory
 from smasp.trace import (
     Trace,
     TraceHeader,
+    Validation,
     dump_trace,
     load_trace,
     theory_digest,
     trace_from_outcome,
     validate_trace,
 )
-from smasp.parsing import ParseError
+from smasp.parsing import ParseError, parse_literal_token
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -165,3 +170,98 @@ def test_every_emitted_trace_validates():
             trace = load_trace(dump_trace(trace_from_outcome(out, mode, theory)))
             result = validate_trace(trace, theory, mode, strict_strategy=True)
             assert result.ok, (mode, result)
+
+
+def _altered(digest):
+    return digest[:-1] + ("1" if digest[-1] == "0" else "0")
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+def test_every_altered_digest_is_rejected_at_its_step(strict):
+    cases = [("clasp", SmaspTheory(ed_completion(PI3), PI3)),
+             ("smodels", SmaspTheory(completion(PI0), PI0))]
+    cases += [(mode, gen.random_3sat(random.Random(seed), 14))
+              for seed in (2, 3) for mode in ("dpll", "clasp")]
+    rules = set()
+    for mode, theory in cases:
+        trace = trace_from_outcome(run(theory, mode), mode, theory)
+        assert validate_trace(trace, theory, mode, strict_strategy=strict).ok
+        for i, s in enumerate(trace.steps):
+            rules.add(s.rule)
+            steps = list(trace.steps)
+            steps[i] = dataclasses.replace(s, trail_digest=_altered(s.trail_digest))
+            result = validate_trace(Trace(trace.header, tuple(steps)), theory, mode,
+                                    strict_strategy=strict)
+            assert result == Validation(False, i + 1, "trail digest mismatch after step")
+    assert rules >= {"Backtrack", "Backjump", "Learn", "Fail", "Unfounded"}
+
+
+# -- load_trace on arbitrary input ends in a trace or a ParseError ------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_names = st.sampled_from(["a", "b", "x1", "f{a}", "f{x,y}", "-", "", " ", "1a", "a b",
+                          "--a", "a-", "f{", "{a}", "-f{b}", "_c", "a.b"])
+_tokens = _names | st.text(max_size=5) | _json_values
+_rules = st.sampled_from(["Decide", "UnitPropagate", "Backjump", "Learn", "Unfounded",
+                          "Fail", "decide", ""]) | _json_values
+_records = st.fixed_dictionaries({}, optional={
+    "index": st.integers(-2, 5) | _json_values,
+    "rule": _rules,
+    "literal": _tokens,
+    "clause": st.lists(_tokens, max_size=4) | _tokens,
+    "witness": st.lists(_tokens, max_size=3) | _tokens,
+    "prefix_length": st.integers(-1, 4) | _json_values,
+    "trail": st.text(max_size=4) | _json_values,
+})
+_lines = st.one_of(_records.map(json.dumps), _json_values.map(json.dumps), st.text(max_size=20))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_lines, max_size=6), st.booleans())
+def test_random_trace_lines_load_or_raise_a_parse_error(lines, with_header):
+    text = "\n".join(([HEADER] if with_header else []) + lines)
+    try:
+        first = load_trace(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            load_trace(text)
+    else:
+        assert load_trace(text) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tokens, st.sampled_from(["literal", "clause", "witness"]))
+def test_a_bad_literal_token_raises_on_every_load(token, field):
+    try:
+        parsed = parse_literal_token(token) if isinstance(token, str) else None
+    except ParseError:
+        parsed = None
+    good = '{"index": 1, "rule": "Learn", "clause": ["a", "-b"]}'
+    value = token if field == "literal" else ["a", token]
+    rule = "Unfounded" if field == "witness" else "Learn"
+    bad = json.dumps({"index": 2, "rule": rule, field: value})
+    text = "\n".join([HEADER, good, bad, bad])
+    for _ in range(3):
+        if parsed is None:
+            with pytest.raises(ParseError):
+                load_trace(text)
+        else:
+            steps = load_trace(text).steps
+            assert steps[1] == steps[2] and lit("a") in steps[0].clause
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_dumped_run_traces_load_back_step_for_step(rng):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=10)
+    for mode, theory in gen.theories_per_mode(pi):
+        trace = trace_from_outcome(run(theory, mode, self_check=False), mode, theory)
+        loaded = load_trace(dump_trace(trace))
+        assert loaded.header == trace.header
+        assert len(loaded.steps) == len(trace.steps)
+        for mine, theirs in zip(loaded.steps, trace.steps):
+            assert mine == theirs
