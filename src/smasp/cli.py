@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import engine, oracles, translations
 from .model import CapExceeded, Clause, Literal, SmaspTheory, duals, positive_part
+from .oracles import DESK_CHECK_ATOM_LIMIT as ORACLE_CHECK_ATOM_LIMIT
 from .parsing import (
     ParseError,
     format_clause,
@@ -32,8 +33,6 @@ EXIT_UNSAT = 20
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_LIMIT = 2
-
-ORACLE_CHECK_ATOM_LIMIT = 12
 
 
 class InputError(Exception):

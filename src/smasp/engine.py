@@ -14,7 +14,7 @@ import hashlib
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Union
 
 from . import oracles, translations
@@ -39,10 +39,21 @@ RULE_UNIT_PROPAGATE_LEARN = "UnitPropagateLearn"
 RULE_BACKJUMP = "Backjump"
 RULE_LEARN = "Learn"
 
-ALL_RULES = frozenset({
-    RULE_UNIT_PROPAGATE, RULE_DECIDE, RULE_FAIL, RULE_BACKTRACK,
-    RULE_UNFOUNDED, RULE_UNIT_PROPAGATE_LEARN, RULE_BACKJUMP, RULE_LEARN,
-})
+# The fields of :class:`Transition` each rule carries; the others are None.
+RULE_PAYLOADS: dict[str, tuple[str, ...]] = {
+    RULE_UNIT_PROPAGATE: ("literal", "clause"),
+    RULE_UNIT_PROPAGATE_LEARN: ("literal", "clause"),
+    RULE_DECIDE: ("literal",),
+    RULE_FAIL: (),
+    RULE_BACKTRACK: ("literal",),
+    RULE_UNFOUNDED: ("literal", "witness"),
+    RULE_BACKJUMP: ("literal", "clause", "prefix_length"),
+    RULE_LEARN: ("clause",),
+}
+ALL_RULES = frozenset(RULE_PAYLOADS)
+# each payload as the is-not-None pattern of those four fields
+_CARRIES = {rule: tuple(f in fields for f in ("literal", "clause", "witness", "prefix_length"))
+            for rule, fields in RULE_PAYLOADS.items()}
 
 VERDICT_MODEL = "model"
 VERDICT_UNSAT = "unsatisfiable"
@@ -50,7 +61,6 @@ VERDICT_LIMIT = "limit-exceeded"
 
 DEFAULT_MAX_STEPS = 100_000
 DEFAULT_MAX_LEARNED = 10_000
-SELF_CHECK_ATOM_LIMIT = 12
 
 
 class SelfCheckError(RuntimeError):
@@ -81,6 +91,10 @@ class Strategy:
     mode: str
     priority: tuple[tuple[str, ...], ...]
     learning: bool
+
+    @cached_property
+    def rules(self) -> frozenset[str]:
+        return frozenset(rule for group in self.priority for rule in group)
 
 
 _PRIORITIES: dict[str, tuple[tuple[str, ...], ...]] = {
@@ -352,10 +366,16 @@ def is_singular_unfounded(state: AugmentedState, theory: SmaspTheory) -> bool:
 
 
 def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> AugmentedState:
-    """Apply a transition after checking it is applicable in ``state``."""
+    """Apply a transition after checking that it carries its rule's
+    payload (:data:`RULE_PAYLOADS`) and is applicable in ``state``."""
     rule = transition.rule
-    if rule not in ALL_RULES:
+    carries = _CARRIES.get(rule)
+    if carries is None:
         raise ValueError(f"unknown transition rule: {rule!r}")
+    if carries != (transition.literal is not None, transition.clause is not None,
+                   transition.witness is not None, transition.prefix_length is not None):
+        raise ValueError(f"{rule} carries {', '.join(RULE_PAYLOADS[rule]) or 'no payload'}"
+                         f" and nothing else: {transition}")
     if state.failed:
         raise ValueError("no transition applies to the failed state")
     trail = state.trail
@@ -395,10 +415,9 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
     if rule == RULE_UNFOUNDED:
         if not trail.is_consistent:
             raise ValueError("Unfounded requires a consistent trail")
-        witness = transition.witness or ()
-        lit = transition.literal
+        witness, lit = transition.witness, transition.literal
         ctx = _context(theory)
-        if (lit is None or lit.positive or lit.atom not in witness or lit in trail
+        if (lit.positive or lit.atom not in witness or lit in trail
                 or lit.atom not in ctx.atom_set):
             raise ValueError(f"inapplicable Unfounded: {transition}")
         opened = ctx.opened
@@ -412,8 +431,6 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
             raise ValueError("Backjump requires an inconsistent trail with a decision")
         plen = transition.prefix_length
         lit, cl = transition.literal, transition.clause
-        if plen is None or lit is None or cl is None:
-            raise ValueError("Backjump carries a literal, a clause, and a prefix length")
         if not (0 <= plen < len(trail)) or not trail.entries[plen].is_decision:
             raise ValueError("Backjump prefix must end right before a decision literal")
         prefix_lits = frozenset(e.literal for e in trail.entries[:plen])
@@ -426,8 +443,6 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
 
     if rule == RULE_LEARN:
         cl = transition.clause
-        if cl is None:
-            raise ValueError("Learn carries a clause")
         if cl in state.learned:
             raise ValueError("clause is already in the learned store")
         if not _context(theory).atom_set.issuperset(cl.atoms):
@@ -597,14 +612,36 @@ def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
     return None
 
 
+class Walk:
+    """A path from the empty state, taken by :func:`run` and retraced by
+    a replay: the state, its trail digest and, when ``indexed``, the
+    propagation index that :func:`canonical` reads."""
+
+    def __init__(self, theory: SmaspTheory, indexed: bool = True) -> None:
+        self.theory = theory
+        self.state = AugmentedState()
+        self.digest = TrailDigest()
+        self.index = PropagationIndex(_context(theory)) if indexed else None
+
+    def advance(self, transition: Transition) -> str:
+        """Take one edge through :func:`step`; the digest and the index
+        follow the new trail, or the index learns a Learn's clause.
+        Returns the digest of the new trail."""
+        state = self.state = step(self.state, transition, self.theory)
+        if transition.rule == RULE_LEARN:
+            if self.index is not None:
+                self.index.learn(transition.clause)
+        else:
+            self.digest.follow(state.trail)
+            if self.index is not None and not state.failed:
+                self.index.follow(state.trail)
+        return self.digest.digest
+
+
 @dataclass(frozen=True)
 class TraceStep:
     index: int
-    rule: str
-    literal: Optional[Literal] = None
-    clause: Optional[Clause] = None
-    witness: Optional[tuple[Atom, ...]] = None
-    prefix_length: Optional[int] = None
+    transition: Transition
     trail_digest: str = ""
 
 
@@ -625,7 +662,8 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
     semi-terminal state.
 
     Halting without failure yields a model verdict, checked against the
-    semantic oracle by default at desk scale; pass ``self_check=False``
+    semantic oracle by default at desk scale
+    (:data:`oracles.DESK_CHECK_ATOM_LIMIT`); pass ``self_check=False``
     to run a strategy outside its sound pairing (e.g. the plain
     backtracking mode over a theory with a non-empty program).
 
@@ -635,57 +673,40 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
     if isinstance(strategy, str):
         strategy = for_mode(strategy)
     require_conflict_first(strategy)
-    ctx = _context(theory)
     if self_check is None:
-        self_check = len(ctx.atoms) <= SELF_CHECK_ATOM_LIMIT
+        self_check = len(_context(theory).atoms) <= oracles.DESK_CHECK_ATOM_LIMIT
 
-    state = AugmentedState()
-    index = PropagationIndex(ctx)
-    digest = TrailDigest()
+    walk = Walk(theory)
     steps: list[TraceStep] = []
-    stats: Counter[str] = Counter()
     limit = False
-
-    def record(tr: Transition) -> None:
-        steps.append(TraceStep(
-            index=len(steps) + 1, rule=tr.rule, literal=tr.literal, clause=tr.clause,
-            witness=tr.witness, prefix_length=tr.prefix_length,
-            trail_digest=digest.digest))
-        stats[tr.rule] += 1
-
     upcoming: Optional[Transition] = None
     while True:
         if len(steps) >= max_steps:
             limit = True
             break
-        tr = upcoming or canonical(state, theory, strategy, index)
+        tr = upcoming or canonical(walk.state, theory, strategy, walk.index)
         upcoming = None
         if tr is None:
             break
-        state = step(state, tr, theory)
-        if not state.failed:
-            index.follow(state.trail)
-        digest.follow(state.trail)
-        record(tr)
-        if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in state.learned:
+        steps.append(TraceStep(len(steps) + 1, tr, walk.advance(tr)))
+        if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in walk.state.learned:
             # Learning cannot change this choice: the clause is the reason
             # of the literal just asserted, so it offers no candidate.
-            upcoming = canonical(state, theory, strategy, index)
+            upcoming = canonical(walk.state, theory, strategy, walk.index)
             if upcoming is None:
                 break  # semi-terminal: nothing basic applies, so no Learn
-            if len(state.learned) >= max_learned:
+            if len(walk.state.learned) >= max_learned:
                 limit = True
                 break
             learn = Transition(RULE_LEARN, clause=tr.clause)
-            state = step(state, learn, theory)
-            index.learn(tr.clause)
-            record(learn)
+            steps.append(TraceStep(len(steps) + 1, learn, walk.advance(learn)))
 
+    state, stats = walk.state, dict(Counter(s.transition.rule for s in steps))
     if limit:
-        return Outcome(VERDICT_LIMIT, None, tuple(steps), dict(stats))
+        return Outcome(VERDICT_LIMIT, None, tuple(steps), stats)
     if state.failed:
-        return Outcome(VERDICT_UNSAT, None, tuple(steps), dict(stats))
+        return Outcome(VERDICT_UNSAT, None, tuple(steps), stats)
     model = state.trail.literal_set
     if self_check and not oracles.is_smasp_model(theory, model):
         raise SelfCheckError(f"halting state is not a model of the theory: {sorted(model, key=lambda l: l.key)}")
-    return Outcome(VERDICT_MODEL, model, tuple(steps), dict(stats))
+    return Outcome(VERDICT_MODEL, model, tuple(steps), stats)

@@ -29,8 +29,8 @@ ORIGIN_FRESH = "fresh-body"
 _ORIGIN_RANK = {ORIGIN_FRESH: 0, ORIGIN_USER: 1}
 
 
-# Largest universe the enumerative checks walk before raising
-# CapExceeded.
+# Largest universe the enumeration oracles walk before raising
+# CapExceeded; a refusal bound, not ``oracles.DESK_CHECK_ATOM_LIMIT``.
 DEFAULT_ENUMERATION_CAP = 20
 
 

@@ -37,6 +37,10 @@ from .model import (
 )
 from . import translations
 
+# Desk scale: theories up to this many atoms get their verdicts (engine
+# self-check, CLI cross-checks) and trace entailments checked by default.
+DESK_CHECK_ATOM_LIMIT = 14
+
 
 @dataclass(frozen=True)
 class ThreeValuedModel:

@@ -15,7 +15,6 @@ from .model import Clause, Literal, SmaspTheory, __version__, satisfies
 from .parsing import ParseError, format_clause, format_literal, format_program, parse_literal_token
 
 
-ENTAILMENT_CHECK_ATOM_LIMIT = 14
 _CONFLICT_RULES = (engine.RULE_FAIL, engine.RULE_BACKTRACK, engine.RULE_BACKJUMP)
 
 
@@ -50,15 +49,16 @@ def trace_from_outcome(outcome: engine.Outcome, mode: str, theory: SmaspTheory) 
 
 
 def _step_to_json(step: engine.TraceStep) -> dict:
-    record: dict = {"index": step.index, "rule": step.rule}
-    if step.literal is not None:
-        record["literal"] = format_literal(step.literal)
-    if step.clause is not None:
-        record["clause"] = [format_literal(l) for l in step.clause]
-    if step.witness is not None:
-        record["witness"] = [a.name for a in step.witness]
-    if step.prefix_length is not None:
-        record["prefix_length"] = step.prefix_length
+    tr = step.transition
+    record: dict = {"index": step.index, "rule": tr.rule}
+    if tr.literal is not None:
+        record["literal"] = format_literal(tr.literal)
+    if tr.clause is not None:
+        record["clause"] = [format_literal(l) for l in tr.clause]
+    if tr.witness is not None:
+        record["witness"] = [a.name for a in tr.witness]
+    if tr.prefix_length is not None:
+        record["prefix_length"] = tr.prefix_length
     record["trail"] = step.trail_digest
     return record
 
@@ -129,10 +129,12 @@ def _step_from_json(record: dict, literals: _Literals) -> engine.TraceStep:
         clause = Clause(_literals("clause", record["clause"], literals))
     witness = None
     if "witness" in record:
-        witness = tuple(l.atom for l in _literals("witness", record["witness"], literals))
+        members = _literals("witness", record["witness"], literals)
+        if not all(l.positive for l in members):
+            raise ParseError(f"witness entries are atom names: {record['witness']!r}")
+        witness = tuple(l.atom for l in members)
     return engine.TraceStep(
-        index=index, rule=rule, literal=literal, clause=clause,
-        witness=witness, prefix_length=prefix_length, trail_digest=digest)
+        index, engine.Transition(rule, literal, clause, witness, prefix_length), digest)
 
 
 def load_trace(source: Union[str, TextIO]) -> Trace:
@@ -152,14 +154,7 @@ def load_trace(source: Union[str, TextIO]) -> Trace:
                              header.get("version", __version__)), steps)
 
 
-def _transition_of(step: engine.TraceStep) -> engine.Transition:
-    return engine.Transition(rule=step.rule, literal=step.literal, clause=step.clause,
-                             witness=step.witness, prefix_length=step.prefix_length)
-
-
-def _strict_violation(state: engine.AugmentedState, theory: SmaspTheory,
-                      strategy: engine.Strategy, rule: str,
-                      index: engine.PropagationIndex) -> Optional[str]:
+def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -> Optional[str]:
     """Under strict checking the step's rule must sit in the first
     priority group that has any applicable rule: the group of the
     canonical choice. On an inconsistent trail that is the first
@@ -168,13 +163,13 @@ def _strict_violation(state: engine.AugmentedState, theory: SmaspTheory,
     analysis is needed."""
     if rule == engine.RULE_LEARN:
         return None  # the learning policy, not a priority slot
-    allowed = {r for group in strategy.priority for r in group}
-    if rule not in allowed:
+    if rule not in strategy.rules:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
+    state = walk.state
     if state.failed:
         return f"no rule of mode {strategy.mode!r} is applicable"
     if state.trail.is_consistent:
-        chosen = engine.canonical(state, theory, strategy, index)
+        chosen = engine.canonical(state, walk.theory, strategy, walk.index)
         if chosen is None:
             return f"no rule of mode {strategy.mode!r} is applicable"
         first = chosen.rule
@@ -190,12 +185,12 @@ def _strict_violation(state: engine.AugmentedState, theory: SmaspTheory,
 def validate_trace(trace: Trace, theory: SmaspTheory,
                    strategy: Union[engine.Strategy, str, None] = None,
                    strict_strategy: bool = False) -> Validation:
-    """Replay a trace from the empty state. Each step must be an edge
-    of its rule (payload included) and reproduce the recorded trail
-    digest; entailment side conditions are oracle-checked at desk
-    scale. Strategy priorities are only enforced under
-    ``strict_strategy``: the replay then keeps a propagation index in
-    step with its trail, and each step's rule must sit in the priority
+    """Replay a trace from the empty state along an
+    :class:`engine.Walk`. Each step must be an edge of its rule (payload
+    included) and reproduce the recorded trail digest; entailment side
+    conditions are oracle-checked at desk scale. Strategy priorities
+    are only enforced under ``strict_strategy``: the walk then keeps a
+    propagation index, and each step's rule must sit in the priority
     group of the canonical choice (:func:`engine.canonical`). The
     strategy must pass :func:`engine.require_conflict_first`.
     """
@@ -203,12 +198,10 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
         strategy = engine.for_mode(strategy)
     if trace.header.theory_digest and trace.header.theory_digest != theory_digest(theory):
         return Validation(False, 0, "trace header does not match the theory digest")
-    index = None
     if strict_strategy:
         if strategy is None:
             raise ValueError("strict validation needs a strategy")
         engine.require_conflict_first(strategy)
-        index = engine.PropagationIndex(engine._context(theory))
 
     theory_models = None  # enumerated once, on the first semantic check
 
@@ -216,39 +209,30 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
         nonlocal theory_models
         if theory_models is None:
             theory_models = oracles.enumerate_smasp_models(
-                theory, cap=ENTAILMENT_CHECK_ATOM_LIMIT)
+                theory, cap=oracles.DESK_CHECK_ATOM_LIMIT)
         return all(satisfies(m, (clause,)) for m in theory_models)
 
-    check_entailment = len(theory.atoms) <= ENTAILMENT_CHECK_ATOM_LIMIT
-    state = engine.AugmentedState()
-    digest = engine.TrailDigest()
+    check_entailment = len(theory.atoms) <= oracles.DESK_CHECK_ATOM_LIMIT
+    walk = engine.Walk(theory, indexed=strict_strategy)
     for position, step in enumerate(trace.steps, start=1):
+        tr = step.transition
         if step.index != position:
             return Validation(False, position, f"step index {step.index} out of order")
-        if index is not None:
-            violation = _strict_violation(state, theory, strategy, step.rule, index)
+        if strict_strategy:
+            violation = _strict_violation(walk, strategy, tr.rule)
             if violation:
                 return Validation(False, position, violation)
-        if check_entailment and step.rule == engine.RULE_BACKJUMP and step.clause is not None:
-            kept = state.trail.entries[:step.prefix_length or 0]
-            side = Clause((step.literal,) + tuple(e.literal.complement() for e in kept)) \
-                if step.literal is not None else step.clause
-            if not entailed(side):
-                return Validation(False, position, "backjump literal is not entailed over the kept prefix")
-        if check_entailment and step.rule == engine.RULE_LEARN and step.clause is not None:
-            if not entailed(step.clause):
-                return Validation(False, position, "learned clause is not entailed")
         try:
-            state = engine.step(state, _transition_of(step), theory)
+            digest = walk.advance(tr)
         except ValueError as exc:
             return Validation(False, position, str(exc))
-        if step.rule == engine.RULE_LEARN:
-            if index is not None:
-                index.learn(step.clause)
-        else:
-            digest.follow(state.trail)
-            if index is not None and not state.failed:
-                index.follow(state.trail)
-        if step.trail_digest and digest.digest != step.trail_digest:
+        if check_entailment and tr.rule == engine.RULE_BACKJUMP:
+            # the new trail is the kept prefix plus the asserted literal
+            kept = walk.state.trail.entries[:-1]
+            if not entailed(Clause((tr.literal,) + tuple(e.literal.complement() for e in kept))):
+                return Validation(False, position, "backjump literal is not entailed over the kept prefix")
+        if check_entailment and tr.rule == engine.RULE_LEARN and not entailed(tr.clause):
+            return Validation(False, position, "learned clause is not entailed")
+        if step.trail_digest and digest != step.trail_digest:
             return Validation(False, position, "trail digest mismatch after step")
     return Validation(True)

@@ -16,7 +16,7 @@ import gen
 from helpers import PI0, F0, atoms, cl, lit, lits
 from smasp import engine, oracles
 from smasp.cli import main
-from smasp.engine import AugmentedState, Transition, run
+from smasp.engine import AugmentedState, run
 from smasp.model import PcidTheory, SmaspTheory, satisfies
 from smasp.trace import load_trace
 from smasp.translations import (
@@ -71,9 +71,7 @@ def _replay_states(theory, steps):
     state = AugmentedState()
     out = [state]
     for st in steps:
-        tr = Transition(st.rule, literal=st.literal, clause=st.clause,
-                        witness=st.witness, prefix_length=st.prefix_length)
-        state = engine.step(state, tr, theory)
+        state = engine.step(state, st.transition, theory)
         out.append(state)
     return out
 
@@ -206,12 +204,12 @@ def criterion2_trace(tmp_path_factory):
 def test_criterion_2_dpll_path(criterion2_trace, capsys):
     code, trace, elapsed = criterion2_trace
     assert code == 10
-    assert [(s.rule, s.literal) for s in trace.steps] == [
+    assert [(s.transition.rule, s.transition.literal) for s in trace.steps] == [
         ("Decide", lit("x1")),
         ("UnitPropagate", lit("x3")),
         ("Decide", lit("x2")),
     ]
-    assert trace.steps[1].clause == cl("-x1", "x3")
+    assert trace.steps[1].transition.clause == cl("-x1", "x3")
     assert elapsed < 1.0
     _passes("criterion 2", f"exact trace in {elapsed:.2f}s")
 
@@ -261,11 +259,7 @@ def test_criterion_6_structural_and_trace_identity(corpus6):
     for theory, opened, translated, out_def, out_con in corpus6["entries"]:
         assert set(ed_completion(translated)) == \
             set(ed_completion(opened)) | set(theory.clauses)
-        def_steps = [(s.rule, s.literal, s.clause, s.witness, s.prefix_length,
-                      s.trail_digest) for s in out_def.steps]
-        con_steps = [(s.rule, s.literal, s.clause, s.witness, s.prefix_length,
-                      s.trail_digest) for s in out_con.steps]
-        assert def_steps == con_steps
+        assert out_def.steps == out_con.steps
     assert corpus6["elapsed"] < 60.0
     _passes("criterion 6",
             f"100 total theories, identical clause sets and traces "
@@ -276,7 +270,7 @@ def test_criterion_7_learning_soundness(corpus3):
     reasons_checked = 0
     learned_checked = 0
     for theory, models, out in corpus3["learning"]:
-        if not any(s.rule == "Backjump" for s in out.steps):
+        if not any(s.transition.rule == "Backjump" for s in out.steps):
             continue
         checked_reasons = set()
         states = _replay_states(theory, out.steps)
@@ -312,7 +306,7 @@ def test_criterion_8_termination_and_acyclicity(corpus3, corpus6, criterion2_tra
         learned = 0
         seen = set()
         for s in steps:
-            if s.rule == "Learn":
+            if s.transition.rule == "Learn":
                 learned += 1
             key = (s.trail_digest, learned)
             assert key not in seen
@@ -323,11 +317,11 @@ def test_criterion_8_termination_and_acyclicity(corpus3, corpus6, criterion2_tra
 def test_criterion_9_eager_mode_avoids_singular_edges(corpus3):
     checked = 0
     for theory, out in corpus3["eager"]:
-        if not any(s.rule == "Unfounded" for s in out.steps):
+        if not any(s.transition.rule == "Unfounded" for s in out.steps):
             continue
         states = _replay_states(theory, out.steps)
         for st, before in zip(out.steps, states):
-            if st.rule != "Unfounded":
+            if st.transition.rule != "Unfounded":
                 continue
             assert not engine.applicable_unit_propagate(before, theory)
             assert not engine.applicable_fail(before, theory)

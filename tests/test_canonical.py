@@ -7,6 +7,7 @@ the ``applicable_*`` functions, which enumerate every candidate of
 every rule from scratch.
 """
 
+import dataclasses
 import functools
 import random
 
@@ -30,8 +31,7 @@ def _assert_canonical_run(theory, mode):
     out = run(theory, mode, self_check=False)
     state, previous = AugmentedState(), None
     for recorded in out.steps:
-        tr = Transition(recorded.rule, literal=recorded.literal, clause=recorded.clause,
-                        witness=recorded.witness, prefix_length=recorded.prefix_length)
+        tr = recorded.transition
         if tr.rule == engine.RULE_LEARN:
             assert previous.rule == engine.RULE_BACKJUMP and previous.clause == tr.clause
         else:
@@ -104,8 +104,7 @@ def _random_strict_walk(theory, strategy, rng, max_steps=60):
     state, steps = AugmentedState(), []
 
     def record(tr):
-        steps.append(TraceStep(len(steps) + 1, tr.rule, tr.literal, tr.clause, tr.witness,
-                               tr.prefix_length, engine.digest_trail(state.trail)))
+        steps.append(TraceStep(len(steps) + 1, tr, engine.digest_trail(state.trail)))
 
     while len(steps) < max_steps:
         options = _first_group_candidates(state, theory, strategy)
@@ -137,14 +136,14 @@ def _mutants(steps, theory, rng, count):
             j = rng.randrange(len(out))
             out[i], out[j] = out[j], out[i]
         elif kind == 2:
-            out[i] = TraceStep(i + 1, rng.choice(rules), out[i].literal, out[i].clause,
-                               out[i].witness, out[i].prefix_length, out[i].trail_digest)
+            out[i] = dataclasses.replace(out[i], transition=dataclasses.replace(
+                out[i].transition, rule=rng.choice(rules)))
         else:  # possibly past the last step
             i, a = rng.randrange(len(out) + 1), rng.choice(theory.atoms)
-            out.insert(i, TraceStep(i + 1, engine.RULE_DECIDE, Literal(a, rng.random() < 0.5)))
+            out.insert(i, TraceStep(i + 1, Transition(engine.RULE_DECIDE,
+                                                      literal=Literal(a, rng.random() < 0.5))))
         keep = rng.random() < 0.5
-        yield tuple(TraceStep(k, s.rule, s.literal, s.clause, s.witness, s.prefix_length,
-                              s.trail_digest if keep else "")
+        yield tuple(TraceStep(k, s.transition, s.trail_digest if keep else "")
                     for k, s in enumerate(out, start=1))
 
 
@@ -155,8 +154,8 @@ def _assert_strict_check_matches_reference(theory, strategy, steps, monkeypatch)
     got = validate_trace(tr, theory, strategy, strict_strategy=True)
     with monkeypatch.context() as patched:
         patched.setattr(trace, "_strict_violation",
-                        lambda state, theory, strategy, rule, index:
-                        reference_strict_violation(state, theory, strategy, rule))
+                        lambda walk, strategy, rule:
+                        reference_strict_violation(walk.state, walk.theory, strategy, rule))
         want = validate_trace(tr, theory, strategy, strict_strategy=True)
     assert (got.ok, got.step_index, got.reason) == (want.ok, want.step_index, want.reason), \
         strategy.mode
@@ -226,10 +225,9 @@ def test_strict_check_on_a_conflict_analysis_cannot_resolve(monkeypatch):
             with pytest.raises(ValueError):  # resolution reaches the flipped ny
                 engine.analyze_conflict(state, engine.conflicting_clause(state), theory)
         state = step(state, tr, theory)
-        steps.append(TraceStep(len(steps) + 1, tr.rule, tr.literal, tr.clause, tr.witness,
-                               tr.prefix_length, engine.digest_trail(state.trail)))
+        steps.append(TraceStep(len(steps) + 1, tr, engine.digest_trail(state.trail)))
     assert _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, steps, monkeypatch).ok
-    decide = steps[:-1] + [TraceStep(len(steps), engine.RULE_DECIDE, nx)]
+    decide = steps[:-1] + [TraceStep(len(steps), Transition(engine.RULE_DECIDE, literal=nx))]
     got = _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, decide, monkeypatch)
     assert (got.step_index, got.reason) == (9, "higher-priority rule Backjump was applicable")
     for mutant in _mutants(steps, theory, random.Random(163), 40):

@@ -1,5 +1,6 @@
 """End-to-end properties across the CLI pipelines and the validator."""
 
+import dataclasses
 import random
 
 import gen
@@ -53,14 +54,8 @@ def test_swapping_any_two_recorded_steps_invalidates_the_trace():
         position = rng.randrange(len(out.steps) - 1)
         steps = list(trace.steps)
         a, b = steps[position], steps[position + 1]
-        steps[position] = TraceStep(index=a.index, rule=b.rule, literal=b.literal,
-                                    clause=b.clause, witness=b.witness,
-                                    prefix_length=b.prefix_length,
-                                    trail_digest=b.trail_digest)
-        steps[position + 1] = TraceStep(index=b.index, rule=a.rule, literal=a.literal,
-                                        clause=a.clause, witness=a.witness,
-                                        prefix_length=a.prefix_length,
-                                        trail_digest=a.trail_digest)
+        steps[position] = TraceStep(a.index, b.transition, b.trail_digest)
+        steps[position + 1] = TraceStep(b.index, a.transition, a.trail_digest)
         tampered = trace.__class__(trace.header, tuple(steps))
         result = validate_trace(tampered, theory, "clasp")
         assert not result.ok
@@ -76,17 +71,15 @@ def test_flipping_any_recorded_literal_invalidates_the_trace():
         pi = gen.random_program(rng, n_atoms=4, max_rules=6)
         theory = SmaspTheory(ed_completion(pi), pi)
         out = run(theory, "clasp", self_check=False)
-        candidates = [i for i, s in enumerate(out.steps) if s.literal is not None]
+        candidates = [i for i, s in enumerate(out.steps) if s.transition.literal is not None]
         if not candidates:
             continue
         trace = load_trace(dump_trace(trace_from_outcome(out, "clasp", theory)))
         position = rng.choice(candidates)
         steps = list(trace.steps)
         s = steps[position]
-        steps[position] = TraceStep(index=s.index, rule=s.rule,
-                                    literal=s.literal.complement(), clause=s.clause,
-                                    witness=s.witness, prefix_length=s.prefix_length,
-                                    trail_digest=s.trail_digest)
+        flipped = dataclasses.replace(s.transition, literal=s.transition.literal.complement())
+        steps[position] = dataclasses.replace(s, transition=flipped)
         tampered = trace.__class__(trace.header, tuple(steps))
         result = validate_trace(tampered, theory, "clasp")
         assert not result.ok

@@ -212,7 +212,7 @@ class TestRun:
     def test_plain_backtracking_path(self):
         out = run(F1, "dpll")
         assert out.verdict == engine.VERDICT_MODEL
-        assert [(s.rule, s.literal) for s in out.steps] == [
+        assert [(s.transition.rule, s.transition.literal) for s in out.steps] == [
             ("Decide", lit("a")), ("UnitPropagate", lit("c")), ("Decide", lit("b"))]
         assert out.model == lits("a b c")
 
@@ -220,17 +220,18 @@ class TestRun:
         t = SmaspTheory(ed_completion(PI0), PI0)
         out = run(t, "clasp")
         assert out.verdict == engine.VERDICT_MODEL
-        assert [s.rule for s in out.steps] == ["UnitPropagateLearn"] * 4
-        assert [s.literal for s in out.steps[:2]] == [lit("b"), lit("-c")]
-        assert out.steps[2].literal.atom.name == "f{b,not c}"
-        assert out.steps[3].literal == lit("a")
+        transitions = [s.transition for s in out.steps]
+        assert [tr.rule for tr in transitions] == ["UnitPropagateLearn"] * 4
+        assert [tr.literal for tr in transitions[:2]] == [lit("b"), lit("-c")]
+        assert transitions[2].literal.atom.name == "f{b,not c}"
+        assert transitions[3].literal == lit("a")
         assert positive_part(out.model) & set(PI0.atoms) == set(atoms("a b"))
 
     def test_conflict_driven_run_with_unfounded_learning(self):
         t = SmaspTheory(ed_completion(PI3), PI3)
         out = run(t, "cmodels")
         assert out.verdict == engine.VERDICT_MODEL
-        assert [(s.rule, s.literal) for s in out.steps] == [
+        assert [(s.transition.rule, s.transition.literal) for s in out.steps] == [
             ("Decide", lit("a")),
             ("UnitPropagateLearn", lit("b")),
             ("Unfounded", lit("-a")),
@@ -238,7 +239,7 @@ class TestRun:
             ("Learn", None),
             ("UnitPropagateLearn", lit("-b")),
         ]
-        assert out.steps[4].clause == cl("-a")
+        assert out.steps[4].transition.clause == cl("-a")
         assert out.model == lits("-a -b")
 
     def test_unsatisfiable_input(self):
@@ -274,8 +275,7 @@ def _replay_states(theory, steps):
     s = AugmentedState()
     out = [s]
     for st in steps:
-        s = step(s, Transition(st.rule, literal=st.literal, clause=st.clause,
-                               witness=st.witness, prefix_length=st.prefix_length), theory)
+        s = step(s, st.transition, theory)
         out.append(s)
     return out
 
@@ -298,7 +298,7 @@ def test_runs_are_sound_complete_and_acyclic_on_random_theories():
                 learned_size = 0
                 seen_states = set()
                 for s in out.steps:
-                    if s.rule == "Learn":
+                    if s.transition.rule == "Learn":
                         learned_size += 1
                     key = (s.trail_digest, learned_size)
                     assert key not in seen_states
@@ -340,7 +340,7 @@ def test_eager_unfounded_mode_never_takes_singular_edges():
         out = run(theory, "smodels")
         states = _replay_states(theory, out.steps)
         for st, before in zip(out.steps, states):
-            if st.rule == "Unfounded":
+            if st.transition.rule == "Unfounded":
                 assert not applicable_unit_propagate(before, theory)
                 assert not applicable_fail(before, theory)
                 assert applicable_backtrack(before, theory) is None
@@ -357,14 +357,15 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
         out = run(theory, "clasp")
         states = _replay_states(theory, out.steps)
         for st, before in zip(out.steps, states):
-            if st.rule != "Backjump":
+            tr = st.transition
+            if tr.rule != "Backjump":
                 continue
             seen += 1
             prefix = before.trail.consistent_prefix()
-            levels = [prefix.decision_level(l.complement()) for l in st.clause]
+            levels = [prefix.decision_level(l.complement()) for l in tr.clause]
             top = max(levels)
             assert levels.count(top) == 1
-            assert prefix.decision_level(st.literal.complement()) == top
+            assert prefix.decision_level(tr.literal.complement()) == top
     assert seen > 0
 
 
@@ -389,20 +390,18 @@ def test_bulk_built_index_equals_one_built_clause_by_clause(rng, alias_completio
 
 
 def _assert_digests_follow_the_definition(theory, mode):
-    """Replay a run, feeding a :class:`engine.TrailDigest` as ``run``
-    and ``validate_trace`` do: after every step the follower, the
-    recorded digest and ``digest_trail`` of the trail all agree."""
+    """Replay a run along an :class:`engine.Walk`, which feeds its
+    :class:`engine.TrailDigest` for ``run`` and ``validate_trace``
+    alike: after every step the follower, the recorded digest and
+    ``digest_trail`` of the trail all agree."""
     out = run(theory, mode, self_check=False)
-    state, digest = AugmentedState(), engine.TrailDigest()
-    assert digest.digest == engine.digest_trail(state.trail)
+    walk = engine.Walk(theory, indexed=False)
+    assert walk.digest.digest == engine.digest_trail(walk.state.trail)
     for s in out.steps:
-        state = step(state, Transition(s.rule, s.literal, s.clause, s.witness,
-                                       s.prefix_length), theory)
-        if s.rule != engine.RULE_LEARN:
-            digest.follow(state.trail)
-        assert digest.digest == engine.digest_trail(state.trail) == s.trail_digest, \
-            (mode, s.index, s.rule)
-    return {s.rule for s in out.steps}
+        walk.advance(s.transition)
+        assert walk.digest.digest == engine.digest_trail(walk.state.trail) == s.trail_digest, \
+            (mode, s.index, s.transition.rule)
+    return {s.transition.rule for s in out.steps}
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,19 +1,22 @@
 """Adversarial and determinism checks on top of the unit suites."""
 
+import dataclasses
 import random
+
+import pytest
 
 import gen
 from helpers import PI0, PI3, atoms, cl, lit, prog, rule
-from smasp import engine
+from smasp import engine, oracles
 from smasp.cli import main
-from smasp.engine import TraceStep, run
+from smasp.engine import TraceStep, Transition, run
 from smasp.model import SmaspTheory
 from smasp.trace import Trace, TraceHeader, theory_digest, validate_trace
 from smasp.translations import completion, ed_completion
 
 
-def bare(index, rule_name, **kw):
-    return TraceStep(index=index, rule=rule_name, **kw)
+def bare(index, rule_name, trail_digest="", **payload):
+    return TraceStep(index, Transition(rule_name, **payload), trail_digest)
 
 
 def make_trace(theory, steps, mode="smodels"):
@@ -39,13 +42,12 @@ class TestTamperedTraces:
     def test_backjump_prefix_not_at_a_decision(self):
         t = SmaspTheory(ed_completion(PI3), PI3)
         out = run(t, "cmodels")
-        backjump = next(s for s in out.steps if s.rule == "Backjump")
+        backjump = next(s for s in out.steps if s.transition.rule == "Backjump")
         tampered = []
         for s in out.steps[:backjump.index]:
-            if s.rule == "Backjump":
-                s = TraceStep(index=s.index, rule=s.rule, literal=s.literal,
-                              clause=s.clause, prefix_length=1,
-                              trail_digest=s.trail_digest)
+            if s.transition.rule == "Backjump":
+                s = dataclasses.replace(
+                    s, transition=dataclasses.replace(s.transition, prefix_length=1))
             tampered.append(s)
         result = validate_trace(make_trace(t, tampered, "cmodels"), t, "cmodels")
         assert not result.ok and result.step_index == backjump.index
@@ -122,13 +124,23 @@ def test_cli_trace_identity_of_the_two_pcid_routes(tmp_path, capsys):
 def test_run_rejects_unsound_mode_theory_pairings():
     # plain backtracking over a non-empty program can halt at a
     # supported-but-unstable assignment; the self-check refuses it
-    import pytest
     pi = prog(rule("a", pos="a"), rule(None, neg="a"))
     theory = SmaspTheory(completion(pi), pi)
     with pytest.raises(engine.SelfCheckError):
         run(theory, "dpll", self_check=True)
     out = run(theory, "dpll", self_check=False)
     assert out.verdict == engine.VERDICT_MODEL  # a model of the clauses only
+
+
+@pytest.mark.parametrize("n_atoms, checked", [(14, True), (15, False)])
+def test_default_self_check_covers_theories_up_to_the_desk_limit(n_atoms, checked, monkeypatch):
+    theory = SmaspTheory(tuple(cl(f"x{i}") for i in range(1, n_atoms + 1)))
+    monkeypatch.setattr(oracles, "is_smasp_model", lambda theory, model: False)
+    if checked:
+        with pytest.raises(engine.SelfCheckError):
+            run(theory, "dpll")
+    else:
+        assert run(theory, "dpll").verdict == engine.VERDICT_MODEL
 
 
 def _pigeonhole_clauses(pigeons, holes):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from helpers import PI0, PI3, cl, lit
-from smasp.engine import Strategy, TraceStep, run
+from helpers import PI0, PI3, cl, lit, prog, rule
+from smasp import engine
+from smasp.engine import Strategy, TraceStep, Transition, run
 from smasp.model import SmaspTheory
 from smasp.trace import (
     Trace,
@@ -31,8 +32,8 @@ def make_trace(theory, steps, mode="dpll"):
     return Trace(TraceHeader(mode, theory_digest(theory)), tuple(steps))
 
 
-def bare(index, rule, **kw):
-    return TraceStep(index=index, rule=rule, **kw)
+def bare(index, rule, trail_digest="", **payload):
+    return TraceStep(index, Transition(rule, **payload), trail_digest)
 
 
 class TestValidate:
@@ -107,7 +108,7 @@ class TestSerialization:
         t = SmaspTheory(ed_completion(PI0), PI0)
         out = run(t, "clasp")
         loaded = load_trace(dump_trace(trace_from_outcome(out, "clasp", t)))
-        assert loaded.steps[2].literal.atom.origin == "fresh-body"
+        assert loaded.steps[2].transition.literal.atom.origin == "fresh-body"
 
     def test_malformed_trace_is_a_parse_error(self):
         with pytest.raises(ParseError):
@@ -148,6 +149,14 @@ class TestSerialization:
         with pytest.raises(ParseError, match="nested too deeply"):
             load_trace(HEADER + "\n" + line + "\n")
 
+    def test_negated_witness_entry_is_a_parse_error(self):
+        pi = prog(rule("a", pos="b"), rule("b", pos="a"))
+        t = SmaspTheory(completion(pi), pi)
+        text = dump_trace(trace_from_outcome(run(t, "smodels"), "smodels", t))
+        assert '"witness": ["a", "b"]' in text
+        with pytest.raises(ParseError, match="atom names"):
+            load_trace(text.replace('"witness": ["a", "b"]', '"witness": ["-a", "-b"]'))
+
     def test_string_prefix_length_is_a_parse_error(self):
         step = ('{"index": 1, "rule": "Backjump", "literal": "-a", "clause": ["-a"], '
                 '"prefix_length": "0"}')
@@ -176,24 +185,53 @@ def _altered(digest):
     return digest[:-1] + ("1" if digest[-1] == "0" else "0")
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
-def test_every_altered_digest_is_rejected_at_its_step(strict):
+def _recorded_traces():
+    """``(mode, theory, trace)`` of runs that, together, take every rule."""
     cases = [("clasp", SmaspTheory(ed_completion(PI3), PI3)),
              ("smodels", SmaspTheory(completion(PI0), PI0))]
     cases += [(mode, gen.random_3sat(random.Random(seed), 14))
               for seed in (2, 3) for mode in ("dpll", "clasp")]
+    return [(mode, theory, trace_from_outcome(run(theory, mode), mode, theory))
+            for mode, theory in cases]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+def test_every_altered_digest_is_rejected_at_its_step(strict):
     rules = set()
-    for mode, theory in cases:
-        trace = trace_from_outcome(run(theory, mode), mode, theory)
+    for mode, theory, trace in _recorded_traces():
         assert validate_trace(trace, theory, mode, strict_strategy=strict).ok
         for i, s in enumerate(trace.steps):
-            rules.add(s.rule)
+            rules.add(s.transition.rule)
             steps = list(trace.steps)
             steps[i] = dataclasses.replace(s, trail_digest=_altered(s.trail_digest))
             result = validate_trace(Trace(trace.header, tuple(steps)), theory, mode,
                                     strict_strategy=strict)
             assert result == Validation(False, i + 1, "trail digest mismatch after step")
     assert rules >= {"Backtrack", "Backjump", "Learn", "Fail", "Unfounded"}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+def test_a_payload_field_the_rule_does_not_carry_is_rejected_at_its_step(strict):
+    # the first recorded step of each rule gains each field it lacks
+    rules = set()
+    for mode, theory, trace in _recorded_traces():
+        name = theory.atoms[0].name
+        extra = {"literal": name, "clause": [name], "witness": [name], "prefix_length": 0}
+        lines = dump_trace(trace).splitlines()
+        for i, s in enumerate(trace.steps, start=1):
+            rule_name = s.transition.rule
+            if rule_name in rules:
+                continue
+            rules.add(rule_name)
+            for field in sorted(set(extra) - set(engine.RULE_PAYLOADS[rule_name])):
+                record = json.loads(lines[i])
+                record[field] = extra[field]
+                edited = lines[:i] + [json.dumps(record)] + lines[i + 1:]
+                result = validate_trace(load_trace("\n".join(edited)), theory, mode,
+                                        strict_strategy=strict)
+                assert (result.ok, result.step_index) == (False, i), (mode, rule_name, field)
+                assert "nothing else" in result.reason
+    assert rules == engine.ALL_RULES
 
 
 # -- load_trace on arbitrary input ends in a trace or a ParseError ------------
@@ -240,6 +278,8 @@ def test_a_bad_literal_token_raises_on_every_load(token, field):
         parsed = parse_literal_token(token) if isinstance(token, str) else None
     except ParseError:
         parsed = None
+    if field == "witness" and parsed is not None and not parsed.positive:
+        parsed = None  # witness entries are atom names
     good = '{"index": 1, "rule": "Learn", "clause": ["a", "-b"]}'
     value = token if field == "literal" else ["a", token]
     rule = "Unfounded" if field == "witness" else "Learn"
@@ -251,7 +291,7 @@ def test_a_bad_literal_token_raises_on_every_load(token, field):
                 load_trace(text)
         else:
             steps = load_trace(text).steps
-            assert steps[1] == steps[2] and lit("a") in steps[0].clause
+            assert steps[1] == steps[2] and lit("a") in steps[0].transition.clause
 
 
 @settings(max_examples=60, deadline=None)
