@@ -239,20 +239,6 @@ def applicable_decide(state: AugmentedState, theory: SmaspTheory) -> list[Litera
     return out
 
 
-def applicable_fail(state: AugmentedState, theory: SmaspTheory) -> bool:
-    return (not state.failed and not state.trail.is_consistent
-            and not state.trail.decision_indices)
-
-
-def applicable_backtrack(state: AugmentedState, theory: SmaspTheory) -> Optional[Literal]:
-    """The flipped literal replacing the last decision, when the trail
-    is inconsistent and has one."""
-    if state.failed or state.trail.is_consistent or not state.trail.decision_indices:
-        return None
-    last = state.trail.decision_indices[-1]
-    return state.trail.entries[last].literal.complement()
-
-
 def applicable_unfounded(state: AugmentedState, theory: SmaspTheory) -> list[tuple[Literal, tuple[Atom, ...]]]:
     """Negations of the greatest unfounded set's members not already on
     the trail, each carrying the set as witness. Inapplicable on
@@ -344,25 +330,45 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause,
     return learned, asserting, prefix_length
 
 
-def _backjump_transition(state: AugmentedState, theory: SmaspTheory) -> Optional[Transition]:
-    if state.failed or state.trail.is_consistent or not state.trail.decision_indices:
-        return None
-    learned, asserting, prefix_length = analyze_conflict(state, conflicting_clause(state), theory)
-    return Transition(RULE_BACKJUMP, literal=asserting, clause=learned,
-                      prefix_length=prefix_length)
+def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Transition]:
+    """Every candidate of ``rule`` in ``state``, in canonical order: the
+    edges ``rule`` labels out of ``state``. Fail applies to an
+    inconsistent trail without a decision, Backtrack and Backjump to one
+    with a decision; Backjump's one candidate is the clause
+    :func:`analyze_conflict` learns. Learn has none: it is :func:`run`'s
+    learning policy, not a priority slot."""
+    trail = state.trail
+    if state.failed or rule == RULE_LEARN:
+        return []
+    if rule in (RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP):
+        if trail.is_consistent or bool(trail.decision_indices) == (rule == RULE_FAIL):
+            return []
+        if rule == RULE_FAIL:
+            return [Transition(RULE_FAIL)]
+        if rule == RULE_BACKTRACK:  # the new trail repeats no literal
+            last = trail.decision_indices[-1]
+            flipped = trail.entries[last].literal.complement()
+            if any(e.literal == flipped for e in trail.entries[:last]):
+                return []
+            return [Transition(RULE_BACKTRACK, literal=flipped)]
+        learned, asserting, kept = analyze_conflict(state, conflicting_clause(state), theory)
+        return [Transition(RULE_BACKJUMP, literal=asserting, clause=learned, prefix_length=kept)]
+    if rule == RULE_DECIDE:
+        return [Transition(rule, literal=l) for l in applicable_decide(state, theory)]
+    if rule == RULE_UNFOUNDED:
+        return [Transition(rule, literal=l, witness=w) for l, w in applicable_unfounded(state, theory)]
+    if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
+        return [Transition(rule, literal=l, clause=c) for l, c in applicable_unit_propagate(
+            state, theory, include_learned=(rule == RULE_UNIT_PROPAGATE_LEARN))]
+    raise ValueError(f"unknown transition rule: {rule!r}")
 
 
 def is_singular_unfounded(state: AugmentedState, theory: SmaspTheory) -> bool:
     """An unfounded-set edge is singular when some other non-decision
     edge leaves the same state; strategies emulating the eager
     unfounded-check solver must never traverse one."""
-    if not state.trail.is_consistent:
-        return False
-    if not applicable_unfounded(state, theory):
-        return False
-    return (bool(applicable_unit_propagate(state, theory))
-            or applicable_fail(state, theory)
-            or applicable_backtrack(state, theory) is not None)
+    return bool(applicable(state, theory, RULE_UNFOUNDED)) and any(
+        applicable(state, theory, r) for r in (RULE_UNIT_PROPAGATE, RULE_FAIL, RULE_BACKTRACK))
 
 
 def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> AugmentedState:
@@ -400,13 +406,12 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
         return AugmentedState(trail.append(lit, decision=True), state.learned, False)
 
     if rule == RULE_FAIL:
-        if not applicable_fail(state, theory):
+        if transition not in applicable(state, theory, rule):
             raise ValueError("Fail requires an inconsistent, decision-free trail")
         return AugmentedState(Trail(), state.learned, True)
 
     if rule == RULE_BACKTRACK:
-        expected = applicable_backtrack(state, theory)
-        if expected is None or transition.literal != expected:
+        if transition not in applicable(state, theory, rule):
             raise ValueError(f"inapplicable Backtrack: {transition}")
         last = trail.decision_indices[-1]
         return AugmentedState(trail.truncate(last).append(transition.literal),
@@ -580,23 +585,13 @@ def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
     """The first candidate of the highest-priority applicable rule.
     Unit propagation and Decide read ``index``, which must mirror
     ``state``; they are only reached on consistent trails, because
-    every strategy ranks conflict handling first."""
+    every strategy ranks conflict handling first. Every other rule
+    reads :func:`applicable`."""
     if state.failed:
         return None
     for group in strategy.priority:
         for rule in group:
-            if rule == RULE_FAIL:
-                if applicable_fail(state, theory):
-                    return Transition(RULE_FAIL)
-            elif rule == RULE_BACKTRACK:
-                lit = applicable_backtrack(state, theory)
-                if lit is not None:
-                    return Transition(RULE_BACKTRACK, literal=lit)
-            elif rule == RULE_BACKJUMP:
-                tr = _backjump_transition(state, theory)
-                if tr is not None:
-                    return tr
-            elif rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
+            if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
                 cand = index.first_unit(rule == RULE_UNIT_PROPAGATE_LEARN)
                 if cand is not None:
                     return Transition(rule, literal=cand[0], clause=cand[1])
@@ -604,11 +599,10 @@ def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
                 lit = index.first_unassigned()
                 if lit is not None:
                     return Transition(RULE_DECIDE, literal=lit)
-            elif rule == RULE_UNFOUNDED:
-                cands = applicable_unfounded(state, theory)
+            else:
+                cands = applicable(state, theory, rule)
                 if cands:
-                    lit, witness = cands[0]
-                    return Transition(RULE_UNFOUNDED, literal=lit, witness=witness)
+                    return cands[0]
     return None
 
 
@@ -654,8 +648,7 @@ class Outcome:
 
 
 def run(theory: SmaspTheory, strategy: Union[Strategy, str],
-        max_steps: int = DEFAULT_MAX_STEPS, max_learned: int = DEFAULT_MAX_LEARNED,
-        self_check: Optional[bool] = None) -> Outcome:
+        max_steps: int = DEFAULT_MAX_STEPS, self_check: Optional[bool] = None) -> Outcome:
     """Walk the graph from the empty state, always taking the highest
     priority applicable rule (first candidate in canonical order), with
     one Learn step injected after each Backjump that does not reach a
@@ -695,7 +688,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
             upcoming = canonical(walk.state, theory, strategy, walk.index)
             if upcoming is None:
                 break  # semi-terminal: nothing basic applies, so no Learn
-            if len(walk.state.learned) >= max_learned:
+            if len(walk.state.learned) >= DEFAULT_MAX_LEARNED:
                 limit = True
                 break
             learn = Transition(RULE_LEARN, clause=tr.clause)

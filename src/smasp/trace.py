@@ -161,7 +161,7 @@ def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -
     group (:func:`engine.require_conflict_first`), whose Fail applies
     without a decision and Backtrack/Backjump with one, so no conflict
     analysis is needed."""
-    if rule == engine.RULE_LEARN:
+    if rule == engine.RULE_LEARN and strategy.learning:
         return None  # the learning policy, not a priority slot
     if rule not in strategy.rules:
         return f"rule {rule} is not part of mode {strategy.mode!r}"

@@ -1,7 +1,6 @@
 """Construction shortcuts shared by the test modules."""
 
 from smasp import engine, translations
-from smasp.engine import Transition
 from smasp.model import Atom, Clause, Literal, Program, Rule, Trail, TrailEntry
 
 
@@ -77,71 +76,34 @@ F1 = (cl("x1", "x2"), cl("-x1", "x3"))  # renamed copy of {a|b, -a|c}
 
 def reference_choice(state, theory, strategy):
     """The canonical transition out of ``state``, derived from the
-    definitional ``applicable_*`` functions: the first candidate of the
+    definitional :func:`engine.applicable`: the first candidate of the
     first applicable rule in priority order, or None when none applies."""
-    if state.failed:
-        return None
     for group in strategy.priority:
         for name in group:
-            if name == engine.RULE_FAIL:
-                if engine.applicable_fail(state, theory):
-                    return Transition(name)
-            elif name == engine.RULE_BACKTRACK:
-                literal = engine.applicable_backtrack(state, theory)
-                if literal is not None:
-                    return Transition(name, literal=literal)
-            elif name == engine.RULE_BACKJUMP:
-                if not state.trail.is_consistent and state.trail.decision_indices:
-                    learned, asserting, kept = engine.analyze_conflict(
-                        state, engine.conflicting_clause(state), theory)
-                    return Transition(name, literal=asserting, clause=learned,
-                                      prefix_length=kept)
-            elif name in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
-                cands = engine.applicable_unit_propagate(
-                    state, theory, include_learned=(name == engine.RULE_UNIT_PROPAGATE_LEARN))
-                if cands:
-                    return Transition(name, literal=cands[0][0], clause=cands[0][1])
-            elif name == engine.RULE_DECIDE:
-                cands = engine.applicable_decide(state, theory)
-                if cands:
-                    return Transition(name, literal=cands[0])
-            elif name == engine.RULE_UNFOUNDED:
-                cands = engine.applicable_unfounded(state, theory)
-                if cands:
-                    return Transition(name, literal=cands[0][0], witness=cands[0][1])
+            candidates = engine.applicable(state, theory, name)
+            if candidates:
+                return candidates[0]
     return None
 
 
-def _rule_applicable(state, theory, name):
-    if name == engine.RULE_FAIL:
-        return engine.applicable_fail(state, theory)
-    if name == engine.RULE_BACKTRACK:
-        return engine.applicable_backtrack(state, theory) is not None
-    if name == engine.RULE_BACKJUMP:
-        return (not state.failed and not state.trail.is_consistent
-                and bool(state.trail.decision_indices))
-    if name == engine.RULE_UNIT_PROPAGATE:
-        return bool(engine.applicable_unit_propagate(state, theory))
-    if name == engine.RULE_UNIT_PROPAGATE_LEARN:
-        return bool(engine.applicable_unit_propagate(state, theory, include_learned=True))
-    if name == engine.RULE_DECIDE:
-        return bool(engine.applicable_decide(state, theory))
-    if name == engine.RULE_UNFOUNDED:
-        return bool(engine.applicable_unfounded(state, theory))
-    return False
+def _applies(state, theory, name):
+    try:
+        return bool(engine.applicable(state, theory, name))
+    except ValueError:  # Backjump applies, but resolution reached a Backtrack literal
+        return True
 
 
 def reference_strict_violation(state, theory, strategy, rule):
     """The strict-strategy verdict on taking ``rule`` in ``state``,
-    derived from the definitional ``applicable_*`` functions: the rule
+    derived from the definitional :func:`engine.applicable`: the rule
     must sit in the first priority group that has an applicable rule."""
-    if rule == engine.RULE_LEARN:
+    if rule == engine.RULE_LEARN and strategy.learning:
         return None  # the learning policy, not a priority slot
     allowed = {r for group in strategy.priority for r in group}
     if rule not in allowed:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
     for group in strategy.priority:
-        applicable = [r for r in group if _rule_applicable(state, theory, r)]
+        applicable = [r for r in group if _applies(state, theory, r)]
         if applicable:
             if rule not in group:
                 return f"higher-priority rule {applicable[0]} was applicable"

@@ -323,9 +323,7 @@ def test_criterion_9_eager_mode_avoids_singular_edges(corpus3):
         for st, before in zip(out.steps, states):
             if st.transition.rule != "Unfounded":
                 continue
-            assert not engine.applicable_unit_propagate(before, theory)
-            assert not engine.applicable_fail(before, theory)
-            assert engine.applicable_backtrack(before, theory) is None
+            assert not engine.is_singular_unfounded(before, theory)
             checked += 1
     assert checked
     _passes("criterion 9", f"{checked} unfounded-set steps, none singular")

@@ -3,8 +3,8 @@
 ``run`` picks transitions from an incremental index, strict
 ``validate_trace`` asks the same index for the canonical choice, and
 ``step`` checks transitions locally; all three must agree exactly with
-the ``applicable_*`` functions, which enumerate every candidate of
-every rule from scratch.
+``engine.applicable``, which enumerates every candidate of every rule
+from scratch.
 """
 
 import dataclasses
@@ -62,36 +62,14 @@ def test_runs_on_random_3sat_above_the_oracle_caps_take_the_canonical_transition
 # -- strict validate_trace agrees with the reference strict check ------------
 
 def _first_group_candidates(state, theory, strategy):
-    """Every transition of the first priority group that has one; a
-    Backjump's only candidate is the one conflict analysis derives."""
+    """Every transition of the first priority group that has one."""
     for group in strategy.priority:
         out = []
         for name in group:
-            if name == engine.RULE_FAIL and engine.applicable_fail(state, theory):
-                out.append(Transition(name))
-            elif name == engine.RULE_BACKTRACK:
-                literal = engine.applicable_backtrack(state, theory)
-                if literal is not None:
-                    out.append(Transition(name, literal=literal))
-            elif name == engine.RULE_BACKJUMP:
-                if not state.failed and not state.trail.is_consistent and state.trail.decision_indices:
-                    try:
-                        learned, asserting, kept = engine.analyze_conflict(
-                            state, engine.conflicting_clause(state), theory)
-                    except ValueError:  # resolution reached a Backtrack literal
-                        continue
-                    out.append(Transition(name, literal=asserting, clause=learned,
-                                          prefix_length=kept))
-            elif name in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
-                out += [Transition(name, literal=l, clause=c)
-                        for l, c in engine.applicable_unit_propagate(
-                            state, theory, name == engine.RULE_UNIT_PROPAGATE_LEARN)]
-            elif name == engine.RULE_DECIDE:
-                out += [Transition(name, literal=l)
-                        for l in engine.applicable_decide(state, theory)]
-            elif name == engine.RULE_UNFOUNDED:
-                out += [Transition(name, literal=l, witness=w)
-                        for l, w in engine.applicable_unfounded(state, theory)]
+            try:
+                out += engine.applicable(state, theory, name)
+            except ValueError:  # resolution reached a Backtrack literal
+                pass
         if out:
             return out
     return []
@@ -260,7 +238,7 @@ programs = st.one_of(
     st.integers(0, 2 ** 16).map(
         lambda seed: gen.random_program(random.Random(seed), n_atoms=4, max_rules=3)))
 rules = st.sampled_from((engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN,
-                         engine.RULE_DECIDE))
+                         engine.RULE_DECIDE, engine.RULE_FAIL, engine.RULE_BACKTRACK))
 
 
 def _accepts(state, transition, theory):
@@ -283,7 +261,7 @@ def test_step_accepts_exactly_the_definitional_candidates(
         own = [st.builds(Literal, st.sampled_from(theory.atoms), st.booleans())] * 2
         literal = data.draw(st.one_of(*own, literals, outside, st.none()))
         transition = Transition(rule, literal=literal)
-    else:
+    elif rule in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
         offered = list(engine._context(theory).up_sources) + list(learned)
         # hypothesis leans towards the first branch: offered clauses, then
         # their own literals, make up most draws
@@ -300,16 +278,24 @@ def test_step_accepts_exactly_the_definitional_candidates(
             duals = [l.complement() for l in clause]
             forced = data.draw(st.one_of(
                 st.just(others), st.lists(st.sampled_from(duals), unique=True)))
-    extra = data.draw(st.lists(literals, max_size=4))
+    conflict = rule in (engine.RULE_FAIL, engine.RULE_BACKTRACK)
+    extra = data.draw(st.lists(literals, min_size=conflict, max_size=4))
     if extra and data.draw(st.booleans()):  # an inconsistent trail
         extra.append(data.draw(st.sampled_from(extra)).complement())
     order = data.draw(st.permutations(list(dict.fromkeys(forced + extra))))
-    decisions = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    # conflict rules often draw a trail without decisions, which Fail
+    # needs, or with one decision first, whose flip Backtrack can take
+    n = len(order)
+    fixed = [st.just([False] * n), st.just([True] + [False] * (n - 1))] if conflict else []
+    decisions = data.draw(st.one_of(*fixed, st.lists(st.booleans(), min_size=n, max_size=n)))
     trail = Trail(tuple(TrailEntry(l, d) for l, d in zip(order, decisions)))
     state = AugmentedState(Trail() if failed else trail, tuple(learned), failed)
-    if rule == engine.RULE_DECIDE:
-        definitional = literal in engine.applicable_decide(state, theory)
-    else:
-        definitional = (literal, clause) in engine.applicable_unit_propagate(
-            state, theory, include_learned=(rule == engine.RULE_UNIT_PROPAGATE_LEARN))
+    if conflict:
+        # a Backtrack flips the last decision, or another one; a Fail
+        # carrying a literal is malformed
+        flips = [e.literal.complement() for e in trail if e.is_decision]
+        backtrack = rule == engine.RULE_BACKTRACK and flips
+        picks = [st.just(flips[-1]), st.sampled_from(flips)] if backtrack else []
+        transition = Transition(rule, literal=data.draw(st.one_of(*picks, st.none(), literals)))
+    definitional = transition in engine.applicable(state, theory, rule)
     assert _accepts(state, transition, theory) == definitional

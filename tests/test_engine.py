@@ -13,9 +13,8 @@ from smasp.engine import (
     AugmentedState,
     Transition,
     analyze_conflict,
-    applicable_backtrack,
+    applicable,
     applicable_decide,
-    applicable_fail,
     applicable_unfounded,
     applicable_unit_propagate,
     is_singular_unfounded,
@@ -67,18 +66,30 @@ class TestDecide:
 class TestFailBacktrack:
     def test_fail_on_decision_free_inconsistency(self):
         s = state("a -a")
-        assert applicable_fail(s, F1)
-        assert applicable_backtrack(s, F1) is None
+        assert applicable(s, F1, "Fail") == [Transition("Fail")]
+        assert applicable(s, F1, "Backtrack") == []
 
     def test_backtrack_flips_last_decision(self):
         s = state("a* b -b")
-        assert not applicable_fail(s, F1)
-        assert applicable_backtrack(s, F1) == lit("-a")
+        assert applicable(s, F1, "Fail") == []
+        assert applicable(s, F1, "Backtrack") == [Transition("Backtrack", literal=lit("-a"))]
 
     def test_consistent_trail_offers_neither(self):
         s = state("a* b")
-        assert not applicable_fail(s, F1)
-        assert applicable_backtrack(s, F1) is None
+        assert applicable(s, F1, "Fail") == []
+        assert applicable(s, F1, "Backtrack") == []
+
+    def test_backtrack_keeps_the_trail_free_of_repeats(self):
+        # unreachable, as Decide takes only unassigned atoms: flipping a*
+        # would put -a on the trail twice
+        s = state("-a a*")
+        assert applicable(s, F1, "Backtrack") == []
+        with pytest.raises(ValueError, match="inapplicable Backtrack"):
+            step(s, Transition("Backtrack", literal=lit("-a")), F1)
+
+    def test_failed_state_offers_nothing(self):
+        s = AugmentedState(failed=True)
+        assert all(applicable(s, F1, rule) == [] for rule in engine.ALL_RULES)
 
 
 class TestUnfounded:
@@ -341,9 +352,7 @@ def test_eager_unfounded_mode_never_takes_singular_edges():
         states = _replay_states(theory, out.steps)
         for st, before in zip(out.steps, states):
             if st.transition.rule == "Unfounded":
-                assert not applicable_unit_propagate(before, theory)
-                assert not applicable_fail(before, theory)
-                assert applicable_backtrack(before, theory) is None
+                assert not is_singular_unfounded(before, theory)
 
 
 def test_analyze_conflict_output_shape_on_random_conflicts():

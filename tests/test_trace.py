@@ -10,7 +10,7 @@ import gen
 from helpers import PI0, PI3, cl, lit, prog, rule
 from smasp import engine
 from smasp.engine import Strategy, TraceStep, Transition, run
-from smasp.model import SmaspTheory
+from smasp.model import SmaspTheory, Trail
 from smasp.trace import (
     Trace,
     TraceHeader,
@@ -94,6 +94,21 @@ class TestValidate:
         steps = (bare(1, "UnitPropagateLearn", literal=lit("c"), clause=cl("-a", "c")),)
         result = validate_trace(make_trace(F1, steps), F1, "dpll", strict_strategy=True)
         assert not result.ok and "not part of mode" in result.reason
+
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_strict_strategy_takes_learn_only_from_learning_modes(self, mode):
+        t = SmaspTheory((cl("x1", "x2"), cl("-x1", "x3"), cl("-x2", "-x3")))
+        learn = Transition("Learn", clause=cl("x1", "x2"))
+        steps = [TraceStep(1, learn, engine.digest_trail(Trail()))]
+        steps += [dataclasses.replace(s, index=s.index + 1) for s in run(t, mode).steps]
+        trace = make_trace(t, steps, mode=mode)
+        assert validate_trace(trace, t, mode).ok
+        result = validate_trace(trace, t, mode, strict_strategy=True)
+        if engine.for_mode(mode).learning:
+            assert result.ok
+        else:
+            assert (result.ok, result.step_index, result.reason) == (
+                False, 1, f"rule Learn is not part of mode {mode!r}")
 
 
 class TestSerialization:
