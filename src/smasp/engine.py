@@ -142,17 +142,23 @@ def for_mode(mode: str) -> Strategy:
 @dataclass(frozen=True)
 class _TheoryContext:
     atoms: tuple[Atom, ...]
-    opened: Program
+    program: Program
     up_sources: tuple[Clause, ...]  # clause set first, program reading after
     atom_set: frozenset[Atom]
     source_set: frozenset[Clause]
+
+    @cached_property
+    def opened(self) -> Program:
+        """The program opened over the theory's atoms, made when first
+        asked: by the check of an Unfounded step or by the definitional
+        :func:`applicable_unfounded`."""
+        return translations.open_program(self.program, self.atoms)
 
 
 @lru_cache(maxsize=512)
 def _context(theory: SmaspTheory) -> _TheoryContext:
     sources = tuple(dict.fromkeys(theory.clauses + translations.clausal(theory.program)))
-    opened = translations.open_program(theory.program, theory.atoms)
-    return _TheoryContext(theory.atoms, opened, sources,
+    return _TheoryContext(theory.atoms, theory.program, sources,
                           frozenset(theory.atoms), frozenset(sources))
 
 
@@ -330,18 +336,29 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause,
     return learned, asserting, prefix_length
 
 
+_CONFLICT_RULES = (RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP)
+
+
+def conflict_guard(trail: Trail, rule: str) -> bool:
+    """The guard :func:`applicable` puts on the conflict rules: Fail
+    applies to an inconsistent trail without a decision, Backtrack and
+    Backjump to one with a decision. Telling them apart needs no
+    conflict analysis."""
+    return (rule in _CONFLICT_RULES and not trail.is_consistent
+            and bool(trail.decision_indices) != (rule == RULE_FAIL))
+
+
 def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Transition]:
     """Every candidate of ``rule`` in ``state``, in canonical order: the
-    edges ``rule`` labels out of ``state``. Fail applies to an
-    inconsistent trail without a decision, Backtrack and Backjump to one
-    with a decision; Backjump's one candidate is the clause
+    edges ``rule`` labels out of ``state``. The conflict rules apply
+    under :func:`conflict_guard`; Backjump's one candidate is the clause
     :func:`analyze_conflict` learns. Learn has none: it is :func:`run`'s
     learning policy, not a priority slot."""
     trail = state.trail
     if state.failed or rule == RULE_LEARN:
         return []
-    if rule in (RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP):
-        if trail.is_consistent or bool(trail.decision_indices) == (rule == RULE_FAIL):
+    if rule in _CONFLICT_RULES:
+        if not conflict_guard(trail, rule):
             return []
         if rule == RULE_FAIL:
             return [Transition(RULE_FAIL)]
@@ -423,7 +440,7 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
         witness, lit = transition.witness, transition.literal
         ctx = _context(theory)
         if (lit.positive or lit.atom not in witness or lit in trail
-                or lit.atom not in ctx.atom_set):
+                or len(frozenset(witness)) < len(witness) or not ctx.atom_set.issuperset(witness)):
             raise ValueError(f"inapplicable Unfounded: {transition}")
         opened = ctx.opened
         if not oracles.is_unfounded(witness, trail.literal_set, opened):
@@ -494,6 +511,8 @@ class PropagationIndex:
         self.pending: list[int] = [i for i, codes in enumerate(self.codes) if len(codes) <= 1]
         self.sources = ctx.source_set
         self.n_sources = len(self.clauses)
+        self.program = ctx.program
+        self.founding: Optional[UnfoundedIndex] = None  # made by the first Unfounded query
 
     def _add(self, c: Clause) -> None:
         i = len(self.clauses)
@@ -515,10 +534,14 @@ class PropagationIndex:
 
     def follow(self, trail: Trail) -> None:
         """Catch up with ``trail``: a prefix of the indexed trail plus
-        one literal, which is what every trail-changing rule yields."""
+        one literal, which is what every trail-changing rule yields. A
+        cut below what the unfounded-set index has read lowers its
+        ``done``."""
         keep = len(trail) - 1
         while len(self.trail) > keep:
             self._unassign(self.trail.pop())
+        if self.founding is not None and keep < self.founding.done:
+            self.founding.done = keep
         self._assign(self.code[trail.entries[keep].literal])
 
     def _assign(self, x: int) -> None:
@@ -570,6 +593,160 @@ class PropagationIndex:
         self.decide_from = x >> 1
         return self.literals[x] if x < len(true) else None
 
+    def first_unfounded(self) -> Optional[tuple[Literal, tuple[Atom, ...]]]:
+        """``applicable_unfounded(...)[0]`` on a consistent trail. Without
+        rule heads every atom is open, so unfounded only when false, and
+        nothing is offered."""
+        if self.founding is None:
+            if not self.program.heads:
+                return None
+            self.founding = UnfoundedIndex(self)
+        return self.founding.first()
+
+
+class UnfoundedIndex:
+    """The greatest unfounded set of a :class:`PropagationIndex`'s trail,
+    kept with source pointers (Simons, Niemelä & Soininen, smodels, AIJ
+    2002; Gebser, Kaufmann & Schaub, clasp, AIJ 2012) for the canonical
+    Unfounded choice.
+
+    Atoms are numbered as the propagation index numbers them, the
+    distinct bodies of the rules with a head as they first occur. An
+    atom is founded while it has a source: a body that is not
+    contradicted and whose positive atoms were all founded before it, so
+    sources form no cycle. An atom without a rule is its own source
+    (:data:`SELF`) while it is not false, as the opened program's
+    self-supporting rule makes it, but no rule is made. The unfounded
+    atoms are the complement of the founded fixpoint: the greatest
+    unfounded set. ``missing`` counts each body's unfounded positive
+    atoms.
+
+    A query reads the trail from ``done``, which
+    :meth:`PropagationIndex.follow` lowers when it truncates below it.
+    Each new literal takes away the sources it contradicts, and the loss
+    spreads through positive occurrences; the atoms that lost their
+    source then look for another. A truncation can found any unfounded
+    atom again, so after one they all look.
+    """
+
+    SELF = -1
+
+    def __init__(self, index: PropagationIndex) -> None:
+        self.index = index
+        number = {l.atom: i for i, l in enumerate(index.literals[::2])}
+        code = index.code
+        self.heads: list[list[int]] = []  # per body
+        self.duals: list[list[int]] = []  # per body: the literals that contradict it
+        self.missing: list[int] = []  # per body
+        self.bodies: list[list[int]] = [[] for _ in number]  # per atom: its rules' bodies
+        self.uses: list[list[int]] = [[] for _ in number]  # per atom: where it is positive
+        self.contradicts: dict[int, list[int]] = {}  # per literal: the bodies it contradicts
+        heads, duals, missing, bodies, uses, contradicts = (
+            self.heads, self.duals, self.missing, self.bodies, self.uses, self.contradicts)
+        body_number: dict = {}
+        for r in index.program.rules:
+            if r.head is None:
+                continue
+            body = r.body
+            b = body_number.get(body)
+            if b is None:
+                b = body_number[body] = len(heads)
+                heads.append([])
+                missing.append(len(body.pos))
+                for a in body.pos:
+                    uses[number[a]].append(b)
+                duals.append([code[l] ^ 1 for l in body.s_literals])
+                for y in duals[b]:
+                    contradicts.setdefault(y, []).append(b)
+            h = number[r.head]  # a repeated rule repeats harmlessly
+            heads[b].append(h)
+            bodies[h].append(b)
+        self.support: list[Optional[int]] = [None] * len(number)
+        self.unfounded = set(range(len(number)))
+        self.done = self.synced = len(index.trail)  # trail entries read, trail length then
+        self._refound(range(len(number)))  # the founded fixpoint, in one worklist pass
+
+    def _update(self) -> None:
+        trail, support, heads, missing = (
+            self.index.trail, self.support, self.heads, self.missing)
+        truncated = self.done < self.synced
+        work = []  # atoms whose source a new literal contradicts
+        for x in trail[self.done:]:
+            if x & 1 and support[x >> 1] == self.SELF:
+                support[x >> 1] = None
+                work.append(x >> 1)
+            for b in self.contradicts.get(x, ()):
+                for a in heads[b]:
+                    if support[a] == b:
+                        support[a] = None
+                        work.append(a)
+        self.done = self.synced = len(trail)
+        lost = []
+        while work:  # and the atoms whose source rests on them
+            a = work.pop()
+            lost.append(a)
+            for c in self.uses[a]:
+                missing[c] += 1
+                for h in heads[c]:
+                    if support[h] == c:
+                        support[h] = None
+                        work.append(h)
+        self.unfounded.update(lost)
+        self._refound(list(self.unfounded) if truncated else lost)
+
+    def _refound(self, atoms: Iterable[int]) -> None:
+        """Give each unfounded atom of ``atoms`` a ready source if it has
+        one: an uncontradicted body without unfounded positive atoms.
+        Each atom founded counts out of ``missing``, and a body it makes
+        ready founds its unfounded heads in turn."""
+        true, support, missing, heads, duals, uses = (
+            self.index.true, self.support, self.missing, self.heads, self.duals, self.uses)
+        work = []
+        for a in atoms:
+            if support[a] is not None:
+                continue
+            if not self.bodies[a]:
+                if not true[2 * a + 1]:
+                    support[a] = self.SELF
+                    work.append(a)
+                continue
+            for b in self.bodies[a]:
+                if not missing[b] and not any(true[y] for y in duals[b]):
+                    support[a] = b
+                    work.append(a)
+                    break
+        self.unfounded.difference_update(work)
+        while work:
+            for c in uses[work.pop()]:
+                missing[c] -= 1
+                if missing[c]:
+                    continue
+                for y in duals[c]:
+                    if true[y]:
+                        break
+                else:
+                    for h in heads[c]:
+                        if support[h] is None:
+                            support[h] = c
+                            self.unfounded.discard(h)
+                            work.append(h)
+
+    def gus(self) -> tuple[Atom, ...]:
+        """The greatest unfounded set, sorted: false atoms included."""
+        self._update()
+        literals = self.index.literals
+        return tuple(literals[2 * a].atom for a in sorted(self.unfounded))
+
+    def first(self) -> Optional[tuple[Literal, tuple[Atom, ...]]]:
+        """The negation of the smallest unfounded atom that is not false,
+        with the whole set as witness; None when there is none."""
+        self._update()
+        true = self.index.true
+        offered = [a for a in self.unfounded if not true[2 * a + 1]]
+        if not offered:
+            return None
+        return self.index.literals[2 * min(offered) + 1], self.gus()
+
 
 def require_conflict_first(strategy: Strategy) -> None:
     """Reject a strategy whose first priority group does not resolve
@@ -583,10 +760,10 @@ def require_conflict_first(strategy: Strategy) -> None:
 def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
               index: PropagationIndex) -> Optional[Transition]:
     """The first candidate of the highest-priority applicable rule.
-    Unit propagation and Decide read ``index``, which must mirror
-    ``state``; they are only reached on consistent trails, because
-    every strategy ranks conflict handling first. Every other rule
-    reads :func:`applicable`."""
+    Unit propagation, Unfounded and Decide read ``index``, which must
+    mirror ``state``; they are only reached on consistent trails,
+    because every strategy ranks conflict handling first. Every other
+    rule reads :func:`applicable`."""
     if state.failed:
         return None
     for group in strategy.priority:
@@ -599,6 +776,10 @@ def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
                 lit = index.first_unassigned()
                 if lit is not None:
                     return Transition(RULE_DECIDE, literal=lit)
+            elif rule == RULE_UNFOUNDED:
+                cand = index.first_unfounded()
+                if cand is not None:
+                    return Transition(RULE_UNFOUNDED, literal=cand[0], witness=cand[1])
             else:
                 cands = applicable(state, theory, rule)
                 if cands:

@@ -323,10 +323,6 @@ class Rule(_Interned):
         return self.head is None
 
     @property
-    def is_fact(self) -> bool:
-        return not (self.pos or self.neg or self.negneg)
-
-    @property
     def atoms(self) -> tuple[Atom, ...]:
         head = (self.head,) if self.head is not None else ()
         return sorted_atoms(head + self.pos + self.neg + self.negneg)

@@ -15,9 +15,6 @@ from .model import Clause, Literal, SmaspTheory, __version__, satisfies
 from .parsing import ParseError, format_clause, format_literal, format_program, parse_literal_token
 
 
-_CONFLICT_RULES = (engine.RULE_FAIL, engine.RULE_BACKTRACK, engine.RULE_BACKJUMP)
-
-
 @dataclass(frozen=True)
 class TraceHeader:
     mode: str
@@ -158,8 +155,8 @@ def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -
     """Under strict checking the step's rule must sit in the first
     priority group that has any applicable rule: the group of the
     canonical choice. On an inconsistent trail that is the first
-    group (:func:`engine.require_conflict_first`), whose Fail applies
-    without a decision and Backtrack/Backjump with one, so no conflict
+    group (:func:`engine.require_conflict_first`), and its rule is the
+    one that passes :func:`engine.conflict_guard`, so no conflict
     analysis is needed."""
     if rule == engine.RULE_LEARN and strategy.learning:
         return None  # the learning policy, not a priority slot
@@ -174,9 +171,7 @@ def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -
             return f"no rule of mode {strategy.mode!r} is applicable"
         first = chosen.rule
     else:
-        decided = bool(state.trail.decision_indices)
-        first = next(r for r in strategy.priority[0] if r in _CONFLICT_RULES
-                     and (r == engine.RULE_FAIL) != decided)
+        first = next(r for r in strategy.priority[0] if engine.conflict_guard(state.trail, r))
     if rule not in next(g for g in strategy.priority if first in g):
         return f"higher-priority rule {first} was applicable"
     return None

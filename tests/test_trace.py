@@ -249,6 +249,25 @@ def test_a_payload_field_the_rule_does_not_carry_is_rejected_at_its_step(strict)
     assert rules == engine.ALL_RULES
 
 
+# a :- b.  b :- a.  c :- not d.  d :- not c.
+LOOP_CHOICE = prog(rule("a", pos="b"), rule("b", pos="a"), rule("c", neg="d"), rule("d", neg="c"))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("witness", [["a", "b", "zz"], ["a", "a", "b"]], ids=["outside", "repeated"])
+def test_an_unfounded_witness_outside_the_theory_or_repeating_an_atom_is_rejected(witness, strict):
+    theory = SmaspTheory(ed_completion(LOOP_CHOICE), LOOP_CHOICE)
+    lines = dump_trace(trace_from_outcome(run(theory, "clasp"), "clasp", theory)).splitlines()
+    first = json.loads(lines[1])
+    assert (first["rule"], first["literal"], first["witness"]) == ("Unfounded", "-a", ["a", "b"])
+    assert validate_trace(load_trace("\n".join(lines)), theory, "clasp", strict_strategy=strict).ok
+    first["witness"] = witness
+    edited = "\n".join([lines[0], json.dumps(first)] + lines[2:])
+    result = validate_trace(load_trace(edited), theory, "clasp", strict_strategy=strict)
+    assert (result.ok, result.step_index) == (False, 1)
+    assert result.reason.startswith("inapplicable Unfounded")
+
+
 # -- load_trace on arbitrary input ends in a trace or a ParseError ------------
 
 _json_values = st.recursive(

@@ -1,0 +1,120 @@
+"""The unfounded-set index against the definitional oracle, and the
+laziness of what only an Unfounded step needs.
+
+``engine.UnfoundedIndex`` keeps the greatest unfounded set of the
+propagation index's trail with source pointers; after every query it
+must equal ``oracles.greatest_unfounded_set`` on the trail and the
+opened program, false members included.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gen
+from helpers import PI3, prog, rule, trail
+from smasp import engine, oracles, translations
+from smasp.engine import AugmentedState, run
+from smasp.model import Literal, Program, SmaspTheory, Trail, sorted_atoms
+from smasp.trace import trace_from_outcome, validate_trace
+from smasp.translations import completion, ed_completion
+
+
+def _assert_index_matches_the_oracle(index, theory, current):
+    candidates = engine.applicable_unfounded(AugmentedState(current), theory)
+    assert index.first_unfounded() == (candidates[0] if candidates else None)
+    if index.founding is None:  # built by the first query, unless nothing has a rule
+        assert not theory.program.heads
+    else:
+        opened = engine._context(theory).opened
+        gus = oracles.greatest_unfounded_set(current.literal_set, opened)
+        assert index.founding.gus() == sorted_atoms(gus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_index_equals_the_greatest_unfounded_set_after_assigns_and_truncations(rng):
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=10)
+    # clauses may bring atoms the program does not mention: open atoms
+    theory = SmaspTheory(gen.random_clauses(rng, gen.POOL8, max_clauses=3), pi)
+    index = engine.PropagationIndex(engine._context(theory))
+    current = Trail()
+    for _ in range(rng.randint(1, 40)):
+        if rng.random() < 0.4:
+            _assert_index_matches_the_oracle(index, theory, current)
+        free = [a for a in theory.atoms if not current.assigns(a)]
+        if current and (not free or rng.random() < 0.3):
+            current = current.truncate(rng.randrange(len(current)))
+            free = [a for a in theory.atoms if not current.assigns(a)]
+        current = current.append(Literal(rng.choice(free), rng.random() < 0.5),
+                                 decision=rng.random() < 0.5)
+        index.follow(current)
+    _assert_index_matches_the_oracle(index, theory, current)
+
+
+def test_a_truncation_founds_a_loop_again():
+    # a :- b.  b :- a.  a :- not c.
+    pi = prog(rule("a", pos="b"), rule("b", pos="a"), rule("a", neg="c"))
+    theory = SmaspTheory((), pi)
+    index = engine.PropagationIndex(engine._context(theory))
+    assert index.first_unfounded() is None
+    # a false atom stays a member; a false open atom is one
+    for spec, gus in (("c*", "a b"), ("c* -a", "a b"), ("-c*", "c"), ("-c* a", "c"),
+                      ("-a", "b"), ("-a c", "a b")):
+        index.follow(trail(spec))
+        assert [a.name for a in index.founding.gus()] == gus.split()
+        _assert_index_matches_the_oracle(index, theory, trail(spec))
+
+
+def test_a_program_without_rule_heads_builds_no_index():
+    theory = SmaspTheory((), prog(rule(None, pos="a", neg="b")))
+    index = engine.PropagationIndex(engine._context(theory))
+    index.follow(trail("-a"))
+    assert index.first_unfounded() is None and index.founding is None
+
+
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    monkeypatch.setattr(module, name, forbidden)
+
+
+def _solve_and_replay(theory, mode):
+    out = run(theory, mode, self_check=False)
+    recorded = trace_from_outcome(out, mode, theory)
+    for strict in (False, True):
+        assert validate_trace(recorded, theory, mode, strict_strategy=strict).ok
+    return {s.transition.rule for s in out.steps}
+
+
+@pytest.mark.parametrize("mode", ["smodels", "cmodels", "clasp", "minisatid"])
+def test_runs_without_an_unfounded_step_never_open_the_program(mode, monkeypatch):
+    # a :- not b.  b :- not a.  c :- a.
+    pi = prog(rule("a", neg="b"), rule("b", neg="a"), rule("c", pos="a"))
+    theory = SmaspTheory((completion if mode == "smodels" else ed_completion)(pi), pi)
+    engine._context.cache_clear()
+    _forbid(monkeypatch, translations, "open_program")
+    assert engine.RULE_UNFOUNDED not in _solve_and_replay(theory, mode)
+
+
+def test_an_unfounded_step_opens_the_program_once_per_context(monkeypatch):
+    theory = SmaspTheory(ed_completion(PI3), PI3)
+    engine._context.cache_clear()
+    calls = []
+    open_program = translations.open_program
+    monkeypatch.setattr(translations, "open_program",
+                        lambda *args: calls.append(args) or open_program(*args))
+    assert engine.RULE_UNFOUNDED in _solve_and_replay(theory, "clasp")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode, theory", [
+    ("dpll", SmaspTheory(completion(PI3), PI3)),
+    ("clasp", gen.random_3sat(random.Random(5), 12)),
+    ("smodels", SmaspTheory(gen.random_3sat(random.Random(6), 10).clauses, Program())),
+], ids=["dpll", "clause-only-clasp", "clause-only-smodels"])
+def test_dpll_and_clause_only_runs_never_build_the_unfounded_index(mode, theory, monkeypatch):
+    _forbid(monkeypatch, engine, "UnfoundedIndex")
+    _solve_and_replay(theory, mode)
