@@ -141,18 +141,14 @@ def for_mode(mode: str) -> Strategy:
 
 @dataclass(frozen=True)
 class _TheoryContext:
+    """What the engine reads of a theory, made once per theory; an
+    Unfounded step is checked on ``program``, never the opened program."""
+
     atoms: tuple[Atom, ...]
     program: Program
     up_sources: tuple[Clause, ...]  # clause set first, program reading after
     atom_set: frozenset[Atom]
     source_set: frozenset[Clause]
-
-    @cached_property
-    def opened(self) -> Program:
-        """The program opened over the theory's atoms, made when first
-        asked: by the check of an Unfounded step or by the definitional
-        :func:`applicable_unfounded`."""
-        return translations.open_program(self.program, self.atoms)
 
 
 @lru_cache(maxsize=512)
@@ -251,8 +247,8 @@ def applicable_unfounded(state: AugmentedState, theory: SmaspTheory) -> list[tup
     inconsistent trails (unfoundedness is undefined there)."""
     if state.failed or not state.trail.is_consistent:
         return []
-    ctx = _context(theory)
-    gus = oracles.greatest_unfounded_set(state.trail.literal_set, ctx.opened)
+    opened = translations.open_program(theory.program, theory.atoms)
+    gus = oracles.greatest_unfounded_set(state.trail.literal_set, opened)
     witness = sorted_atoms(gus)
     out = []
     for a in witness:
@@ -263,19 +259,25 @@ def applicable_unfounded(state: AugmentedState, theory: SmaspTheory) -> list[tup
 
 
 def unfounded_reason(atom: Atom, u: Iterable[Atom], m: Union[Trail, Iterable[Literal]],
-                     pio: Program) -> Clause:
+                     pi: Program) -> Clause:
     """Reason clause for falsifying a member of an unfounded set: the
     member is false, or one of the set's external bodies has its
-    already-falsified literal true."""
+    already-falsified literal true. The bodies are those of the program
+    opened over ``u``: a member no rule of ``pi`` defines is open, its
+    one body ``not not a`` is falsified by ``-a``, and it adds ``a``."""
     ms = m.literal_set if isinstance(m, Trail) else frozenset(m)
     us = frozenset(u)
     lits = {Literal(atom, positive=False)}
-    bodies = {body for a in us for body in pio.bodies(a) if not (body.pos_set & us)}
+    bodies = {body for a in us for body in pi.bodies(a) if not (body.pos_set & us)}
     for body in sorted(bodies, key=lambda b: b.key):
         falsified = [l for l in body.s_literals if l.complement() in ms]
         if not falsified:
             raise ValueError(f"body {body} of an allegedly unfounded set is not falsified")
         lits.add(falsified[0])
+    for a in us - pi.heads:
+        if Literal(a, positive=False) not in ms:
+            raise ValueError(f"open member {a} of an allegedly unfounded set is not false")
+        lits.add(Literal(a))
     return Clause(tuple(lits))
 
 
@@ -390,7 +392,11 @@ def is_singular_unfounded(state: AugmentedState, theory: SmaspTheory) -> bool:
 
 def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> AugmentedState:
     """Apply a transition after checking that it carries its rule's
-    payload (:data:`RULE_PAYLOADS`) and is applicable in ``state``."""
+    payload (:data:`RULE_PAYLOADS`) and is applicable in ``state``.
+
+    An Unfounded witness must be unfounded in the opened program, where
+    a member no rule defines has only ``a :- not not a``: it is checked
+    on the program, and :func:`unfounded_reason` wants such members false."""
     rule = transition.rule
     carries = _CARRIES.get(rule)
     if carries is None:
@@ -442,10 +448,9 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
         if (lit.positive or lit.atom not in witness or lit in trail
                 or len(frozenset(witness)) < len(witness) or not ctx.atom_set.issuperset(witness)):
             raise ValueError(f"inapplicable Unfounded: {transition}")
-        opened = ctx.opened
-        if not oracles.is_unfounded(witness, trail.literal_set, opened):
+        if not oracles.is_unfounded(witness, trail.literal_set, ctx.program):
             raise ValueError(f"witness {witness} is not unfounded on the trail")
-        reason = unfounded_reason(lit.atom, witness, trail, opened)
+        reason = unfounded_reason(lit.atom, witness, trail, ctx.program)
         return AugmentedState(trail.append(lit, reason=reason), state.learned, False)
 
     if rule == RULE_BACKJUMP:

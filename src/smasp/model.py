@@ -319,10 +319,6 @@ class Rule(_Interned):
         return (Rule, (self.head, self.pos, self.neg, self.negneg))
 
     @property
-    def is_constraint(self) -> bool:
-        return self.head is None
-
-    @property
     def atoms(self) -> tuple[Atom, ...]:
         head = (self.head,) if self.head is not None else ()
         return sorted_atoms(head + self.pos + self.neg + self.negneg)
@@ -330,11 +326,6 @@ class Rule(_Interned):
     def __repr__(self) -> str:
         return (f"Rule(head={self.head!r}, pos={self.pos!r}, neg={self.neg!r}, "
                 f"negneg={self.negneg!r})")
-
-
-def body_literals(rule: Rule) -> tuple[Literal, ...]:
-    """Literal reading of a rule body, in canonical order."""
-    return rule.body.s_literals
 
 
 @dataclass(frozen=True)
@@ -423,12 +414,6 @@ class Trail:
     def is_unassigned(self, literal: Literal) -> bool:
         return literal not in self.literal_set and literal.complement() not in self.literal_set
 
-    def assigns(self, atom: Atom) -> bool:
-        return not self.is_unassigned(Literal(atom))
-
-    def is_complete_over(self, atoms: Iterable[Atom]) -> bool:
-        return all(self.assigns(a) for a in atoms)
-
     @cached_property
     def first_conflict_index(self) -> Optional[int]:
         """Index of the first entry whose dual occurs earlier, if any."""
@@ -463,12 +448,6 @@ class Trail:
                 level += 1
             out.append(level)
         return tuple(out)
-
-    def decision_level(self, literal: Literal) -> int:
-        for i, e in enumerate(self.entries):
-            if e.literal == literal:
-                return self.levels[i]
-        raise ValueError(f"literal {literal!r} does not occur in trail")
 
     def append(self, literal: Literal, decision: bool = False,
                reason: Optional[Clause] = None) -> "Trail":
@@ -511,10 +490,6 @@ def _derived(entries: tuple[TrailEntry, ...], **views) -> Trail:
     _set(trail, "entries", entries)
     trail.__dict__.update(views)
     return trail
-
-
-def trail_state(trail: Trail) -> str:
-    return "consistent" if trail.is_consistent else "inconsistent"
 
 
 # Set-view helpers used by the oracles and validators; literal sets are

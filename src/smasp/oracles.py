@@ -331,33 +331,3 @@ def is_total(theory: PcidTheory, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     view = open_view(theory)
     return all(_is_total_on(theory, m, view) for m in clause_models(theory.clauses, atoms))
 
-
-def simplify_by(pi: Program, n: Iterable[Literal]) -> Program:
-    """Partially evaluate ``pi`` under the literals ``n``: drop rules
-    with a contradicted body part, erase satisfied body parts.
-
-    A constraint whose body is entirely satisfied by ``n`` is kept
-    verbatim (its empty remainder is not representable); it marks an
-    unconditional violation.
-    """
-    ns = frozenset(n)
-    if not is_consistent_literals(ns):
-        raise ValueError("simplification requires a consistent literal set")
-    kept = []
-    for r in pi:
-        body = r.body.s_literals  # program literals, via their s() reading
-        if any(l.complement() in ns for l in body):
-            continue
-        pos = tuple(a for a in r.pos if Literal(a) not in ns)
-        neg = tuple(a for a in r.neg if Literal(a, positive=False) not in ns)
-        negneg = tuple(a for a in r.negneg if Literal(a) not in ns)
-        if r.head is None and not (pos or neg or negneg):
-            kept.append(r)
-        else:
-            kept.append(Rule(r.head, pos=pos, neg=neg, negneg=negneg))
-    return Program(tuple(kept))
-
-
-def choice_rules(atoms: Iterable[Atom]) -> tuple[Rule, ...]:
-    """Self-supporting rules that exempt ``atoms`` from foundedness."""
-    return tuple(Rule(a, negneg=(a,)) for a in sorted_atoms(atoms))

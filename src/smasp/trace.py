@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
@@ -35,10 +36,17 @@ class Validation:
     reason: Optional[str] = None
 
 
+# each live theory's digest; an entry goes when its theory dies
+_DIGESTS: weakref.WeakKeyDictionary[SmaspTheory, str] = weakref.WeakKeyDictionary()
+
+
 def theory_digest(theory: SmaspTheory) -> str:
-    text = "\n".join(format_clause(c) for c in theory.clauses)
-    text += "\n#\n" + format_program(theory.program)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    digest = _DIGESTS.get(theory)
+    if digest is None:
+        text = "\n".join(format_clause(c) for c in theory.clauses)
+        text += "\n#\n" + format_program(theory.program)
+        digest = _DIGESTS[theory] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digest
 
 
 def trace_from_outcome(outcome: engine.Outcome, mode: str, theory: SmaspTheory) -> Trace:

@@ -2,8 +2,12 @@
 tests."""
 
 import random
+from typing import Iterable
 
-from smasp.model import Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory
+from smasp.model import (
+    Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory, is_consistent_literals,
+    sorted_atoms,
+)
 from smasp.translations import completion, ed_completion
 
 from smasp import oracles
@@ -109,9 +113,9 @@ def wieq_routes(pi: Program, n):
     exactly when unfoundedness catches them on the direct route.
     """
     n = frozenset(n)
-    ch = oracles.choice_rules({l.atom for l in n})
+    ch = choice_rules({l.atom for l in n})
     left_program = pi.extend(ch)
-    right_program = oracles.simplify_by(pi, n)
+    right_program = simplify_by(pi, n)
     missing = (set(left_program.atoms) - set(right_program.atoms)
                - {l.atom for l in n})
     default_false = frozenset(Literal(a, positive=False) for a in missing)
@@ -124,3 +128,34 @@ def wieq_routes(pi: Program, n):
             return
         left, right = nl, nr
         yield left, right | n | default_false
+
+
+def simplify_by(pi: Program, n: Iterable[Literal]) -> Program:
+    """Partially evaluate ``pi`` under the literals ``n``: drop rules
+    with a contradicted body part, erase satisfied body parts.
+
+    A constraint whose body is entirely satisfied by ``n`` is kept
+    verbatim (its empty remainder is not representable); it marks an
+    unconditional violation.
+    """
+    ns = frozenset(n)
+    if not is_consistent_literals(ns):
+        raise ValueError("simplification requires a consistent literal set")
+    kept = []
+    for r in pi:
+        body = r.body.s_literals  # program literals, via their s() reading
+        if any(l.complement() in ns for l in body):
+            continue
+        pos = tuple(a for a in r.pos if Literal(a) not in ns)
+        neg = tuple(a for a in r.neg if Literal(a, positive=False) not in ns)
+        negneg = tuple(a for a in r.negneg if Literal(a) not in ns)
+        if r.head is None and not (pos or neg or negneg):
+            kept.append(r)
+        else:
+            kept.append(Rule(r.head, pos=pos, neg=neg, negneg=negneg))
+    return Program(tuple(kept))
+
+
+def choice_rules(atoms: Iterable[Atom]) -> tuple[Rule, ...]:
+    """Self-supporting rules that exempt ``atoms`` from foundedness."""
+    return tuple(Rule(a, negneg=(a,)) for a in sorted_atoms(atoms))

@@ -371,10 +371,11 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
                 continue
             seen += 1
             prefix = before.trail.consistent_prefix()
-            levels = [prefix.decision_level(l.complement()) for l in tr.clause]
+            level = dict(zip(prefix.literals, prefix.levels))
+            levels = [level[l.complement()] for l in tr.clause]
             top = max(levels)
             assert levels.count(top) == 1
-            assert prefix.decision_level(tr.literal.complement()) == top
+            assert level[tr.literal.complement()] == top
     assert seen > 0
 
 

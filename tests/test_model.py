@@ -19,10 +19,8 @@ from smasp.model import (
     Rule,
     SmaspTheory,
     Trail,
-    body_literals,
     complement,
     duals,
-    trail_state,
 )
 
 
@@ -37,54 +35,45 @@ def test_complement_is_an_involution():
 
 def test_body_literals_of_running_example_rule():
     r = rule("a", pos="b", neg="c")
-    assert set(body_literals(r)) == lits("b -c")
+    assert set(r.body.s_literals) == lits("b -c")
 
 
 def test_body_literals_empty_body():
-    assert body_literals(rule("b")) == ()
+    assert rule("b").body.s_literals == ()
 
 
 def test_body_literals_double_negation_reads_positively():
     r = rule("c", negneg="c")
-    assert set(body_literals(r)) == lits("c")
+    assert set(r.body.s_literals) == lits("c")
 
 
 def test_consistent_prefix_stops_at_first_clash():
     t = trail("a b c -b d")
-    assert trail_state(t) == "inconsistent"
+    assert not t.is_consistent
     assert t.consistent_prefix().literals == (lit("a"), lit("b"), lit("c"))
 
 
 def test_consistent_prefix_of_empty_trail():
     t = Trail()
-    assert trail_state(t) == "consistent"
+    assert t.is_consistent
     assert t.consistent_prefix() == t
 
 
 def test_decision_trail_can_be_inconsistent():
     t = trail("b* -b")
-    assert trail_state(t) == "inconsistent"
+    assert not t.is_consistent
     prefix = t.consistent_prefix()
     assert prefix.literals == (lit("b"),)
     assert prefix.entries[0].is_decision
 
 
 def test_decision_level_before_first_decision_is_zero():
-    t = trail("b a* c")
-    assert t.decision_level(lit("b")) == 0
+    assert trail("b a* c").levels[0] == 0
 
 
 def test_decision_level_counts_opening_decisions():
-    t = trail("b a* c")
-    assert t.decision_level(lit("c")) == 1
-    assert t.decision_level(lit("a")) == 1
-    t2 = trail("a* b* c")
-    assert t2.decision_level(lit("c")) == 2
-
-
-def test_decision_level_of_absent_literal_is_an_error():
-    with pytest.raises(ValueError):
-        trail("a b").decision_level(lit("c"))
+    assert trail("b a* c").levels == (0, 1, 1)
+    assert trail("a* b* c").levels == (1, 2, 2)
 
 
 def test_trail_rejects_duplicate_literal():

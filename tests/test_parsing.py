@@ -120,7 +120,7 @@ class TestPcid:
 
     def test_general_theory_accepts_constraints(self):
         t = parse_smasp("#theory\nb\n#program\n:- b.")
-        assert t.program.rules[0].is_constraint
+        assert t.program.rules[0].head is None
 
 
 class TestRoundTrips:

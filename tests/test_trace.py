@@ -339,3 +339,40 @@ def test_dumped_run_traces_load_back_step_for_step(rng):
         assert len(loaded.steps) == len(trace.steps)
         for mine, theirs in zip(loaded.steps, trace.steps):
             assert mine == theirs
+
+
+def test_one_solve_and_one_strict_check_format_the_theory_once(monkeypatch):
+    from smasp import trace as trace_module
+    calls = []
+    format_program = trace_module.format_program
+    monkeypatch.setattr(trace_module, "format_program",
+                        lambda pi: calls.append(pi) or format_program(pi))
+    # atoms no other test uses, so no equal theory is alive
+    theory = SmaspTheory(ed_completion(PI3) + (cl("digest_once", "-a"),), PI3)
+    trace = trace_from_outcome(run(theory, "clasp"), "clasp", theory)
+    assert validate_trace(trace, theory, "clasp", strict_strategy=True).ok
+    assert calls == [PI3]
+
+
+# ROADMAP item 2: above oracles.DESK_CHECK_ATOM_LIMIT atoms a Learn clause
+# is not checked for entailment, so a five-step trace "proves" a
+# satisfiable 15-atom theory unsatisfiable.
+FORGED_THEORY = gen.random_3sat(random.Random(3), 15)
+FORGED_UNSAT = (
+    bare(1, "Learn", clause=cl("-x1")),
+    bare(2, "UnitPropagateLearn", literal=lit("-x1"), clause=cl("-x1")),
+    bare(3, "Learn", clause=cl("x1")),
+    bare(4, "UnitPropagateLearn", literal=lit("x1"), clause=cl("x1")),
+    bare(5, "Fail"),
+)
+
+
+def test_the_forged_unsat_trace_is_about_a_satisfiable_theory():
+    assert run(FORGED_THEORY, "clasp").verdict == engine.VERDICT_MODEL
+
+
+@pytest.mark.xfail(strict=True, reason="unchecked Learn clauses above desk scale (ROADMAP item 2)")
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+def test_a_forged_unsat_trace_above_desk_scale_is_rejected(strict):
+    trace = make_trace(FORGED_THEORY, FORGED_UNSAT, mode="clasp")
+    assert not validate_trace(trace, FORGED_THEORY, "clasp", strict_strategy=strict).ok
