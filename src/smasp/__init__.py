@@ -16,7 +16,6 @@ from .model import (
     SmaspTheory,
     Trail,
     TrailEntry,
-    complement,
 )
 from .engine import Outcome, Strategy, Transition, for_mode, run, strategy_priority
 from .parsing import ParseError, parse_dimacs, parse_lp, parse_pcid, parse_smasp
@@ -25,7 +24,7 @@ from .trace import Trace, load_trace, validate_trace, write_trace
 
 __all__ = [
     "Atom", "Body", "CapExceeded", "Clause", "Literal", "PcidTheory",
-    "Program", "Rule", "SmaspTheory", "Trail", "TrailEntry", "complement",
+    "Program", "Rule", "SmaspTheory", "Trail", "TrailEntry",
     "Outcome", "Strategy", "Transition", "for_mode", "run", "strategy_priority",
     "ParseError", "parse_dimacs", "parse_lp", "parse_pcid", "parse_smasp",
     "Trace", "load_trace", "validate_trace", "write_trace",

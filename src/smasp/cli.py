@@ -40,11 +40,8 @@ class InputError(Exception):
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path) as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    with open(path) as handle:
+        return handle.read()
 
 
 def build_theory(mode: str, fmt: str, text: str):
@@ -283,7 +280,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, InputError, ValueError) as exc:
+    except (ParseError, InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CapExceeded as exc:

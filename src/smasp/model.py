@@ -6,9 +6,10 @@ Atoms, literals, clauses, rule bodies and rules are interned: equal
 arguments (after sorting and deduplicating a clause's literals or a
 body's atom tuples) give the one live object, so they compare and hash
 by identity and membership tests never compare values. Each literal
-keeps its dual, each clause and body its sort key. All orderings are
-total so that candidate enumeration is reproducible across runs (the
-trace-identity tests depend on it).
+keeps its dual, each clause and body its sort key. No value defines
+an order; sorting is by ``key``, a total order, so that candidate
+enumeration is reproducible across runs (the trace-identity tests
+depend on it).
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class Atom(_Interned):
     def __reduce__(self):
         return (Atom, (self.name, self.origin))
 
-    def __lt__(self, other: "Atom") -> bool:
-        return self.key < other.key
-
     def __repr__(self) -> str:
         if self.origin == ORIGIN_USER:
             return f"Atom({self.name!r})"
@@ -143,16 +141,8 @@ class Literal(_Interned):
             _set(dual, "_dual", self)
         return dual
 
-    def __lt__(self, other: "Literal") -> bool:
-        return self.key < other.key
-
     def __repr__(self) -> str:
         return self.atom.name if self.positive else f"-{self.atom.name}"
-
-
-def complement(literal: Literal) -> Literal:
-    """Dual of a literal; an involution."""
-    return literal.complement()
 
 
 def duals(literals: Iterable[Literal]) -> frozenset[Literal]:
@@ -220,9 +210,6 @@ class Clause(_Interned):
             _set(self, "_atoms", atoms)
         return atoms
 
-    def __lt__(self, other: "Clause") -> bool:
-        return self.key < other.key
-
     def __repr__(self) -> str:
         return "Clause(" + " | ".join(map(repr, self.literals)) + ")"
 
@@ -283,10 +270,6 @@ class Body(_Interned):
             _set(self, "_s_duals", s_duals)
         return s_duals
 
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return sorted_atoms(self.pos + self.neg + self.negneg)
-
     def __repr__(self) -> str:
         return f"Body(pos={self.pos!r}, neg={self.neg!r}, negneg={self.negneg!r})"
 
@@ -317,11 +300,6 @@ class Rule(_Interned):
 
     def __reduce__(self):
         return (Rule, (self.head, self.pos, self.neg, self.negneg))
-
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        head = (self.head,) if self.head is not None else ()
-        return sorted_atoms(head + self.pos + self.neg + self.negneg)
 
     def __repr__(self) -> str:
         return (f"Rule(head={self.head!r}, pos={self.pos!r}, neg={self.neg!r}, "
@@ -406,10 +384,6 @@ class Trail:
     @cached_property
     def literal_set(self) -> frozenset[Literal]:
         return frozenset(e.literal for e in self.entries)
-
-    @property
-    def literals(self) -> tuple[Literal, ...]:
-        return tuple(e.literal for e in self.entries)
 
     def is_unassigned(self, literal: Literal) -> bool:
         return literal not in self.literal_set and literal.complement() not in self.literal_set

@@ -91,6 +91,17 @@ class TestSolve:
         assert captured.err == "error: --trace supports single-model solving only\n"
         assert not trace_file.exists()
 
+    @pytest.mark.parametrize("trace, source", [
+        ("", "f1.cnf"),                   # the trace path is a directory
+        ("missing/run.trace", "f1.cnf"),  # its directory does not exist
+        ("run.trace", "missing.cnf"),     # the input does not exist
+    ])
+    def test_unusable_files_are_input_errors(self, f1, tmp_path, capsys, trace, source):
+        assert main(["solve", "--mode", "clasp", "--format", "cnf",
+                     "--trace", str(tmp_path / trace), str(tmp_path / source)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_zero_max_steps_is_a_limit(self, pi0, capsys):
         assert main(["solve", "--mode", "clasp", "--format", "lp",
                      "--max-steps", "0", pi0]) == 2

@@ -167,7 +167,7 @@ class TestStep:
         s = state("a* b -a", reasons={"b": cl("-a", "b"), "-a": cl("-a")})
         nxt = step(s, Transition("Backjump", literal=lit("-a"), clause=cl("-a"),
                                  prefix_length=0), t)
-        assert nxt.trail.literals == (lit("-a"),)
+        assert tuple(e.literal for e in nxt.trail) == (lit("-a"),)
         assert not nxt.trail.entries[0].is_decision
 
     def test_backjump_literal_outside_the_theory_is_rejected(self):
@@ -371,7 +371,7 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
                 continue
             seen += 1
             prefix = before.trail.consistent_prefix()
-            level = dict(zip(prefix.literals, prefix.levels))
+            level = {e.literal: lv for e, lv in zip(prefix, prefix.levels)}
             levels = [level[l.complement()] for l in tr.clause]
             top = max(levels)
             assert levels.count(top) == 1

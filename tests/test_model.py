@@ -19,18 +19,21 @@ from smasp.model import (
     Rule,
     SmaspTheory,
     Trail,
-    complement,
+    _Interned,
     duals,
+    sorted_atoms,
+    sorted_clauses,
+    sorted_literals,
 )
 
 
 def test_complement_flips_polarity():
-    assert complement(lit("a")) == lit("-a")
-    assert complement(lit("-a")) == lit("a")
+    assert lit("a").complement() == lit("-a")
+    assert lit("-a").complement() == lit("a")
 
 
 def test_complement_is_an_involution():
-    assert complement(complement(lit("b"))) == lit("b")
+    assert lit("b").complement().complement() == lit("b")
 
 
 def test_body_literals_of_running_example_rule():
@@ -50,7 +53,7 @@ def test_body_literals_double_negation_reads_positively():
 def test_consistent_prefix_stops_at_first_clash():
     t = trail("a b c -b d")
     assert not t.is_consistent
-    assert t.consistent_prefix().literals == (lit("a"), lit("b"), lit("c"))
+    assert tuple(e.literal for e in t.consistent_prefix()) == (lit("a"), lit("b"), lit("c"))
 
 
 def test_consistent_prefix_of_empty_trail():
@@ -63,7 +66,7 @@ def test_decision_trail_can_be_inconsistent():
     t = trail("b* -b")
     assert not t.is_consistent
     prefix = t.consistent_prefix()
-    assert prefix.literals == (lit("b"),)
+    assert tuple(e.literal for e in prefix) == (lit("b"),)
     assert prefix.entries[0].is_decision
 
 
@@ -102,7 +105,8 @@ def test_constraint_requires_non_empty_body():
 
 def test_fresh_atoms_sort_before_user_atoms():
     f = Atom("f{b,not c}", origin=ORIGIN_FRESH)
-    assert f < atom("a")
+    assert f.key < atom("a").key
+    assert sorted_atoms([atom("a"), f]) == (f, atom("a"))
     assert Literal(f).key < lit("a").key
     assert lit("a").key < lit("-a").key < lit("b").key
 
@@ -235,9 +239,9 @@ def test_repr_and_order_of_atoms_and_literals():
     assert repr(lit("a")) == "a" and repr(lit("-a")) == "-a"
     assert Atom("a").key == (1, "a") and fresh.key == (0, "f{b}")
     assert lit("-a").key == (1, "a", 1)
-    assert sorted([atom("b"), fresh, atom("a")]) == [fresh, atom("a"), atom("b")]
-    assert sorted([lit("b"), lit("-a"), Literal(fresh, False), lit("a")]) == \
-        [Literal(fresh, False), lit("a"), lit("-a"), lit("b")]
+    assert sorted_atoms([atom("b"), fresh, atom("a")]) == (fresh, atom("a"), atom("b"))
+    assert sorted_literals([lit("b"), lit("-a"), Literal(fresh, False), lit("a")]) == \
+        (Literal(fresh, False), lit("a"), lit("-a"), lit("b"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,7 +299,25 @@ def test_repr_key_and_order_of_clauses_bodies_and_rules():
     assert cl("-a", "a", "b").atoms == (a, b)
     fresh = Literal(Atom("f{x,y}", ORIGIN_FRESH))
     assert repr(Clause((fresh, lit("-a")))) == "Clause(f{x,y} | -a)"
-    assert sorted([cl("b"), cl("-a", "b"), cl("a", "c")]) == [cl("a", "c"), cl("-a", "b"), cl("b")]
+    assert sorted_clauses([cl("b"), cl("-a", "b"), cl("a", "c")]) == (cl("a", "c"), cl("-a", "b"), cl("b"))
+
+
+@pytest.mark.parametrize("cls", [_Interned, Atom, Literal, Clause, Body, Rule])
+def test_interned_values_define_no_comparison(cls):
+    # any rich comparison makes CPython compare through Python code, so
+    # `==` and `in` between distinct values would no longer be C-level
+    # identity tests
+    rich = {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"}
+    assert rich.isdisjoint(vars(cls))
+
+
+@pytest.mark.parametrize("values", [
+    [atom("b"), atom("a")], [lit("b"), lit("-a")], [cl("b"), cl("a")],
+    [Body(atoms("b")), Body(atoms("a"))], [rule("b"), rule("a")],
+])
+def test_interned_values_have_no_natural_order(values):
+    with pytest.raises(TypeError):
+        sorted(values)
 
 
 def test_copies_and_pickles_of_clauses_bodies_and_rules_are_the_interned_objects():
