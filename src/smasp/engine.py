@@ -15,7 +15,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import oracles, translations
 from .model import (
@@ -67,8 +67,7 @@ class SelfCheckError(RuntimeError):
     """A verdict contradicted the semantic oracle."""
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     rule: str
     literal: Optional[Literal] = None
     clause: Optional[Clause] = None
@@ -76,8 +75,7 @@ class Transition:
     prefix_length: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class AugmentedState:
+class AugmentedState(NamedTuple):
     """A trail paired with the learned-clause store; ``failed`` is the
     distinguished terminal state and carries no trail."""
 
@@ -303,10 +301,12 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause,
     if trail.is_consistent or not trail.decision_indices:
         raise ValueError("conflict analysis requires an inconsistent trail with a decision")
     prefix = trail.consistent_prefix()
-    position = {e.literal: i for i, e in enumerate(prefix.entries)}
+    entries = prefix.entries
+    position = {e.literal: i for i, e in enumerate(entries)}
     levels = prefix.levels
 
     current = set(conflicting.literals)
+    scan = len(entries)  # pivots only move back: see the scan below
     while True:
         by_level: list[tuple[int, Literal]] = []
         for lit in current:
@@ -320,11 +320,14 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause,
             asserting = at_dec[0]
             break
         # resolve on the most recently assigned non-decision literal of
-        # the deepest level whose dual sits in the clause
+        # the deepest level whose dual sits in the clause; a resolvent
+        # adds only literals falsified before its pivot and keeps a
+        # second one at level dec, so the next pivot lies below this one
         pivot_entry = None
-        for e in reversed(prefix.entries):
-            if (not e.is_decision and levels[position[e.literal]] == dec
-                    and e.literal.complement() in current):
+        while scan:
+            scan -= 1
+            e = entries[scan]
+            if not e.is_decision and levels[scan] == dec and e.literal.complement() in current:
                 pivot_entry = e
                 break
         if pivot_entry is None or pivot_entry.reason is None:
@@ -818,8 +821,7 @@ class Walk:
         return self.digest.digest
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     transition: Transition
     trail_digest: str = ""

@@ -18,7 +18,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 __version__ = "0.1.0"
 
@@ -351,8 +351,7 @@ class Program:
         return iter(self.rules)
 
 
-@dataclass(frozen=True)
-class TrailEntry:
+class TrailEntry(NamedTuple):
     literal: Literal
     is_decision: bool = False
     reason: Optional[Clause] = None

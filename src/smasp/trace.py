@@ -9,7 +9,8 @@ import hashlib
 import json
 import weakref
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 from . import engine, oracles
 from .model import Clause, Literal, SmaspTheory, __version__, satisfies
@@ -53,34 +54,49 @@ def trace_from_outcome(outcome: engine.Outcome, mode: str, theory: SmaspTheory) 
     return Trace(TraceHeader(mode, theory_digest(theory)), outcome.steps)
 
 
-def _step_to_json(step: engine.TraceStep) -> dict:
-    tr = step.transition
-    record: dict = {"index": step.index, "rule": tr.rule}
-    if tr.literal is not None:
-        record["literal"] = format_literal(tr.literal)
-    if tr.clause is not None:
-        record["clause"] = [format_literal(l) for l in tr.clause]
-    if tr.witness is not None:
-        record["witness"] = [a.name for a in tr.witness]
-    if tr.prefix_length is not None:
-        record["prefix_length"] = tr.prefix_length
-    record["trail"] = step.trail_digest
-    return record
+class _Memo(dict):
+    """A cache local to one dump or load: ``text`` runs once per distinct
+    key. Only results are kept, so a key that raises raises every time."""
+
+    def __init__(self, text: Callable) -> None:
+        self.text = text
+
+    def __missing__(self, key):
+        value = self[key] = self.text(key)
+        return value
+
+
+def _lines(trace: Trace) -> Iterator[str]:
+    """The lines of the trace's text, each ending in a newline. A step's
+    record is what ``json.dumps`` writes for it, keys in the order index,
+    rule, literal, clause, witness, prefix_length, trail; each rule and
+    literal is encoded once per call."""
+    header = trace.header
+    yield json.dumps({"mode": header.mode, "theory": header.theory_digest,
+                      "version": header.version}) + "\n"
+    encode = encode_basestring_ascii
+    rules = _Memo(lambda rule: '"rule": ' + encode(rule))
+    tokens = _Memo(lambda literal: encode(format_literal(literal)))
+    for index, (rule, literal, clause, witness, prefix_length), digest in trace.steps:
+        line = '{"index": %d, ' % index + rules[rule]
+        if literal is not None:
+            line += ', "literal": ' + tokens[literal]
+        if clause is not None:
+            line += ', "clause": [' + ", ".join([tokens[l] for l in clause]) + "]"
+        if witness is not None:
+            line += ', "witness": [' + ", ".join([encode(a.name) for a in witness]) + "]"
+        if prefix_length is not None:
+            line += ', "prefix_length": %d' % prefix_length
+        yield line + ', "trail": ' + encode(digest) + "}\n"
 
 
 def dump_trace(trace: Trace) -> str:
-    lines = [json.dumps({
-        "mode": trace.header.mode,
-        "theory": trace.header.theory_digest,
-        "version": trace.header.version,
-    })]
-    lines.extend(json.dumps(_step_to_json(s)) for s in trace.steps)
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(trace))
 
 
 def write_trace(path: str, trace: Trace) -> None:
     with open(path, "w") as handle:
-        handle.write(dump_trace(trace))
+        handle.writelines(_lines(trace))
 
 
 def _object(line: str) -> dict:
@@ -90,22 +106,13 @@ def _object(line: str) -> dict:
     return record
 
 
-class _Literals(dict):
-    """The literals of one load: each distinct token is parsed once.
-    Only parsed tokens are kept, so a bad token raises every time."""
-
-    def __missing__(self, token: str) -> Literal:
-        literal = self[token] = parse_literal_token(token)
-        return literal
-
-
-def _literal(token, literals: _Literals) -> Literal:
+def _literal(token, literals: _Memo) -> Literal:
     if not isinstance(token, str):
         raise ParseError(f"literal token is not a string: {token!r}")
     return literals[token]
 
 
-def _literals(key: str, value, literals: _Literals) -> tuple[Literal, ...]:
+def _literals(key: str, value, literals: _Memo) -> tuple[Literal, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{key} is not a JSON array: {value!r}")
     return tuple(_literal(t, literals) for t in value)
@@ -117,7 +124,7 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _step_from_json(record: dict, literals: _Literals) -> engine.TraceStep:
+def _step_from_json(record: dict, literals: _Memo) -> engine.TraceStep:
     rule = record.get("rule")
     if not isinstance(rule, str) or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {rule!r}")
@@ -149,7 +156,7 @@ def load_trace(source: Union[str, TextIO]) -> Trace:
         raise ParseError("empty trace file")
     try:
         header = _object(lines[0])
-        literals = _Literals()
+        literals = _Memo(parse_literal_token)
         steps = tuple(_step_from_json(_object(l), literals) for l in lines[1:])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed trace: {exc}") from None

@@ -7,7 +7,6 @@
 from scratch.
 """
 
-import dataclasses
 import functools
 import random
 
@@ -114,8 +113,8 @@ def _mutants(steps, theory, rng, count):
             j = rng.randrange(len(out))
             out[i], out[j] = out[j], out[i]
         elif kind == 2:
-            out[i] = dataclasses.replace(out[i], transition=dataclasses.replace(
-                out[i].transition, rule=rng.choice(rules)))
+            out[i] = out[i]._replace(transition=out[i].transition._replace(
+                rule=rng.choice(rules)))
         else:  # possibly past the last step
             i, a = rng.randrange(len(out) + 1), rng.choice(theory.atoms)
             out.insert(i, TraceStep(i + 1, Transition(engine.RULE_DECIDE,

@@ -1,6 +1,5 @@
 """End-to-end properties across the CLI pipelines and the validator."""
 
-import dataclasses
 import random
 
 import gen
@@ -78,8 +77,8 @@ def test_flipping_any_recorded_literal_invalidates_the_trace():
         position = rng.choice(candidates)
         steps = list(trace.steps)
         s = steps[position]
-        flipped = dataclasses.replace(s.transition, literal=s.transition.literal.complement())
-        steps[position] = dataclasses.replace(s, transition=flipped)
+        flipped = s.transition._replace(literal=s.transition.literal.complement())
+        steps[position] = s._replace(transition=flipped)
         tampered = trace.__class__(trace.header, tuple(steps))
         result = validate_trace(tampered, theory, "clasp")
         assert not result.ok

@@ -11,6 +11,7 @@ from helpers import PI0, PI3, atom, atoms, cl, lit, lits, prog, rule, trail
 from smasp import engine, oracles
 from smasp.engine import (
     AugmentedState,
+    TraceStep,
     Transition,
     analyze_conflict,
     applicable,
@@ -23,7 +24,7 @@ from smasp.engine import (
     strategy_priority,
     unfounded_reason,
 )
-from smasp.model import SmaspTheory, positive_part
+from smasp.model import Clause, SmaspTheory, TrailEntry, positive_part
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -377,6 +378,55 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
             assert levels.count(top) == 1
             assert level[tr.literal.complement()] == top
     assert seen > 0
+
+
+def _rescanning_analysis(state, conflicting):
+    """Conflict analysis that looks for each pivot from the end of the
+    prefix, as :func:`engine.analyze_conflict` did before it kept its
+    place between resolutions."""
+    prefix = state.trail.consistent_prefix()
+    level = {e.literal: lv for e, lv in zip(prefix, prefix.levels)}
+    current = set(conflicting.literals)
+    while True:
+        dec = max(level[l.complement()] for l in current)
+        at_dec = [l for l in current if level[l.complement()] == dec]
+        if len(at_dec) == 1:
+            break
+        pivot = next(e for e in reversed(prefix.entries) if not e.is_decision
+                     and level[e.literal] == dec and e.literal.complement() in current)
+        current.discard(pivot.literal.complement())
+        current.update(l for l in pivot.reason if l != pivot.literal)
+    return Clause(tuple(current)), at_dec[0], state.trail.decision_indices[max(dec, 1) - 1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_conflict_analysis_equals_rescanning_from_the_end(seed):
+    theory = gen.random_3sat(random.Random(seed), 14)
+    out = run(theory, "clasp")
+    states = _replay_states(theory, out.steps)
+    seen = 0
+    for s, before in zip(out.steps, states):
+        if s.transition.rule == "Backjump":
+            seen += 1
+            conflicting = engine.conflicting_clause(before)
+            assert analyze_conflict(before, conflicting, theory) == _rescanning_analysis(
+                before, conflicting)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("value, field", [
+    (Transition("Decide", literal=lit("a")), "literal"),
+    (TraceStep(1, Transition("Fail"), "0" * 16), "index"),
+    (AugmentedState(), "learned"),
+    (TrailEntry(lit("a")), "reason"),
+])
+def test_step_values_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
 
 
 @settings(max_examples=200, deadline=None)

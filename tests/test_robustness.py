@@ -1,6 +1,5 @@
 """Adversarial and determinism checks on top of the unit suites."""
 
-import dataclasses
 import random
 
 import pytest
@@ -46,8 +45,7 @@ class TestTamperedTraces:
         tampered = []
         for s in out.steps[:backjump.index]:
             if s.transition.rule == "Backjump":
-                s = dataclasses.replace(
-                    s, transition=dataclasses.replace(s.transition, prefix_length=1))
+                s = s._replace(transition=s.transition._replace(prefix_length=1))
             tampered.append(s)
         result = validate_trace(make_trace(t, tampered, "cmodels"), t, "cmodels")
         assert not result.ok and result.step_index == backjump.index

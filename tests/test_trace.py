@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -10,7 +9,7 @@ import gen
 from helpers import PI0, PI3, cl, lit, prog, rule
 from smasp import engine
 from smasp.engine import Strategy, TraceStep, Transition, run
-from smasp.model import SmaspTheory, Trail
+from smasp.model import ORIGIN_FRESH, Atom, Clause, Literal, SmaspTheory, Trail
 from smasp.trace import (
     Trace,
     TraceHeader,
@@ -20,8 +19,9 @@ from smasp.trace import (
     theory_digest,
     trace_from_outcome,
     validate_trace,
+    write_trace,
 )
-from smasp.parsing import ParseError, parse_literal_token
+from smasp.parsing import ParseError, format_literal, parse_literal_token
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -100,7 +100,7 @@ class TestValidate:
         t = SmaspTheory((cl("x1", "x2"), cl("-x1", "x3"), cl("-x2", "-x3")))
         learn = Transition("Learn", clause=cl("x1", "x2"))
         steps = [TraceStep(1, learn, engine.digest_trail(Trail()))]
-        steps += [dataclasses.replace(s, index=s.index + 1) for s in run(t, mode).steps]
+        steps += [s._replace(index=s.index + 1) for s in run(t, mode).steps]
         trace = make_trace(t, steps, mode=mode)
         assert validate_trace(trace, t, mode).ok
         result = validate_trace(trace, t, mode, strict_strategy=True)
@@ -121,8 +121,11 @@ class TestSerialization:
 
     def test_alias_atoms_survive_the_round_trip(self):
         t = SmaspTheory(ed_completion(PI0), PI0)
-        out = run(t, "clasp")
-        loaded = load_trace(dump_trace(trace_from_outcome(out, "clasp", t)))
+        trace = trace_from_outcome(run(t, "clasp"), "clasp", t)
+        text = dump_trace(trace)
+        assert '"f{' in text and text == reference_dump(trace)
+        loaded = load_trace(text)
+        assert loaded == trace
         assert loaded.steps[2].transition.literal.atom.origin == "fresh-body"
 
     def test_malformed_trace_is_a_parse_error(self):
@@ -218,7 +221,7 @@ def test_every_altered_digest_is_rejected_at_its_step(strict):
         for i, s in enumerate(trace.steps):
             rules.add(s.transition.rule)
             steps = list(trace.steps)
-            steps[i] = dataclasses.replace(s, trail_digest=_altered(s.trail_digest))
+            steps[i] = s._replace(trail_digest=_altered(s.trail_digest))
             result = validate_trace(Trace(trace.header, tuple(steps)), theory, mode,
                                     strict_strategy=strict)
             assert result == Validation(False, i + 1, "trail digest mismatch after step")
@@ -328,17 +331,80 @@ def test_a_bad_literal_token_raises_on_every_load(token, field):
             assert steps[1] == steps[2] and lit("a") in steps[0].transition.clause
 
 
+# -- dump_trace against the trace format's definition -------------------------
+
+def _reference_record(step):
+    tr = step.transition
+    record = {"index": step.index, "rule": tr.rule}
+    if tr.literal is not None:
+        record["literal"] = format_literal(tr.literal)
+    if tr.clause is not None:
+        record["clause"] = [format_literal(l) for l in tr.clause]
+    if tr.witness is not None:
+        record["witness"] = [a.name for a in tr.witness]
+    if tr.prefix_length is not None:
+        record["prefix_length"] = tr.prefix_length
+    record["trail"] = step.trail_digest
+    return record
+
+
+def reference_dump(trace):
+    """The trace's text by definition: ``json.dumps`` of the header and
+    of each step's record, one per line."""
+    header = {"mode": trace.header.mode, "theory": trace.header.theory_digest,
+              "version": trace.header.version}
+    lines = [json.dumps(header)] + [json.dumps(_reference_record(s)) for s in trace.steps]
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_dumped_run_traces_load_back_step_for_step(rng):
     pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=10)
     for mode, theory in gen.theories_per_mode(pi):
         trace = trace_from_outcome(run(theory, mode, self_check=False), mode, theory)
-        loaded = load_trace(dump_trace(trace))
+        text = dump_trace(trace)
+        assert text == reference_dump(trace)
+        loaded = load_trace(text)
         assert loaded.header == trace.header
         assert len(loaded.steps) == len(trace.steps)
         for mine, theirs in zip(loaded.steps, trace.steps):
             assert mine == theirs
+
+
+# names that need JSON escapes; an alias name may hold any character
+# between its braces
+_ATOMS = (Atom("a"), Atom("x1"), Atom("f{a,-b}", ORIGIN_FRESH),
+          Atom('f{"\\\x00\x1f é\u2028}', ORIGIN_FRESH))
+_strange_text = st.text(st.sampled_from('"\\\x00\x07\n\x1f\x7fé\u2028\U0001f600a0 '), max_size=8)
+_step_literals = st.builds(Literal, st.sampled_from(_ATOMS), st.booleans())
+_step_clauses = st.lists(_step_literals, min_size=1, max_size=4).map(lambda ls: Clause(tuple(ls)))
+_hand_built_steps = st.builds(
+    TraceStep,
+    st.integers(),
+    st.builds(Transition, st.sampled_from(sorted(engine.ALL_RULES)),
+              st.none() | _step_literals,
+              st.none() | _step_clauses,
+              st.none() | st.lists(st.sampled_from(_ATOMS), max_size=3).map(tuple),
+              st.none() | st.integers()),
+    _strange_text | st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(TraceHeader, _strange_text, _strange_text, _strange_text),
+       st.lists(_hand_built_steps, max_size=5))
+def test_hand_built_traces_match_the_reference_and_load_back(header, steps):
+    trace = Trace(header, tuple(steps))
+    text = dump_trace(trace)
+    assert text == reference_dump(trace)
+    assert load_trace(text) == trace
+
+
+def test_written_trace_file_holds_the_dumped_bytes(tmp_path):
+    for i, (mode, _, trace) in enumerate(_recorded_traces()):
+        path = tmp_path / f"{i}-{mode}.trace"
+        write_trace(str(path), trace)
+        assert path.read_bytes() == dump_trace(trace).encode()
 
 
 def test_one_solve_and_one_strict_check_format_the_theory_once(monkeypatch):
