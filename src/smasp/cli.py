@@ -1,8 +1,8 @@
 """Command-line interface: solving, translating, oracle queries, and
 trace checking.
 
-Exit codes: 10 model found, 20 unsatisfiable, 0 for non-solve commands,
-1 input error, 2 limit or budget exceeded.
+Exit codes: 10 model found, 20 unsatisfiable, 0 other commands, 1 input
+error or invalid trace, 2 limit or budget exceeded.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ def _cmd_check_trace(args) -> int:
                             strict_strategy=args.strict_strategy)
     if result.ok:
         print("valid")
-    else:
-        print(f"invalid at step {result.step_index}: {result.reason}")
-    return EXIT_OK
+        return EXIT_OK
+    print(f"invalid at step {result.step_index}: {result.reason}")
+    return EXIT_INPUT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
 from . import oracles, translations
@@ -25,8 +24,8 @@ from .model import (
     Program,
     SmaspTheory,
     Trail,
-    TrailEntry,
     duals,
+    entry_token,
     sorted_atoms,
 )
 
@@ -84,13 +83,12 @@ class AugmentedState(NamedTuple):
     failed: bool = False
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     mode: str
     priority: tuple[tuple[str, ...], ...]
     learning: bool
 
-    @cached_property
+    @property
     def rules(self) -> frozenset[str]:
         return frozenset(rule for group in self.priority for rule in group)
 
@@ -137,8 +135,7 @@ def for_mode(mode: str) -> Strategy:
     return Strategy(mode, strategy_priority(mode), mode in _LEARNING_MODES)
 
 
-@dataclass(frozen=True)
-class _TheoryContext:
+class _TheoryContext(NamedTuple):
     """What the engine reads of a theory, made once per theory; an
     Unfounded step is checked on ``program``, never the opened program."""
 
@@ -156,44 +153,10 @@ def _context(theory: SmaspTheory) -> _TheoryContext:
                           frozenset(theory.atoms), frozenset(sources))
 
 
-def _entry_token(entry: TrailEntry) -> str:
-    """An entry as the digest hashes it: the atom name, ``-`` before a
-    negative literal, ``@d`` after a decision."""
-    name = entry.literal.atom.name
-    token = name if entry.literal.positive else "-" + name
-    return token + "@d" if entry.is_decision else token
-
-
 def digest_trail(trail: Trail) -> str:
     """The first 16 hex digits of the sha256 of the space-joined entry
-    tokens; the definition :class:`TrailDigest` extends step by step."""
-    return hashlib.sha256(" ".join(map(_entry_token, trail)).encode()).hexdigest()[:16]
-
-
-class TrailDigest:
-    """:func:`digest_trail` of the trail of one run or replay, kept with
-    one sha256 state per trail prefix so that a step costs one token.
-
-    It follows the trail like :meth:`PropagationIndex.follow`: each new
-    trail is a prefix of the previous one plus one entry, or empty
-    (Fail). Learn leaves the trail, and so the digest, unchanged.
-    """
-
-    def __init__(self) -> None:
-        self._states = [hashlib.sha256()]
-        self.digest = self._states[0].hexdigest()[:16]
-
-    def follow(self, trail: Trail) -> None:
-        states, keep = self._states, len(trail) - 1
-        if keep < 0:
-            del states[1:]
-        else:
-            del states[keep + 1:]
-            state = states[-1].copy()
-            token = _entry_token(trail.entries[keep])
-            state.update((" " + token if keep else token).encode())
-            states.append(state)
-        self.digest = states[-1].hexdigest()[:16]
+    tokens: the definition :attr:`Trail.digest` keeps step by step."""
+    return hashlib.sha256(" ".join(map(entry_token, trail)).encode()).hexdigest()[:16]
 
 
 def applicable_unit_propagate(state: AugmentedState, theory: SmaspTheory,
@@ -256,14 +219,13 @@ def applicable_unfounded(state: AugmentedState, theory: SmaspTheory) -> list[tup
     return out
 
 
-def unfounded_reason(atom: Atom, u: Iterable[Atom], m: Union[Trail, Iterable[Literal]],
-                     pi: Program) -> Clause:
+def unfounded_reason(atom: Atom, u: Iterable[Atom], trail: Trail, pi: Program) -> Clause:
     """Reason clause for falsifying a member of an unfounded set: the
     member is false, or one of the set's external bodies has its
     already-falsified literal true. The bodies are those of the program
     opened over ``u``: a member no rule of ``pi`` defines is open, its
     one body ``not not a`` is falsified by ``-a``, and it adds ``a``."""
-    ms = m.literal_set if isinstance(m, Trail) else frozenset(m)
+    ms = trail.literal_set
     us = frozenset(u)
     lits = {Literal(atom, positive=False)}
     bodies = {body for a in us for body in pi.bodies(a) if not (body.pos_set & us)}
@@ -618,16 +580,15 @@ class UnfoundedIndex:
     2002; Gebser, Kaufmann & Schaub, clasp, AIJ 2012) for the canonical
     Unfounded choice.
 
-    Atoms are numbered as the propagation index numbers them, the
-    distinct bodies of the rules with a head as they first occur. An
-    atom is founded while it has a source: a body that is not
-    contradicted and whose positive atoms were all founded before it, so
-    sources form no cycle. An atom without a rule is its own source
-    (:data:`SELF`) while it is not false, as the opened program's
-    self-supporting rule makes it, but no rule is made. The unfounded
-    atoms are the complement of the founded fixpoint: the greatest
-    unfounded set. ``missing`` counts each body's unfounded positive
-    atoms.
+    Atoms are numbered as the propagation index numbers them, and the
+    rules of the opened program as they occur: the program's rules with
+    a head, then ``a :- not not a`` for each atom ``a`` without a rule,
+    whose body reads as the literal ``a``, so that only ``-a``
+    contradicts it. An atom is founded while it has a source: a rule for
+    it whose body is not contradicted and whose positive atoms were all
+    founded before it, so sources form no cycle. The unfounded atoms are
+    the complement of the founded fixpoint: the greatest unfounded set.
+    ``missing`` counts each rule's unfounded positive atoms.
 
     A query reads the trail from ``done``, which
     :meth:`PropagationIndex.follow` lowers when it truncates below it.
@@ -637,107 +598,87 @@ class UnfoundedIndex:
     atom again, so after one they all look.
     """
 
-    SELF = -1
-
     def __init__(self, index: PropagationIndex) -> None:
         self.index = index
         number = {l.atom: i for i, l in enumerate(index.literals[::2])}
         code = index.code
-        self.heads: list[list[int]] = []  # per body
-        self.duals: list[list[int]] = []  # per body: the literals that contradict it
-        self.missing: list[int] = []  # per body
-        self.bodies: list[list[int]] = [[] for _ in number]  # per atom: its rules' bodies
-        self.uses: list[list[int]] = [[] for _ in number]  # per atom: where it is positive
-        self.contradicts: dict[int, list[int]] = {}  # per literal: the bodies it contradicts
-        heads, duals, missing, bodies, uses, contradicts = (
-            self.heads, self.duals, self.missing, self.bodies, self.uses, self.contradicts)
-        body_number: dict = {}
-        for r in index.program.rules:
-            if r.head is None:
-                continue
-            body = r.body
-            b = body_number.get(body)
-            if b is None:
-                b = body_number[body] = len(heads)
-                heads.append([])
-                missing.append(len(body.pos))
-                for a in body.pos:
-                    uses[number[a]].append(b)
-                duals.append([code[l] ^ 1 for l in body.s_literals])
-                for y in duals[b]:
-                    contradicts.setdefault(y, []).append(b)
-            h = number[r.head]  # a repeated rule repeats harmlessly
-            heads[b].append(h)
-            bodies[h].append(b)
+        self.head: list[int] = []  # per rule
+        self.duals: list[list[int]] = []  # per rule: the literals that contradict its body
+        self.missing: list[int] = []  # per rule
+        self.rules: list[list[int]] = [[] for _ in number]  # per atom: its rules
+        self.uses: list[list[int]] = [[] for _ in number]  # per atom: the rules it is positive in
+        self.contradicts: dict[int, list[int]] = {}  # per literal: the rules it contradicts
+        head, duals, missing, rules, uses, contradicts = (
+            self.head, self.duals, self.missing, self.rules, self.uses, self.contradicts)
+        program = index.program
+        opened = [(r.head, r.pos, r.body.s_literals) for r in program.rules if r.head is not None]
+        opened += [(l.atom, (), (l,)) for l in index.literals[::2] if l.atom not in program.heads]
+        for r, (a, pos, s_literals) in enumerate(opened):
+            head.append(number[a])
+            rules[number[a]].append(r)
+            missing.append(len(pos))
+            for b in pos:
+                uses[number[b]].append(r)
+            duals.append([code[l] ^ 1 for l in s_literals])
+            for y in duals[r]:
+                contradicts.setdefault(y, []).append(r)
         self.support: list[Optional[int]] = [None] * len(number)
         self.unfounded = set(range(len(number)))
         self.done = self.synced = len(index.trail)  # trail entries read, trail length then
         self._refound(range(len(number)))  # the founded fixpoint, in one worklist pass
 
     def _update(self) -> None:
-        trail, support, heads, missing = (
-            self.index.trail, self.support, self.heads, self.missing)
+        trail, support, head, missing = (
+            self.index.trail, self.support, self.head, self.missing)
         truncated = self.done < self.synced
         work = []  # atoms whose source a new literal contradicts
         for x in trail[self.done:]:
-            if x & 1 and support[x >> 1] == self.SELF:
-                support[x >> 1] = None
-                work.append(x >> 1)
-            for b in self.contradicts.get(x, ()):
-                for a in heads[b]:
-                    if support[a] == b:
-                        support[a] = None
-                        work.append(a)
+            for r in self.contradicts.get(x, ()):
+                if support[head[r]] == r:
+                    support[head[r]] = None
+                    work.append(head[r])
         self.done = self.synced = len(trail)
         lost = []
         while work:  # and the atoms whose source rests on them
             a = work.pop()
             lost.append(a)
-            for c in self.uses[a]:
-                missing[c] += 1
-                for h in heads[c]:
-                    if support[h] == c:
-                        support[h] = None
-                        work.append(h)
+            for r in self.uses[a]:
+                missing[r] += 1
+                if support[head[r]] == r:
+                    support[head[r]] = None
+                    work.append(head[r])
         self.unfounded.update(lost)
         self._refound(list(self.unfounded) if truncated else lost)
 
     def _refound(self, atoms: Iterable[int]) -> None:
         """Give each unfounded atom of ``atoms`` a ready source if it has
-        one: an uncontradicted body without unfounded positive atoms.
-        Each atom founded counts out of ``missing``, and a body it makes
-        ready founds its unfounded heads in turn."""
-        true, support, missing, heads, duals, uses = (
-            self.index.true, self.support, self.missing, self.heads, self.duals, self.uses)
+        one: a rule with an uncontradicted body and no unfounded positive
+        atoms. Each atom founded counts out of ``missing``, and a rule it
+        makes ready founds its head in turn if that is unfounded."""
+        true, support, missing, head, duals, uses = (
+            self.index.true, self.support, self.missing, self.head, self.duals, self.uses)
         work = []
         for a in atoms:
             if support[a] is not None:
                 continue
-            if not self.bodies[a]:
-                if not true[2 * a + 1]:
-                    support[a] = self.SELF
-                    work.append(a)
-                continue
-            for b in self.bodies[a]:
-                if not missing[b] and not any(true[y] for y in duals[b]):
-                    support[a] = b
+            for r in self.rules[a]:
+                if not missing[r] and not any(true[y] for y in duals[r]):
+                    support[a] = r
                     work.append(a)
                     break
         self.unfounded.difference_update(work)
         while work:
-            for c in uses[work.pop()]:
-                missing[c] -= 1
-                if missing[c]:
+            for r in uses[work.pop()]:
+                missing[r] -= 1
+                if missing[r] or support[head[r]] is not None:
                     continue
-                for y in duals[c]:
+                for y in duals[r]:
                     if true[y]:
                         break
                 else:
-                    for h in heads[c]:
-                        if support[h] is None:
-                            support[h] = c
-                            self.unfounded.discard(h)
-                            work.append(h)
+                    support[head[r]] = r
+                    self.unfounded.discard(head[r])
+                    work.append(head[r])
 
     def gus(self) -> tuple[Atom, ...]:
         """The greatest unfounded set, sorted: false atoms included."""
@@ -797,28 +738,25 @@ def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
 
 class Walk:
     """A path from the empty state, taken by :func:`run` and retraced by
-    a replay: the state, its trail digest and, when ``indexed``, the
-    propagation index that :func:`canonical` reads."""
+    a replay: the state and, when ``indexed``, the propagation index
+    that :func:`canonical` reads."""
 
     def __init__(self, theory: SmaspTheory, indexed: bool = True) -> None:
         self.theory = theory
         self.state = AugmentedState()
-        self.digest = TrailDigest()
         self.index = PropagationIndex(_context(theory)) if indexed else None
 
     def advance(self, transition: Transition) -> str:
-        """Take one edge through :func:`step`; the digest and the index
-        follow the new trail, or the index learns a Learn's clause.
-        Returns the digest of the new trail."""
+        """Take one edge through :func:`step`; the index follows the new
+        trail, or learns a Learn's clause. Returns the digest of the new
+        trail."""
         state = self.state = step(self.state, transition, self.theory)
-        if transition.rule == RULE_LEARN:
-            if self.index is not None:
+        if self.index is not None:
+            if transition.rule == RULE_LEARN:
                 self.index.learn(transition.clause)
-        else:
-            self.digest.follow(state.trail)
-            if self.index is not None and not state.failed:
+            elif not state.failed:
                 self.index.follow(state.trail)
-        return self.digest.digest
+        return state.trail.digest
 
 
 class TraceStep(NamedTuple):
@@ -827,8 +765,7 @@ class TraceStep(NamedTuple):
     trail_digest: str = ""
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     verdict: str
     model: Optional[frozenset[Literal]]
     steps: tuple[TraceStep, ...]

@@ -14,6 +14,7 @@ depend on it).
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -357,19 +358,27 @@ class TrailEntry(NamedTuple):
     reason: Optional[Clause] = None
 
 
+def entry_token(entry: TrailEntry) -> str:
+    """An entry as the trail digest hashes it: the atom name, ``-``
+    before a negative literal, ``@d`` after a decision."""
+    name = entry.literal.atom.name
+    token = name if entry.literal.positive else "-" + name
+    return token + "@d" if entry.is_decision else token
+
+
 @dataclass(frozen=True)
 class Trail:
     """An ordered, duplicate-free record of literals, some marked as
-    decisions; propagated entries carry their reason clause."""
+    decisions; propagated entries carry their reason clause. ``digest``
+    is ``engine.digest_trail`` of the trail: an appended trail extends
+    its parent's sha256 state by one token, any other trail hashes its
+    entries when first asked."""
 
     entries: tuple[TrailEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: set[Literal] = set()
-        for e in self.entries:
-            if e.literal in seen:
-                raise ValueError(f"literal {e.literal!r} occurs twice in trail")
-            seen.add(e.literal)
+        if len(self.literal_set) < len(self.entries):
+            raise ValueError("a literal occurs twice in trail")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -400,6 +409,14 @@ class Trail:
     @property
     def is_consistent(self) -> bool:
         return self.first_conflict_index is None
+
+    @cached_property
+    def _sha256(self):
+        return hashlib.sha256(" ".join(map(entry_token, self.entries)).encode())
+
+    @property
+    def digest(self) -> str:
+        return self._sha256.hexdigest()[:16]
 
     def consistent_prefix(self) -> "Trail":
         """Longest prefix in which no atom occurs in both polarities."""
@@ -432,11 +449,16 @@ class Trail:
         conflict = self.first_conflict_index
         if conflict is None and literal.complement() in self.literal_set:
             conflict = n
+        entry = TrailEntry(literal, decision, reason)
+        token = entry_token(entry)
+        sha256 = self._sha256.copy()
+        sha256.update((" " + token if n else token).encode())
         return _derived(
-            self.entries + (TrailEntry(literal, decision, reason),),
+            self.entries + (entry,),
             literal_set=self.literal_set | {literal},
             first_conflict_index=conflict,
-            decision_indices=self.decision_indices + (n,) if decision else self.decision_indices)
+            decision_indices=self.decision_indices + (n,) if decision else self.decision_indices,
+            _sha256=sha256)
 
     def truncate(self, length: int) -> "Trail":
         """The first ``length`` entries. A prefix of a duplicate-free
@@ -450,6 +472,10 @@ class Trail:
             entries,
             first_conflict_index=None if conflict is None or conflict >= n else conflict,
             decision_indices=decisions[:bisect_left(decisions, n)])
+
+    def __reduce__(self):
+        # a sha256 state does not pickle; the cached views are rebuilt
+        return (Trail, (self.entries,))
 
     def __repr__(self) -> str:
         toks = [repr(e.literal) + ("^" if e.is_decision else "") for e in self.entries]

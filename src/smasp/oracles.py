@@ -13,8 +13,7 @@ apply the definitional model test to the assignments that remain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
     Atom,
@@ -42,8 +41,7 @@ from . import translations
 DESK_CHECK_ATOM_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class ThreeValuedModel:
+class ThreeValuedModel(NamedTuple):
     """A consistent literal set over a universe; atoms it leaves
     unassigned are undefined."""
 

@@ -8,30 +8,26 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import engine, oracles
 from .model import Clause, Literal, SmaspTheory, __version__, satisfies
 from .parsing import ParseError, format_clause, format_literal, format_program, parse_literal_token
 
 
-@dataclass(frozen=True)
-class TraceHeader:
+class TraceHeader(NamedTuple):
     mode: str
     theory_digest: str
     version: str = __version__
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     header: TraceHeader
     steps: tuple[engine.TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class Validation:
+class Validation(NamedTuple):
     ok: bool
     step_index: Optional[int] = None
     reason: Optional[str] = None
@@ -149,21 +145,32 @@ def _step_from_json(record: dict, literals: _Memo) -> engine.TraceStep:
         index, engine.Transition(rule, literal, clause, witness, prefix_length), digest)
 
 
-def load_trace(source: Union[str, TextIO]) -> Trace:
-    text = source if isinstance(source, str) else source.read()
+def _header(record: dict) -> TraceHeader:
+    """The header's mode, theory digest and version, each a string when
+    present; a trace written by another version is refused."""
+    header = TraceHeader(record.get("mode", ""), record.get("theory", ""),
+                         record.get("version", __version__))
+    for key, value in zip(("mode", "theory", "version"), header):
+        if not isinstance(value, str):
+            raise ParseError(f"trace header {key} is not a string: {value!r}")
+    if header.version != __version__:
+        raise ParseError(f"trace version {header.version!r} is not {__version__!r}")
+    return header
+
+
+def load_trace(text: str) -> Trace:
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines:
         raise ParseError("empty trace file")
     try:
-        header = _object(lines[0])
+        header = _header(_object(lines[0]))
         literals = _Memo(parse_literal_token)
         steps = tuple(_step_from_json(_object(l), literals) for l in lines[1:])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed trace: {exc}") from None
     except RecursionError:
         raise ParseError("malformed trace: JSON nested too deeply") from None
-    return Trace(TraceHeader(header.get("mode", ""), header.get("theory", ""),
-                             header.get("version", __version__)), steps)
+    return Trace(header, steps)
 
 
 def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -> Optional[str]:
@@ -172,24 +179,22 @@ def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -
     canonical choice. On an inconsistent trail that is the first
     group (:func:`engine.require_conflict_first`), and its rule is the
     one that passes :func:`engine.conflict_guard`, so no conflict
-    analysis is needed."""
+    analysis is needed. A rule outside the mode is reported as such."""
     if rule == engine.RULE_LEARN and strategy.learning:
         return None  # the learning policy, not a priority slot
-    if rule not in strategy.rules:
-        return f"rule {rule} is not part of mode {strategy.mode!r}"
     state = walk.state
-    if state.failed:
-        return f"no rule of mode {strategy.mode!r} is applicable"
-    if state.trail.is_consistent:
+    if state.trail.is_consistent:  # so is the failed state's empty trail
         chosen = engine.canonical(state, walk.theory, strategy, walk.index)
-        if chosen is None:
-            return f"no rule of mode {strategy.mode!r} is applicable"
-        first = chosen.rule
+        first = None if chosen is None else chosen.rule
     else:
         first = next(r for r in strategy.priority[0] if engine.conflict_guard(state.trail, r))
-    if rule not in next(g for g in strategy.priority if first in g):
-        return f"higher-priority rule {first} was applicable"
-    return None
+    if first is not None and rule in next(g for g in strategy.priority if first in g):
+        return None
+    if rule not in strategy.rules:
+        return f"rule {rule} is not part of mode {strategy.mode!r}"
+    if first is None:
+        return f"no rule of mode {strategy.mode!r} is applicable"
+    return f"higher-priority rule {first} was applicable"
 
 
 def validate_trace(trace: Trace, theory: SmaspTheory,

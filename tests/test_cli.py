@@ -222,7 +222,7 @@ class TestCheckTrace:
         trace_file.write_text("\n".join(lines))
         capsys.readouterr()
         assert main(["check-trace", "--trace", str(trace_file), "--format", "cnf",
-                     str(f1)]) == 0
+                     str(f1)]) == 1
         assert capsys.readouterr().out.startswith("invalid at step 1")
 
     def test_wrong_input_digest_is_reported(self, f1, tmp_path, capsys):
@@ -232,8 +232,21 @@ class TestCheckTrace:
         other.write_text("p cnf 1 1\n1 0\n")
         capsys.readouterr()
         assert main(["check-trace", "--trace", trace_file, "--format", "cnf",
-                     str(other)]) == 0
+                     str(other)]) == 1
         assert "invalid at step 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("header", [
+        '{"mode": "clasp", "version": []}',
+        '{"mode": "clasp", "version": "9.9"}',
+        '{"mode": "clasp", "theory": 5}',
+    ])
+    def test_bad_trace_header_is_an_input_error(self, f1, tmp_path, capsys, header):
+        trace_file = tmp_path / "run.trace"
+        trace_file.write_text(header + "\n")
+        assert main(["check-trace", "--trace", str(trace_file), "--format", "cnf", f1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_deeply_nested_trace_is_an_input_error(self, f1, tmp_path, capsys):
         trace_file = tmp_path / "deep.trace"

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -24,7 +25,8 @@ from smasp.engine import (
     strategy_priority,
     unfounded_reason,
 )
-from smasp.model import Clause, SmaspTheory, TrailEntry, positive_part
+from smasp.model import Clause, SmaspTheory, Trail, TrailEntry, positive_part
+from smasp.trace import Trace, TraceHeader, Validation
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -419,6 +421,13 @@ def test_one_pass_conflict_analysis_equals_rescanning_from_the_end(seed):
     (TraceStep(1, Transition("Fail"), "0" * 16), "index"),
     (AugmentedState(), "learned"),
     (TrailEntry(lit("a")), "reason"),
+    (engine.for_mode("clasp"), "priority"),
+    (engine._context(F1), "up_sources"),
+    (run(F1, "dpll"), "verdict"),
+    (oracles.well_founded_model(PI0), "literals"),
+    (TraceHeader("dpll", "", "0.1.0"), "version"),
+    (Trace(TraceHeader("dpll", ""), ()), "steps"),
+    (Validation(True), "ok"),
 ])
 def test_step_values_are_immutable(value, field):
     with pytest.raises(AttributeError):
@@ -437,7 +446,7 @@ def test_bulk_built_index_equals_one_built_clause_by_clause(rng, alias_completio
     clauses = (ed_completion(pi) if alias_completion else completion(pi)) + extra
     ctx = engine._context(SmaspTheory(clauses, pi))
     bulk = engine.PropagationIndex(ctx)
-    ref = engine.PropagationIndex(dataclasses.replace(ctx, up_sources=()))
+    ref = engine.PropagationIndex(ctx._replace(up_sources=()))
     for c in ctx.up_sources:
         ref._add(c)
     assert bulk.n_sources == len(ref.clauses) == len(ctx.up_sources)
@@ -450,23 +459,23 @@ def test_bulk_built_index_equals_one_built_clause_by_clause(rng, alias_completio
 
 
 def _assert_digests_follow_the_definition(theory, mode):
-    """Replay a run along an :class:`engine.Walk`, which feeds its
-    :class:`engine.TrailDigest` for ``run`` and ``validate_trace``
-    alike: after every step the follower, the recorded digest and
-    ``digest_trail`` of the trail all agree."""
+    """Replay a run along an :class:`engine.Walk`, as ``run`` and
+    ``validate_trace`` both do: after every step the new trail's
+    ``Trail.digest``, the recorded digest and ``digest_trail`` of the
+    trail all agree."""
     out = run(theory, mode, self_check=False)
     walk = engine.Walk(theory, indexed=False)
-    assert walk.digest.digest == engine.digest_trail(walk.state.trail)
+    assert walk.state.trail.digest == engine.digest_trail(walk.state.trail)
     for s in out.steps:
-        walk.advance(s.transition)
-        assert walk.digest.digest == engine.digest_trail(walk.state.trail) == s.trail_digest, \
-            (mode, s.index, s.transition.rule)
+        digest = walk.advance(s.transition)
+        assert digest == walk.state.trail.digest == engine.digest_trail(walk.state.trail) \
+            == s.trail_digest, (mode, s.index, s.transition.rule)
     return {s.transition.rule for s in out.steps}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_trail_digest_follower_matches_the_definition_on_random_programs(rng):
+def test_trail_digest_matches_the_definition_on_random_programs(rng):
     pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=10)
     for mode, theory in gen.theories_per_mode(pi):
         _assert_digests_follow_the_definition(theory, mode)
@@ -474,13 +483,13 @@ def test_trail_digest_follower_matches_the_definition_on_random_programs(rng):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32), st.integers(10, 18))
-def test_trail_digest_follower_matches_the_definition_on_random_3sat(seed, n):
+def test_trail_digest_matches_the_definition_on_random_3sat(seed, n):
     theory = gen.random_3sat(random.Random(seed), n)
     for mode in engine.MODES:
         _assert_digests_follow_the_definition(theory, mode)
 
 
-def test_trail_digest_follower_sees_every_trail_changing_rule():
+def test_trail_digest_sees_every_trail_changing_rule():
     seen = set()
     for seed in range(6):
         theory = gen.random_3sat(random.Random(seed), 14)
@@ -492,16 +501,28 @@ def test_trail_digest_follower_sees_every_trail_changing_rule():
     assert "Unfounded" in _assert_digests_follow_the_definition(unfounded, "clasp")
 
 
-def test_trail_digest_follower_truncates_and_resets():
-    digest = engine.TrailDigest()
-    empty = digest.digest
-    for spec in ("a*", "a* b", "a* b -c*", "a* -b", "a* -b c", "-a"):
-        digest.follow(trail(spec))
-        assert digest.digest == engine.digest_trail(trail(spec))
-    digest.follow(trail(""))  # Fail
-    assert digest.digest == empty == engine.digest_trail(trail(""))
-    digest.follow(trail("d*"))
-    assert digest.digest == engine.digest_trail(trail("d*"))
+def test_trail_digest_after_truncate_and_consistent_prefix():
+    full = Trail()
+    for literal, decision in (("a", True), ("b", False), ("-c", True), ("d", False), ("-b", False)):
+        full = full.append(lit(literal), decision)
+        assert full.digest == engine.digest_trail(full)
+    assert full.digest == engine.digest_trail(trail("a* b -c* d -b"))
+    assert full.consistent_prefix() == full.truncate(4)
+    for cut in (full.consistent_prefix(), *map(full.truncate, range(len(full) + 1))):
+        # append to the cut before its own digest is asked for, then ask
+        longer = cut.append(lit("e"), decision=True).append(lit("-f"))
+        assert longer.digest == engine.digest_trail(longer)
+        assert cut.digest == engine.digest_trail(cut)
+
+
+def test_trails_copy_deepcopy_and_pickle_equal():
+    appended = trail("a* b").append(lit("-c"), reason=cl("-a", "-c")).append(lit("d"), True)
+    for original in (trail("a* b"), appended):  # without and with a sha256 state
+        for other in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert other == original and other.entries == original.entries
+            assert other.digest == original.digest == engine.digest_trail(original)
+            assert other.append(lit("e")).digest == original.append(lit("e")).digest
 
 
 def test_trail_digest_is_the_specified_hash():

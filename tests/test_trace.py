@@ -9,7 +9,7 @@ import gen
 from helpers import PI0, PI3, cl, lit, prog, rule
 from smasp import engine
 from smasp.engine import Strategy, TraceStep, Transition, run
-from smasp.model import ORIGIN_FRESH, Atom, Clause, Literal, SmaspTheory, Trail
+from smasp.model import ORIGIN_FRESH, Atom, Clause, Literal, SmaspTheory, Trail, __version__
 from smasp.trace import (
     Trace,
     TraceHeader,
@@ -180,6 +180,22 @@ class TestSerialization:
                 '"prefix_length": "0"}')
         with pytest.raises(ParseError):
             load_trace(HEADER + "\n" + step + "\n")
+
+    @pytest.mark.parametrize("header, match", [
+        ('{"mode": "clasp", "version": []}', "version is not a string"),
+        ('{"mode": "clasp", "version": "9.9"}', "trace version '9.9'"),
+        ('{"mode": "clasp", "version": "0"}', "trace version '0'"),
+        ('{"mode": "clasp", "theory": 5}', "theory is not a string"),
+        ('{"mode": null}', "mode is not a string"),
+        ('{"mode": ["clasp"], "theory": "", "version": "0.1.0"}', "mode is not a string"),
+    ])
+    def test_bad_header_field_is_a_parse_error(self, header, match):
+        with pytest.raises(ParseError, match=match):
+            load_trace(header + "\n")
+
+    def test_absent_header_fields_take_their_defaults(self):
+        assert load_trace('{"mode": "clasp"}\n').header == TraceHeader("clasp", "", __version__)
+        assert load_trace("{}\n").header == TraceHeader("", "")
 
 
 def test_every_emitted_trace_validates():
@@ -391,13 +407,19 @@ _hand_built_steps = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.builds(TraceHeader, _strange_text, _strange_text, _strange_text),
+@given(st.builds(TraceHeader, _strange_text, _strange_text, _strange_text | st.just(__version__)),
        st.lists(_hand_built_steps, max_size=5))
 def test_hand_built_traces_match_the_reference_and_load_back(header, steps):
+    """Every trace dumps as its reference; it loads back when written by
+    this version and is refused otherwise."""
     trace = Trace(header, tuple(steps))
     text = dump_trace(trace)
     assert text == reference_dump(trace)
-    assert load_trace(text) == trace
+    if header.version == __version__:
+        assert load_trace(text) == trace
+    else:
+        with pytest.raises(ParseError, match="trace version"):
+            load_trace(text)
 
 
 def test_written_trace_file_holds_the_dumped_bytes(tmp_path):
