@@ -303,7 +303,7 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause,
     return learned, asserting, prefix_length
 
 
-_CONFLICT_RULES = (RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP)
+_CONFLICT_RULES = frozenset({RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP})
 
 
 def conflict_guard(trail: Trail, rule: str) -> bool:
@@ -313,6 +313,12 @@ def conflict_guard(trail: Trail, rule: str) -> bool:
     conflict analysis."""
     return (rule in _CONFLICT_RULES and not trail.is_consistent
             and bool(trail.decision_indices) != (rule == RULE_FAIL))
+
+
+def conflict_rule(trail: Trail, strategy: Strategy) -> str:
+    """The rule that resolves the conflict on an inconsistent ``trail``:
+    the first of ``strategy``'s first group to pass :func:`conflict_guard`."""
+    return next(r for r in strategy.priority[0] if conflict_guard(trail, r))
 
 
 def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Transition]:
@@ -425,13 +431,12 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> 
         lit, cl = transition.literal, transition.clause
         if not (0 <= plen < len(trail)) or not trail.entries[plen].is_decision:
             raise ValueError("Backjump prefix must end right before a decision literal")
-        prefix_lits = frozenset(e.literal for e in trail.entries[:plen])
-        if lit not in cl or not duals(l for l in cl if l != lit) <= prefix_lits:
+        kept = trail.truncate(plen)
+        if lit not in cl or not duals(l for l in cl if l != lit) <= kept.literal_set:
             raise ValueError("Backjump clause must be asserting for the kept prefix")
         if lit.atom not in _context(theory).atom_set:
             raise ValueError(f"Backjump literal {lit!r} is outside the theory")
-        return AugmentedState(trail.truncate(plen).append(lit, reason=cl),
-                              state.learned, False)
+        return AugmentedState(kept.append(lit, reason=cl), state.learned, False)
 
     if rule == RULE_LEARN:
         cl = transition.clause
@@ -698,53 +703,51 @@ class UnfoundedIndex:
 
 
 def require_conflict_first(strategy: Strategy) -> None:
-    """Reject a strategy whose first priority group does not resolve
-    every conflict (``Fail`` plus ``Backtrack`` or ``Backjump``): the
-    propagation index only answers on consistent trails."""
-    first = set(strategy.priority[0]) if strategy.priority else set()
-    if RULE_FAIL not in first or not first & {RULE_BACKTRACK, RULE_BACKJUMP}:
-        raise ValueError("the first priority group must hold Fail and Backtrack or Backjump")
-
-
-def canonical(state: AugmentedState, theory: SmaspTheory, strategy: Strategy,
-              index: PropagationIndex) -> Optional[Transition]:
-    """The first candidate of the highest-priority applicable rule.
-    Unit propagation, Unfounded and Decide read ``index``, which must
-    mirror ``state``; they are only reached on consistent trails,
-    because every strategy ranks conflict handling first. Every other
-    rule reads :func:`applicable`."""
-    if state.failed:
-        return None
-    for group in strategy.priority:
-        for rule in group:
-            if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-                cand = index.first_unit(rule == RULE_UNIT_PROPAGATE_LEARN)
-                if cand is not None:
-                    return Transition(rule, literal=cand[0], clause=cand[1])
-            elif rule == RULE_DECIDE:
-                lit = index.first_unassigned()
-                if lit is not None:
-                    return Transition(RULE_DECIDE, literal=lit)
-            elif rule == RULE_UNFOUNDED:
-                cand = index.first_unfounded()
-                if cand is not None:
-                    return Transition(RULE_UNFOUNDED, literal=cand[0], witness=cand[1])
-            else:
-                cands = applicable(state, theory, rule)
-                if cands:
-                    return cands[0]
-    return None
+    """Reject a strategy that names an unknown rule or whose first
+    priority group is not conflict handling alone (``Fail`` plus
+    ``Backtrack`` or ``Backjump``): :meth:`Walk.choose` relies on both."""
+    if not strategy.rules <= ALL_RULES:
+        raise ValueError(f"unknown transition rules: {sorted(strategy.rules - ALL_RULES)}")
+    first = frozenset(strategy.priority[0] if strategy.priority else ())
+    if RULE_FAIL not in first or len(first) < 2 or not first <= _CONFLICT_RULES:
+        raise ValueError("the first priority group must hold Fail and Backtrack or Backjump only")
 
 
 class Walk:
-    """A path from the empty state, taken by :func:`run` and retraced by
-    a replay: the state and, when ``indexed``, the propagation index
-    that :func:`canonical` reads."""
+    """A path from the empty state, taken by :func:`run` and retraced by a
+    replay; with a strategy it keeps the index that :meth:`choose` reads."""
 
-    def __init__(self, theory: SmaspTheory, indexed: bool = True) -> None:
-        self.theory = theory
-        self.state = AugmentedState()
-        self.index = PropagationIndex(_context(theory)) if indexed else None
+    def __init__(self, theory: SmaspTheory, strategy: Optional[Strategy] = None) -> None:
+        if strategy is not None:
+            require_conflict_first(strategy)
+        self.theory, self.strategy, self.state = theory, strategy, AugmentedState()
+        self.index = None if strategy is None else PropagationIndex(_context(theory))
+
+    def choose(self) -> Optional[Transition]:
+        """The first candidate of the highest-priority applicable rule:
+        :func:`conflict_rule`'s on an inconsistent trail (a Backtrack has
+        one on any trail :func:`step` built, as a decided literal had
+        neither polarity before it), else the first the index offers."""
+        state, index = self.state, self.index
+        if state.failed:
+            return None
+        if not state.trail.is_consistent:
+            return applicable(state, self.theory, conflict_rule(state.trail, self.strategy))[0]
+        for group in self.strategy.priority:
+            for rule in group:
+                if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
+                    cand = index.first_unit(rule == RULE_UNIT_PROPAGATE_LEARN)
+                    if cand is not None:
+                        return Transition(rule, literal=cand[0], clause=cand[1])
+                elif rule == RULE_DECIDE:
+                    lit = index.first_unassigned()
+                    if lit is not None:
+                        return Transition(RULE_DECIDE, literal=lit)
+                elif rule == RULE_UNFOUNDED:
+                    cand = index.first_unfounded()
+                    if cand is not None:
+                        return Transition(RULE_UNFOUNDED, literal=cand[0], witness=cand[1])
+        return None
 
     def advance(self, transition: Transition) -> str:
         """Take one edge through :func:`step`; the index follows the new
@@ -785,16 +788,15 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
     to run a strategy outside its sound pairing (e.g. the plain
     backtracking mode over a theory with a non-empty program).
 
-    The strategy must pass :func:`require_conflict_first`, as every
-    built-in mode does.
+    Each step is :meth:`Walk.choose`'s, so the strategy must pass
+    :func:`require_conflict_first`, as every built-in mode does.
     """
     if isinstance(strategy, str):
         strategy = for_mode(strategy)
-    require_conflict_first(strategy)
+    walk = Walk(theory, strategy)
     if self_check is None:
         self_check = len(_context(theory).atoms) <= oracles.DESK_CHECK_ATOM_LIMIT
 
-    walk = Walk(theory)
     steps: list[TraceStep] = []
     limit = False
     upcoming: Optional[Transition] = None
@@ -802,7 +804,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         if len(steps) >= max_steps:
             limit = True
             break
-        tr = upcoming or canonical(walk.state, theory, strategy, walk.index)
+        tr = upcoming or walk.choose()
         upcoming = None
         if tr is None:
             break
@@ -810,7 +812,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in walk.state.learned:
             # Learning cannot change this choice: the clause is the reason
             # of the literal just asserted, so it offers no candidate.
-            upcoming = canonical(walk.state, theory, strategy, walk.index)
+            upcoming = walk.choose()
             if upcoming is None:
                 break  # semi-terminal: nothing basic applies, so no Learn
             if len(walk.state.learned) >= DEFAULT_MAX_LEARNED:

@@ -175,19 +175,19 @@ def load_trace(text: str) -> Trace:
 
 def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -> Optional[str]:
     """Under strict checking the step's rule must sit in the first
-    priority group that has any applicable rule: the group of the
-    canonical choice. On an inconsistent trail that is the first
-    group (:func:`engine.require_conflict_first`), and its rule is the
-    one that passes :func:`engine.conflict_guard`, so no conflict
-    analysis is needed. A rule outside the mode is reported as such."""
+    priority group that has any applicable rule: the group of
+    :meth:`engine.Walk.choose`'s choice. On an inconsistent trail that
+    is the first group, and its rule is :func:`engine.conflict_rule`'s,
+    so no conflict analysis is needed. A rule outside the mode is
+    reported as such."""
     if rule == engine.RULE_LEARN and strategy.learning:
         return None  # the learning policy, not a priority slot
-    state = walk.state
-    if state.trail.is_consistent:  # so is the failed state's empty trail
-        chosen = engine.canonical(state, walk.theory, strategy, walk.index)
+    trail = walk.state.trail
+    if trail.is_consistent:  # so is the failed state's empty trail
+        chosen = walk.choose()
         first = None if chosen is None else chosen.rule
     else:
-        first = next(r for r in strategy.priority[0] if engine.conflict_guard(state.trail, r))
+        first = engine.conflict_rule(trail, strategy)
     if first is not None and rule in next(g for g in strategy.priority if first in g):
         return None
     if rule not in strategy.rules:
@@ -204,19 +204,17 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
     :class:`engine.Walk`. Each step must be an edge of its rule (payload
     included) and reproduce the recorded trail digest; entailment side
     conditions are oracle-checked at desk scale. Strategy priorities
-    are only enforced under ``strict_strategy``: the walk then keeps a
-    propagation index, and each step's rule must sit in the priority
-    group of the canonical choice (:func:`engine.canonical`). The
-    strategy must pass :func:`engine.require_conflict_first`.
+    are only enforced under ``strict_strategy``: the walk then takes
+    the strategy, which must pass :func:`engine.require_conflict_first`,
+    and each step's rule must sit in the priority group of
+    :meth:`engine.Walk.choose`'s choice (:func:`_strict_violation`).
     """
     if isinstance(strategy, str):
         strategy = engine.for_mode(strategy)
     if trace.header.theory_digest and trace.header.theory_digest != theory_digest(theory):
         return Validation(False, 0, "trace header does not match the theory digest")
-    if strict_strategy:
-        if strategy is None:
-            raise ValueError("strict validation needs a strategy")
-        engine.require_conflict_first(strategy)
+    if strict_strategy and strategy is None:
+        raise ValueError("strict validation needs a strategy")
 
     theory_models = None  # enumerated once, on the first semantic check
 
@@ -228,7 +226,7 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
         return all(satisfies(m, (clause,)) for m in theory_models)
 
     check_entailment = len(theory.atoms) <= oracles.DESK_CHECK_ATOM_LIMIT
-    walk = engine.Walk(theory, indexed=strict_strategy)
+    walk = engine.Walk(theory, strategy if strict_strategy else None)
     for position, step in enumerate(trace.steps, start=1):
         tr = step.transition
         if step.index != position:

@@ -58,6 +58,34 @@ def test_runs_on_random_3sat_above_the_oracle_caps_take_the_canonical_transition
         assert len(verdicts) == 1
 
 
+def test_runs_and_strict_replays_ask_applicable_only_about_conflicts(monkeypatch):
+    """On a consistent trail ``Walk.choose`` reads the index alone: in
+    every mode neither ``run`` nor a strict replay calls
+    ``engine.applicable`` there."""
+    asked = set()
+    applicable = engine.applicable
+
+    def on_conflicts_only(state, theory, rule):
+        assert not state.trail.is_consistent, rule
+        asked.add(rule)
+        return applicable(state, theory, rule)
+
+    monkeypatch.setattr(engine, "applicable", on_conflicts_only)
+    rng = random.Random(167)
+    runs = [pair for _ in range(10)
+            for pair in gen.theories_per_mode(gen.random_program(rng, n_atoms=6, max_rules=10))]
+    runs += [(mode, gen.random_3sat(random.Random(seed), n))  # (3, 12) is unsatisfiable
+             for seed, n in ((1, 16), (2, 16), (3, 12)) for mode in engine.MODES]
+    taken = set()
+    for mode, theory in runs:
+        out = run(theory, mode, self_check=False)
+        taken.update(out.stats)
+        tr = Trace(TraceHeader(mode, theory_digest(theory)), out.steps)
+        assert validate_trace(tr, theory, mode, strict_strategy=True).ok
+    assert taken == engine.ALL_RULES
+    assert asked == {engine.RULE_FAIL, engine.RULE_BACKTRACK, engine.RULE_BACKJUMP}
+
+
 # -- strict validate_trace agrees with the reference strict check ------------
 
 def _first_group_candidates(state, theory, strategy):

@@ -464,7 +464,7 @@ def _assert_digests_follow_the_definition(theory, mode):
     ``Trail.digest``, the recorded digest and ``digest_trail`` of the
     trail all agree."""
     out = run(theory, mode, self_check=False)
-    walk = engine.Walk(theory, indexed=False)
+    walk = engine.Walk(theory)
     assert walk.state.trail.digest == engine.digest_trail(walk.state.trail)
     for s in out.steps:
         digest = walk.advance(s.transition)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, PI3, cl, lit, prog, rule
-from smasp import engine
+from smasp import engine, oracles
 from smasp.engine import Strategy, TraceStep, Transition, run
 from smasp.model import ORIGIN_FRESH, Atom, Clause, Literal, SmaspTheory, Trail, __version__
 from smasp.trace import (
@@ -21,7 +21,7 @@ from smasp.trace import (
     validate_trace,
     write_trace,
 )
-from smasp.parsing import ParseError, format_literal, parse_literal_token
+from smasp.parsing import ParseError, format_literal, parse_dimacs, parse_literal_token
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -89,6 +89,18 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_trace(make_trace(F1, ()), F1, late, strict_strategy=True)
         assert validate_trace(make_trace(F1, ()), F1, late).ok
+
+    def test_strict_strategy_must_resolve_conflicts_in_a_group_of_its_own(self):
+        mixed = Strategy("mixed", (("Fail", "Backtrack", "UnitPropagate"), ("Decide",)),
+                         learning=False)
+        unknown = Strategy("unknown", (("Fail", "Backtrack"), ("Decides",)), learning=False)
+        trace = trace_from_outcome(run(F1, "dpll"), "dpll", F1)
+        for strategy, match in ((mixed, "first priority group"), (unknown, "unknown")):
+            for refused in (lambda: run(F1, strategy), lambda: engine.Walk(F1, strategy),
+                            lambda: validate_trace(trace, F1, strategy, strict_strategy=True)):
+                with pytest.raises(ValueError, match=match):
+                    refused()
+            assert validate_trace(trace, F1, strategy).ok
 
     def test_strict_strategy_rejects_foreign_rules(self):
         steps = (bare(1, "UnitPropagateLearn", literal=lit("c"), clause=cl("-a", "c")),)
@@ -442,9 +454,9 @@ def test_one_solve_and_one_strict_check_format_the_theory_once(monkeypatch):
     assert calls == [PI3]
 
 
-# ROADMAP item 2: above oracles.DESK_CHECK_ATOM_LIMIT atoms a Learn clause
-# is not checked for entailment, so a five-step trace "proves" a
-# satisfiable 15-atom theory unsatisfiable.
+# ROADMAP item 2: above oracles.DESK_CHECK_ATOM_LIMIT atoms a Learn or
+# Backjump clause is not checked for entailment, so a short trace
+# "proves" a satisfiable theory unsatisfiable.
 FORGED_THEORY = gen.random_3sat(random.Random(3), 15)
 FORGED_UNSAT = (
     bare(1, "Learn", clause=cl("-x1")),
@@ -453,14 +465,39 @@ FORGED_UNSAT = (
     bare(4, "UnitPropagateLearn", literal=lit("x1"), clause=cl("x1")),
     bare(5, "Fail"),
 )
+# 17 atoms: x3, x1 -> (x2 and -x2), and seven free pairs. The Backjump
+# asserts -x3 onto the kept prefix [x3], whose complement it holds.
+FORGED_BACKJUMP_THEORY = SmaspTheory(parse_dimacs(
+    "p cnf 17 10\n3 0\n-1 2 0\n-1 -2 0\n"
+    + "".join(f"{i} {i + 1} 0\n" for i in range(4, 17, 2))))
+FORGED_BACKJUMP_UNSAT = (
+    bare(1, "UnitPropagateLearn", literal=lit("x3"), clause=cl("x3")),
+    bare(2, "Decide", literal=lit("x1")),
+    bare(3, "UnitPropagateLearn", literal=lit("x2"), clause=cl("-x1", "x2")),
+    bare(4, "UnitPropagateLearn", literal=lit("-x2"), clause=cl("-x1", "-x2")),
+    bare(5, "Backjump", literal=lit("-x3"), clause=cl("-x3"), prefix_length=1),
+    bare(6, "Fail"),
+)
+FORGERIES = {"learn": (FORGED_THEORY, FORGED_UNSAT),
+             "backjump": (FORGED_BACKJUMP_THEORY, FORGED_BACKJUMP_UNSAT)}
 
 
 def test_the_forged_unsat_trace_is_about_a_satisfiable_theory():
-    assert run(FORGED_THEORY, "clasp").verdict == engine.VERDICT_MODEL
+    for theory, _ in FORGERIES.values():
+        assert len(theory.atoms) > oracles.DESK_CHECK_ATOM_LIMIT
+        assert run(theory, "clasp").verdict == engine.VERDICT_MODEL
 
 
-@pytest.mark.xfail(strict=True, reason="unchecked Learn clauses above desk scale (ROADMAP item 2)")
-@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
-def test_a_forged_unsat_trace_above_desk_scale_is_rejected(strict):
-    trace = make_trace(FORGED_THEORY, FORGED_UNSAT, mode="clasp")
-    assert not validate_trace(trace, FORGED_THEORY, "clasp", strict_strategy=strict).ok
+@pytest.mark.xfail(strict=True, reason="unchecked Learn and Backjump clauses above desk scale"
+                                       " (ROADMAP item 2)")
+@pytest.mark.parametrize("forgery, strict", [
+    ("learn", False), ("learn", True), ("backjump", False), ("backjump", True)],
+    ids=["lax", "strict", "backjump-lax", "backjump-strict"])
+def test_a_forged_unsat_trace_above_desk_scale_is_rejected(forgery, strict):
+    """A Backjump may assert a literal whose complement is on the kept
+    prefix: cmodels' own runs do so after a level-0 conflict found below
+    a Decide, so ``step`` allows it. Only a reverse-unit-propagation
+    check of its clause (ROADMAP item 2) rejects this forgery."""
+    theory, steps = FORGERIES[forgery]
+    trace = make_trace(theory, steps, mode="clasp")
+    assert not validate_trace(trace, theory, "clasp", strict_strategy=strict).ok
