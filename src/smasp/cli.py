@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import engine, oracles, translations
 from .model import CapExceeded, Clause, Literal, SmaspTheory, duals, positive_part
+# read by perfbench/harness.py; the package itself asks oracles.at_desk_scale
 from .oracles import DESK_CHECK_ATOM_LIMIT as ORACLE_CHECK_ATOM_LIMIT
 from .parsing import (
     ParseError,
@@ -52,33 +53,22 @@ def build_theory(mode: str, fmt: str, text: str):
     the original input.
     """
     if fmt == "cnf":
-        clauses = parse_dimacs(text)
-        theory = SmaspTheory(clauses)
+        theory = SmaspTheory(parse_dimacs(text))
         return theory, "literals", theory.atoms
+    if fmt not in ("lp", "pcid"):
+        raise InputError(f"unknown input format: {fmt!r}")
+    if mode == "dpll":
+        raise InputError("mode dpll solves plain CNF only; use --format cnf")
+    complete = translations.completion if mode == "smodels" else translations.ed_completion
     if fmt == "lp":
-        if mode == "dpll":
-            raise InputError("mode dpll solves plain CNF only; use --format cnf")
         program = parse_lp(text)
-        if mode == "smodels":
-            clauses = translations.completion(program)
-        else:
-            clauses = translations.ed_completion(program)
-        return SmaspTheory(clauses, program), "atoms", program.atoms
-    if fmt == "pcid":
-        if mode == "dpll":
-            raise InputError("mode dpll solves plain CNF only; use --format cnf")
-        pcid = parse_pcid(text)
-        if mode == "minisatid":
-            opened = translations.open_program(pcid.program, pcid.atoms)
-            clauses = translations.ed_completion(opened) + pcid.clauses
-            return SmaspTheory(clauses, opened), "literals", pcid.atoms
-        translated = translations.pi_translation(pcid)
-        if mode == "smodels":
-            clauses = translations.completion(translated)
-        else:
-            clauses = translations.ed_completion(translated)
-        return SmaspTheory(clauses, translated), "literals", pcid.atoms
-    raise InputError(f"unknown input format: {fmt!r}")
+        return SmaspTheory(complete(program), program), "atoms", program.atoms
+    pcid, extra = parse_pcid(text), ()
+    if mode == "minisatid":
+        program, extra = translations.open_program(pcid.program, pcid.atoms), pcid.clauses
+    else:
+        program = translations.pi_translation(pcid)
+    return SmaspTheory(complete(program) + extra, program), "literals", pcid.atoms
 
 
 def _format_model(model: frozenset[Literal], kind: str, atoms, raw: bool) -> str:
@@ -92,9 +82,9 @@ def _format_model(model: frozenset[Literal], kind: str, atoms, raw: bool) -> str
 
 
 def _cross_check_unsat(theory: SmaspTheory) -> None:
-    if len(theory.atoms) > ORACLE_CHECK_ATOM_LIMIT:
+    if not oracles.at_desk_scale(theory):
         return
-    models = oracles.enumerate_smasp_models(theory, cap=ORACLE_CHECK_ATOM_LIMIT)
+    models = oracles.enumerate_smasp_models(theory)
     if models:
         raise engine.SelfCheckError(
             "engine reported unsatisfiable but the oracle found a model: "
@@ -113,7 +103,7 @@ def _cmd_solve(args) -> int:
 
     if args.self_check and args.format == "pcid" and args.mode == "minisatid":
         pcid = parse_pcid(text)
-        if len(pcid.atoms) <= ORACLE_CHECK_ATOM_LIMIT and not oracles.is_total(pcid):
+        if oracles.at_desk_scale(pcid) and not oracles.is_total(pcid):
             print("input theory is not total; this pipeline requires totality",
                   file=sys.stderr)
             return EXIT_INPUT_ERROR

@@ -780,13 +780,15 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
     """Walk the graph from the empty state, always taking the highest
     priority applicable rule (first candidate in canonical order), with
     one Learn step injected after each Backjump that does not reach a
-    semi-terminal state.
+    semi-terminal state. A run that needs more than ``max_steps`` steps,
+    or a Learn beyond :data:`DEFAULT_MAX_LEARNED` clauses, stops before
+    that step with the limit verdict.
 
     Halting without failure yields a model verdict, checked against the
-    semantic oracle by default at desk scale
-    (:data:`oracles.DESK_CHECK_ATOM_LIMIT`); pass ``self_check=False``
-    to run a strategy outside its sound pairing (e.g. the plain
-    backtracking mode over a theory with a non-empty program).
+    semantic oracle by default at desk scale (:func:`oracles.at_desk_scale`);
+    pass ``self_check=False`` to run a strategy outside its sound pairing
+    (e.g. the plain backtracking mode over a theory with a non-empty
+    program).
 
     Each step is :meth:`Walk.choose`'s, so the strategy must pass
     :func:`require_conflict_first`, as every built-in mode does.
@@ -795,34 +797,27 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         strategy = for_mode(strategy)
     walk = Walk(theory, strategy)
     if self_check is None:
-        self_check = len(_context(theory).atoms) <= oracles.DESK_CHECK_ATOM_LIMIT
+        self_check = oracles.at_desk_scale(theory)
 
     steps: list[TraceStep] = []
-    limit = False
-    upcoming: Optional[Transition] = None
-    while True:
-        if len(steps) >= max_steps:
-            limit = True
+    learn: Optional[Transition] = None  # owed by the last Backjump
+    tr = walk.choose()
+    while tr is not None:
+        taken = learn or tr
+        if len(steps) >= max_steps or (learn and len(walk.state.learned) >= DEFAULT_MAX_LEARNED):
             break
-        tr = upcoming or walk.choose()
-        upcoming = None
-        if tr is None:
-            break
-        steps.append(TraceStep(len(steps) + 1, tr, walk.advance(tr)))
+        steps.append(TraceStep(len(steps) + 1, taken, walk.advance(taken)))
+        if learn:
+            # Learning cannot change the choice ``tr``: the clause is the
+            # reason of the literal just asserted, so it offers no candidate.
+            learn = None
+            continue
         if tr.rule == RULE_BACKJUMP and strategy.learning and tr.clause not in walk.state.learned:
-            # Learning cannot change this choice: the clause is the reason
-            # of the literal just asserted, so it offers no candidate.
-            upcoming = walk.choose()
-            if upcoming is None:
-                break  # semi-terminal: nothing basic applies, so no Learn
-            if len(walk.state.learned) >= DEFAULT_MAX_LEARNED:
-                limit = True
-                break
             learn = Transition(RULE_LEARN, clause=tr.clause)
-            steps.append(TraceStep(len(steps) + 1, learn, walk.advance(learn)))
+        tr = walk.choose()  # None after a Backjump is semi-terminal: no Learn
 
     state, stats = walk.state, dict(Counter(s.transition.rule for s in steps))
-    if limit:
+    if tr is not None:  # stopped by a cap before taking a step
         return Outcome(VERDICT_LIMIT, None, tuple(steps), stats)
     if state.failed:
         return Outcome(VERDICT_UNSAT, None, tuple(steps), stats)

@@ -31,11 +31,6 @@ ORIGIN_FRESH = "fresh-body"
 _ORIGIN_RANK = {ORIGIN_FRESH: 0, ORIGIN_USER: 1}
 
 
-# Largest universe the enumeration oracles walk before raising
-# CapExceeded; a refusal bound, not ``oracles.DESK_CHECK_ATOM_LIMIT``.
-DEFAULT_ENUMERATION_CAP = 20
-
-
 class CapExceeded(Exception):
     """An enumeration or output budget would be exceeded."""
 
@@ -279,7 +274,7 @@ class Rule(_Interned):
     """A program rule; ``head`` is absent for constraints, which must
     have a non-empty body. Interned on the head and the interned body."""
 
-    __slots__ = ("head", "pos", "neg", "negneg", "body")
+    __slots__ = ("head", "pos", "neg", "negneg", "body", "_clause")
     _table: dict[tuple, weakref.ref] = {}
 
     def __new__(cls, head: Optional[Atom], pos: Iterable[Atom] = (),
@@ -296,11 +291,24 @@ class Rule(_Interned):
         _set(rule, "neg", body.neg)
         _set(rule, "negneg", body.negneg)
         _set(rule, "body", body)
+        _set(rule, "_clause", None)
         _enter(cls._table, (head, body), rule)
         return rule
 
     def __reduce__(self):
         return (Rule, (self.head, self.pos, self.neg, self.negneg))
+
+    @property
+    def clause(self) -> Clause:
+        """The rule read as a clause: head against the body literals."""
+        clause = self._clause
+        if clause is None:
+            lits = [l.complement() for l in self.body.s_literals]
+            if self.head is not None:
+                lits.append(Literal(self.head))
+            clause = Clause(lits)
+            _set(self, "_clause", clause)
+        return clause
 
     def __repr__(self) -> str:
         return (f"Rule(head={self.head!r}, pos={self.pos!r}, neg={self.neg!r}, "

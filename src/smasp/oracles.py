@@ -1,6 +1,6 @@
 """Ground-truth semantics by direct definition and exhaustive
 enumeration: reducts, answer sets, unfounded sets, well-founded
-fixpoints, the two model relations, and entailment.
+fixpoints, the two model relations, entailment, and program safety.
 
 This is the slow trusted side of every dual-route check; the transition
 engine is validated against it. All functions are pure; enumerations
@@ -19,12 +19,12 @@ from .model import (
     Atom,
     CapExceeded,
     Clause,
-    DEFAULT_ENUMERATION_CAP,
     Literal,
     PcidTheory,
     Program,
     Rule,
     SmaspTheory,
+    atoms_of_clauses,
     atoms_of_literals,
     duals,
     is_complete_over,
@@ -39,6 +39,15 @@ from . import translations
 # Desk scale: theories up to this many atoms get their verdicts (engine
 # self-check, CLI cross-checks) and trace entailments checked by default.
 DESK_CHECK_ATOM_LIMIT = 14
+# Largest universe the enumerations walk before raising CapExceeded; a
+# refusal bound, not the desk scale.
+DEFAULT_ENUMERATION_CAP = 20
+
+
+def at_desk_scale(theory: Union[SmaspTheory, PcidTheory]) -> bool:
+    """The theory is small enough for its verdicts and trace entailments
+    to be checked by enumeration by default."""
+    return len(theory.atoms) <= DESK_CHECK_ATOM_LIMIT
 
 
 class ThreeValuedModel(NamedTuple):
@@ -329,3 +338,14 @@ def is_total(theory: PcidTheory, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     view = open_view(theory)
     return all(_is_total_on(theory, m, view) for m in clause_models(theory.clauses, atoms))
 
+
+def is_pi_safe(f: Iterable[Clause], pi: Program, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+    """The clause set forces every non-head atom false, and every
+    answer set of the program is the head projection of one of its
+    models."""
+    f = tuple(f)
+    models = enumerate_models(f, atoms_of_clauses(f) + pi.atoms, cap=cap)
+    if any(Literal(a) in m for a in translations.open_atoms(pi, pi.atoms) for m in models):
+        return False
+    projections = {positive_part(m) & pi.heads for m in models}
+    return all(x in projections for x in enumerate_answer_sets(pi, cap=cap))

@@ -221,11 +221,10 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
     def entailed(clause: Clause) -> bool:
         nonlocal theory_models
         if theory_models is None:
-            theory_models = oracles.enumerate_smasp_models(
-                theory, cap=oracles.DESK_CHECK_ATOM_LIMIT)
+            theory_models = oracles.enumerate_smasp_models(theory)
         return all(satisfies(m, (clause,)) for m in theory_models)
 
-    check_entailment = len(theory.atoms) <= oracles.DESK_CHECK_ATOM_LIMIT
+    check_entailment = oracles.at_desk_scale(theory)
     walk = engine.Walk(theory, strategy if strict_strategy else None)
     for position, step in enumerate(trace.steps, start=1):
         tr = step.transition

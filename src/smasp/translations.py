@@ -1,7 +1,7 @@
 """Syntactic reductions between the formalisms: clause readings,
 completion in its quadratic and alias-extended linear forms, opened
-programs, program safety for a clause set, the constraint encoding of
-clause sets, and choice-rule desugaring.
+programs, the constraint encoding of clause sets, and choice-rule
+desugaring.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from .model import (
     Body,
     CapExceeded,
     Clause,
-    DEFAULT_ENUMERATION_CAP,
     Literal,
     ORIGIN_FRESH,
     PcidTheory,
     Program,
     Rule,
-    atoms_of_clauses,
-    positive_part,
     sorted_atoms,
     sorted_clauses,
 )
@@ -29,17 +26,9 @@ from .model import (
 DEFAULT_CLAUSE_BUDGET = 10 ** 6
 
 
-def clause_of_rule(rule: Rule) -> Clause:
-    """The rule read as a clause: head against the body literals."""
-    lits = [l.complement() for l in rule.body.s_literals]
-    if rule.head is not None:
-        lits.append(Literal(rule.head))
-    return Clause(tuple(lits))
-
-
 def clausal(pi: Program) -> tuple[Clause, ...]:
     """Clause reading of every rule, deduplicated in rule order."""
-    return tuple(dict.fromkeys(clause_of_rule(r) for r in pi))
+    return tuple(dict.fromkeys(r.clause for r in pi))
 
 
 def open_atoms(pi: Program, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -142,28 +131,6 @@ def pi_translation(theory: PcidTheory) -> Program:
     program plus one constraint per clause."""
     opened = open_program(theory.program, theory.atoms)
     return opened.extend(clause_constraint(c) for c in theory.clauses)
-
-
-def is_pi_safe(f: Iterable[Clause], pi: Program, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """The clause set forces every non-head atom false, and every
-    answer set of the program is the head projection of one of its
-    models."""
-    from . import oracles  # local import; oracles depends on this module
-
-    f = sorted_clauses(f)
-    universe = sorted_atoms(atoms_of_clauses(f) + pi.atoms)
-    if len(universe) > cap:
-        raise CapExceeded(f"safety check over {len(universe)} atoms exceeds cap {cap}")
-    models = oracles.enumerate_models(f, universe, cap=cap)
-    for a in open_atoms(pi, pi.atoms):
-        if any(Literal(a) in m for m in models):
-            return False
-    heads = pi.heads
-    projections = {frozenset(positive_part(m) & heads) for m in models}
-    for x in oracles.enumerate_answer_sets(pi, cap=cap):
-        if frozenset(x) not in projections:
-            return False
-    return True
 
 
 def desugar_choice(heads: Sequence[Atom], pos: Iterable[Atom] = (),

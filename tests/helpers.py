@@ -1,6 +1,6 @@
 """Construction shortcuts shared by the test modules."""
 
-from smasp import engine, translations
+from smasp import engine
 from smasp.model import Atom, Clause, Literal, Program, Rule, Trail, TrailEntry
 
 
@@ -55,7 +55,7 @@ def reference_clausal(pi):
     scan of the clauses kept so far."""
     out = []
     for r in pi:
-        c = translations.clause_of_rule(r)
+        c = r.clause
         if c not in out:
             out.append(c)
     return tuple(out)

@@ -107,6 +107,13 @@ class TestSolve:
                      "--max-steps", "0", pi0]) == 2
         assert capsys.readouterr().out.strip() == "LIMIT EXCEEDED"
 
+    def test_zero_max_steps_solves_the_empty_cnf(self, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 0 0\n")
+        assert main(["solve", "--mode", "clasp", "--format", "cnf",
+                     "--max-steps", "0", str(path)]) == 10
+        assert capsys.readouterr().out.splitlines()[0] == "MODEL"
+
     def test_pcid_minisatid(self, pcid0, capsys):
         assert main(["solve", "--mode", "minisatid", "--format", "pcid",
                      "--self-check", pcid0]) == 10

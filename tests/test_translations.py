@@ -25,7 +25,6 @@ from smasp.translations import (
     desugar_choice,
     ed_completion,
     fresh_body_atom,
-    is_pi_safe,
     open_atoms,
     open_program,
     pi_translation,
@@ -132,13 +131,13 @@ class TestPiTranslation:
 
 class TestPiSafety:
     def test_explicit_negation_of_open_atoms(self):
-        assert is_pi_safe((cl("-c"),), PI0)
+        assert oracles.is_pi_safe((cl("-c"),), PI0)
 
     def test_completion_is_safe(self):
-        assert is_pi_safe(completion(PI0), PI0)
+        assert oracles.is_pi_safe(completion(PI0), PI0)
 
     def test_empty_clause_set_is_unsafe(self):
-        assert not is_pi_safe((), PI0)
+        assert not oracles.is_pi_safe((), PI0)
 
 
 class TestDesugarChoice:
