@@ -52,9 +52,14 @@ def build_theory(mode: str, fmt: str, text: str):
     or as the positive-atom projection, restricted to the user atoms of
     the original input.
     """
+    return _build(mode, fmt, text)[:3]
+
+
+def _build(mode: str, fmt: str, text: str):
+    """:func:`build_theory`'s values and a pcid input's parsed theory."""
     if fmt == "cnf":
         theory = SmaspTheory(parse_dimacs(text))
-        return theory, "literals", theory.atoms
+        return theory, "literals", theory.atoms, None
     if fmt not in ("lp", "pcid"):
         raise InputError(f"unknown input format: {fmt!r}")
     if mode == "dpll":
@@ -62,13 +67,13 @@ def build_theory(mode: str, fmt: str, text: str):
     complete = translations.completion if mode == "smodels" else translations.ed_completion
     if fmt == "lp":
         program = parse_lp(text)
-        return SmaspTheory(complete(program), program), "atoms", program.atoms
+        return SmaspTheory(complete(program), program), "atoms", program.atoms, None
     pcid, extra = parse_pcid(text), ()
     if mode == "minisatid":
         program, extra = translations.open_program(pcid.program, pcid.atoms), pcid.clauses
     else:
         program = translations.pi_translation(pcid)
-    return SmaspTheory(complete(program) + extra, program), "literals", pcid.atoms
+    return SmaspTheory(complete(program) + extra, program), "literals", pcid.atoms, pcid
 
 
 def _format_model(model: frozenset[Literal], kind: str, atoms, raw: bool) -> str:
@@ -98,11 +103,9 @@ def _cmd_solve(args) -> int:
         raise InputError(f"--max-steps needs N >= 0, got {args.max_steps}")
     if args.enumerate > 1 and args.trace:
         raise InputError("--trace supports single-model solving only")
-    text = _read(args.input)
-    theory, report_kind, report_atoms = build_theory(args.mode, args.format, text)
+    theory, report_kind, report_atoms, pcid = _build(args.mode, args.format, _read(args.input))
 
-    if args.self_check and args.format == "pcid" and args.mode == "minisatid":
-        pcid = parse_pcid(text)
+    if args.self_check and pcid is not None and args.mode == "minisatid":
         if oracles.at_desk_scale(pcid) and not oracles.is_total(pcid):
             print("input theory is not total; this pipeline requires totality",
                   file=sys.stderr)

@@ -95,54 +95,51 @@ def write_trace(path: str, trace: Trace) -> None:
         handle.writelines(_lines(trace))
 
 
-def _object(line: str) -> dict:
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ParseError(f"trace line is not a JSON object: {line.strip()[:40]}")
-    return record
+def _parsed(key: str, tokens, literals: _Memo) -> tuple[Literal, ...]:
+    if not isinstance(tokens, list):
+        raise ParseError(f"{key} is not a JSON array: {tokens!r}")
+    for token in tokens:
+        if not isinstance(token, str):
+            raise ParseError(f"literal token is not a string: {token!r}")
+    return tuple(literals[t] for t in tokens)
 
 
-def _literal(token, literals: _Memo) -> Literal:
-    if not isinstance(token, str):
-        raise ParseError(f"literal token is not a string: {token!r}")
-    return literals[token]
-
-
-def _literals(key: str, value, literals: _Memo) -> tuple[Literal, ...]:
-    if not isinstance(value, list):
-        raise ParseError(f"{key} is not a JSON array: {value!r}")
-    return tuple(_literal(t, literals) for t in value)
-
-
-def _integer(key: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{key} is not an integer: {value!r}")
-    return value
-
-
-def _step_from_json(record: dict, literals: _Memo) -> engine.TraceStep:
+def _transition(record: dict, literals: _Memo) -> engine.Transition:
+    """The transition a record's payload names, once its fields pass
+    their checks."""
     rule = record.get("rule")
     if not isinstance(rule, str) or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {rule!r}")
-    index = _integer("index", record["index"])
-    prefix_length = record.get("prefix_length")
-    if prefix_length is not None:
-        _integer("prefix_length", prefix_length)
-    digest = record.get("trail", "")
-    if not isinstance(digest, str):
-        raise ParseError(f"trail digest is not a string: {digest!r}")
-    literal = _literal(record["literal"], literals) if "literal" in record else None
-    clause = None
+    prefix_length = record.get("prefix_length")  # null reads as absent
+    if prefix_length is not None and type(prefix_length) is not int:
+        raise ParseError(f"prefix_length is not an integer: {prefix_length!r}")
+    literal = clause = witness = None
+    if "literal" in record:
+        literal = _parsed("literal", [record["literal"]], literals)[0]
     if "clause" in record:
-        clause = Clause(_literals("clause", record["clause"], literals))
-    witness = None
+        clause = Clause(_parsed("clause", record["clause"], literals))
     if "witness" in record:
-        members = _literals("witness", record["witness"], literals)
+        members = _parsed("witness", record["witness"], literals)
         if not all(l.positive for l in members):
             raise ParseError(f"witness entries are atom names: {record['witness']!r}")
         witness = tuple(l.atom for l in members)
-    return engine.TraceStep(
-        index, engine.Transition(rule, literal, clause, witness, prefix_length), digest)
+    return engine.Transition(rule, literal, clause, witness, prefix_length)
+
+
+_ABSENT = object()
+
+
+def _payload_key(record: dict) -> tuple:
+    """The payload fields, each after its JSON type so that ``1``,
+    ``1.0`` and ``true`` differ, and absent apart from null; an array
+    becomes a tuple, unhashable when it holds an array or an object."""
+    rule, literal, clause, witness, prefix_length = (
+        record.get("rule", _ABSENT), record.get("literal", _ABSENT), record.get("clause", _ABSENT),
+        record.get("witness", _ABSENT), record.get("prefix_length", _ABSENT))
+    return (type(rule), rule, type(literal), literal,
+            type(clause), tuple(clause) if type(clause) is list else clause,
+            type(witness), tuple(witness) if type(witness) is list else witness,
+            type(prefix_length), prefix_length)
 
 
 def _header(record: dict) -> TraceHeader:
@@ -159,41 +156,74 @@ def _header(record: dict) -> TraceHeader:
 
 
 def load_trace(text: str) -> Trace:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines:
+    """A header line, then a step record per line, blank lines skipped.
+    A payload that recurs maps through a memo to its transition, checked
+    and built once; a malformed line's error names it, blank lines counted."""
+    decoder = json.JSONDecoder()
+    literals = _Memo(parse_literal_token)
+    transitions: dict[tuple, engine.Transition] = {}
+    header, steps = None, []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            try:  # a line as dump_trace writes it: one value, nothing around it
+                record, end = decoder.raw_decode(line)
+                if end < len(line):
+                    raise ValueError
+            except ValueError:  # json.loads's reading, or its error
+                record = decoder.decode(line)
+            if type(record) is not dict:
+                raise ParseError(f"not a JSON object: {line.strip()[:40]}")
+            if header is None:
+                header = _header(record)
+                continue
+            index, digest = record.get("index"), record.get("trail", "")
+            if type(index) is not int:  # nor bool
+                raise ParseError(f"index is not an integer: {index!r}")
+            if type(digest) is not str:
+                raise ParseError(f"trail digest is not a string: {digest!r}")
+            key = _payload_key(record)
+            try:
+                transition = transitions[key]
+            except (KeyError, TypeError):  # new, or unhashable and so malformed
+                transition = _transition(record, literals)
+                transitions[key] = transition
+            steps.append(engine.TraceStep(index, transition, digest))
+        except ParseError as exc:
+            raise ParseError(f"trace line {number}: {exc}") from None
+        except ValueError as exc:  # malformed JSON, or an empty clause
+            raise ParseError(f"trace line {number} is malformed: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"trace line {number} is malformed: JSON nested too deeply") from None
+    if header is None:
         raise ParseError("empty trace file")
-    try:
-        header = _header(_object(lines[0]))
-        literals = _Memo(parse_literal_token)
-        steps = tuple(_step_from_json(_object(l), literals) for l in lines[1:])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed trace: {exc}") from None
-    except RecursionError:
-        raise ParseError("malformed trace: JSON nested too deeply") from None
-    return Trace(header, steps)
+    return Trace(header, tuple(steps))
 
 
 def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -> Optional[str]:
-    """Under strict checking the step's rule must sit in the first
-    priority group that has any applicable rule: the group of
-    :meth:`engine.Walk.choose`'s choice. On an inconsistent trail that
-    is the first group, and its rule is :func:`engine.conflict_rule`'s,
-    so no conflict analysis is needed. A rule outside the mode is
-    reported as such."""
+    """No priority group before the rule's may offer a transition: the
+    first that does holds :meth:`engine.Walk.choose`'s choice, or on an
+    inconsistent trail :func:`engine.conflict_rule`'s. Whether the rule
+    applies is :func:`engine.step`'s to say. Learn is a learning
+    strategy's policy; under another it must sit in the choice's group."""
     if rule == engine.RULE_LEARN and strategy.learning:
-        return None  # the learning policy, not a priority slot
-    trail = walk.state.trail
-    if trail.is_consistent:  # so is the failed state's empty trail
-        chosen = walk.choose()
-        first = None if chosen is None else chosen.rule
-    else:
-        first = engine.conflict_rule(trail, strategy)
-    if first is not None and rule in next(g for g in strategy.priority if first in g):
         return None
     if rule not in strategy.rules:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
-    if first is None:
-        return f"no rule of mode {strategy.mode!r} is applicable"
+    trail = walk.state.trail
+    if trail.is_consistent:  # so is the failed state's empty trail
+        chosen = walk.choose()
+        if chosen is None:
+            return f"no rule of mode {strategy.mode!r} is applicable"
+        first = chosen.rule
+    else:
+        first = engine.conflict_rule(trail, strategy)
+    for group in strategy.priority:
+        if rule in group and (first in group or rule != engine.RULE_LEARN):
+            return None
+        if first in group:
+            break
     return f"higher-priority rule {first} was applicable"
 
 
@@ -206,8 +236,8 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
     conditions are oracle-checked at desk scale. Strategy priorities
     are only enforced under ``strict_strategy``: the walk then takes
     the strategy, which must pass :func:`engine.require_conflict_first`,
-    and each step's rule must sit in the priority group of
-    :meth:`engine.Walk.choose`'s choice (:func:`_strict_violation`).
+    and no priority group before each step's rule's may offer a
+    transition (:func:`_strict_violation`).
     """
     if isinstance(strategy, str):
         strategy = engine.for_mode(strategy)
@@ -226,18 +256,26 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
 
     check_entailment = oracles.at_desk_scale(theory)
     walk = engine.Walk(theory, strategy if strict_strategy else None)
+    # A second-group rule but Learn on a consistent trail: the first group
+    # is conflict rules only, none applies there, so step's verdict is the
+    # strict one, and _strict_violation only names a rejection's reason.
+    direct = frozenset()
+    if strict_strategy and len(strategy.priority) > 1:
+        direct = frozenset(strategy.priority[1]) - {engine.RULE_LEARN}
     for position, step in enumerate(trace.steps, start=1):
         tr = step.transition
         if step.index != position:
             return Validation(False, position, f"step index {step.index} out of order")
-        if strict_strategy:
+        deferred = tr.rule in direct and walk.state.trail.is_consistent
+        if strict_strategy and not deferred:
             violation = _strict_violation(walk, strategy, tr.rule)
             if violation:
                 return Validation(False, position, violation)
         try:
             digest = walk.advance(tr)
         except ValueError as exc:
-            return Validation(False, position, str(exc))
+            violation = deferred and _strict_violation(walk, strategy, tr.rule)
+            return Validation(False, position, violation or str(exc))
         if check_entailment and tr.rule == engine.RULE_BACKJUMP:
             # the new trail is the kept prefix plus the asserted literal
             kept = walk.state.trail.entries[:-1]

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from helpers import reference_choice, reference_strict_violation
-from smasp import engine, oracles, trace
+from helpers import reference_choice, reference_strict_replay
+from smasp import engine, oracles
 from smasp.engine import AugmentedState, TraceStep, Transition, run, step
 from smasp.model import Atom, Clause, Literal, Program, SmaspTheory, Trail, TrailEntry
 from smasp.trace import Trace, TraceHeader, theory_digest, validate_trace
@@ -152,18 +152,12 @@ def _mutants(steps, theory, rng, count):
                     for k, s in enumerate(out, start=1))
 
 
-def _assert_strict_check_matches_reference(theory, strategy, steps, monkeypatch):
+def _assert_strict_check_matches_reference(theory, strategy, steps):
     if isinstance(strategy, str):
         strategy = engine.for_mode(strategy)
     tr = Trace(TraceHeader(strategy.mode, theory_digest(theory)), tuple(steps))
     got = validate_trace(tr, theory, strategy, strict_strategy=True)
-    with monkeypatch.context() as patched:
-        patched.setattr(trace, "_strict_violation",
-                        lambda walk, strategy, rule:
-                        reference_strict_violation(walk.state, walk.theory, strategy, rule))
-        want = validate_trace(tr, theory, strategy, strict_strategy=True)
-    assert (got.ok, got.step_index, got.reason) == (want.ok, want.step_index, want.reason), \
-        strategy.mode
+    assert got == reference_strict_replay(tr, theory, strategy), strategy.mode
     return got
 
 
@@ -180,25 +174,24 @@ def test_strict_check_matches_the_reference_on_random_programs(monkeypatch):
             walks = [run(theory, mode, self_check=False).steps]
             walks += [_random_strict_walk(theory, strategy, rng) for _ in range(2)]
             for steps in walks:
-                assert _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch).ok
+                assert _assert_strict_check_matches_reference(theory, mode, steps).ok
                 for mutant in _mutants(steps, theory, rng, 6):
-                    ok = _assert_strict_check_matches_reference(
-                        theory, mode, mutant, monkeypatch).ok
+                    ok = _assert_strict_check_matches_reference(theory, mode, mutant).ok
                     valid, invalid = valid + ok, invalid + (not ok)
     assert valid > 50 and invalid > 500
 
 
 @pytest.mark.parametrize("n", range(16, 23))
-def test_strict_check_matches_the_reference_on_random_3sat(n, monkeypatch):
+def test_strict_check_matches_the_reference_on_random_3sat(n):
     for seed in (1, 2):
         theory = gen.random_3sat(random.Random(100 * seed + n), n)
         rng = random.Random(seed * 1000 + n)
         for mode in engine.MODES:
             strategy = engine.for_mode(mode)
             for steps in (run(theory, mode).steps, _random_strict_walk(theory, strategy, rng)):
-                assert _assert_strict_check_matches_reference(theory, mode, steps, monkeypatch).ok
+                assert _assert_strict_check_matches_reference(theory, mode, steps).ok
                 for mutant in _mutants(steps, theory, rng, 1):
-                    _assert_strict_check_matches_reference(theory, mode, mutant, monkeypatch)
+                    _assert_strict_check_matches_reference(theory, mode, mutant)
 
 
 # Backjump ranked before Backtrack: a flipped decision has no reason, so
@@ -210,7 +203,7 @@ BACKJUMP_FIRST = engine.Strategy("backjump-first", (
 ), learning=False)
 
 
-def test_strict_check_on_a_conflict_analysis_cannot_resolve(monkeypatch):
+def test_strict_check_on_a_conflict_analysis_cannot_resolve():
     x, y, z, w, u = (Literal(Atom(n)) for n in "xyzwu")
     nx, ny, nz, nw, nu = (l.complement() for l in (x, y, z, w, u))
     c = [Clause((nx, ny, z)), Clause((nx, ny, nz)), Clause((nx, y, w)),
@@ -231,24 +224,56 @@ def test_strict_check_on_a_conflict_analysis_cannot_resolve(monkeypatch):
                 engine.analyze_conflict(state, engine.conflicting_clause(state), theory)
         state = step(state, tr, theory)
         steps.append(TraceStep(len(steps) + 1, tr, engine.digest_trail(state.trail)))
-    assert _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, steps, monkeypatch).ok
+    assert _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, steps).ok
     decide = steps[:-1] + [TraceStep(len(steps), Transition(engine.RULE_DECIDE, literal=nx))]
-    got = _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, decide, monkeypatch)
+    got = _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, decide)
     assert (got.step_index, got.reason) == (9, "higher-priority rule Backjump was applicable")
     for mutant in _mutants(steps, theory, random.Random(163), 40):
-        _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, mutant, monkeypatch)
+        _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, mutant)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_strict_check_matches_the_reference_under_a_backjump_first_strategy(seed, monkeypatch):
+def test_strict_check_matches_the_reference_under_a_backjump_first_strategy(seed):
     rng = random.Random(seed)
     theory = gen.random_3sat(rng, 8)
     for _ in range(4):
         steps = _random_strict_walk(theory, BACKJUMP_FIRST, rng)
-        assert _assert_strict_check_matches_reference(
-            theory, BACKJUMP_FIRST, steps, monkeypatch).ok
+        assert _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, steps).ok
         for mutant in _mutants(steps, theory, rng, 4):
-            _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, mutant, monkeypatch)
+            _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, mutant)
+
+
+def _learn_inserted(steps, theory, rng, count):
+    """Traces with a Learn of a theory clause inserted, renumbered."""
+    for _ in range(count):
+        out = list(steps)
+        i = rng.randrange(len(out) + 1)
+        out.insert(i, TraceStep(i + 1, Transition(engine.RULE_LEARN,
+                                                  clause=rng.choice(theory.clauses))))
+        yield tuple(s._replace(index=k) for k, s in enumerate(out, start=1))
+
+
+@pytest.mark.parametrize("learning", [False, True], ids=["policy-free", "learning"])
+def test_strict_check_matches_the_reference_with_learn_in_the_second_group(learning):
+    """Learn ranked beside UnitPropagateLearn: the second group's steps
+    are left to step, but a Learn outside the learning policy is not."""
+    strategy = engine.Strategy("learn-second", (
+        (engine.RULE_BACKJUMP, engine.RULE_FAIL),
+        (engine.RULE_UNIT_PROPAGATE_LEARN, engine.RULE_LEARN),
+        (engine.RULE_DECIDE,),
+    ), learning=learning)
+    rng = random.Random(173)
+    verdicts = set()
+    for _ in range(6):
+        theory = gen.random_3sat(rng, 8)
+        steps = _random_strict_walk(theory, strategy, rng)
+        assert _assert_strict_check_matches_reference(theory, strategy, steps).ok
+        for mutant in _learn_inserted(steps, theory, rng, 8):
+            verdicts.add(_assert_strict_check_matches_reference(theory, strategy, mutant).ok)
+        for mutant in _mutants(steps, theory, rng, 4):
+            _assert_strict_check_matches_reference(theory, strategy, mutant)
+    # under the learning policy a Learn of a theory clause is always taken
+    assert verdicts == ({True} if learning else {True, False})
 
 
 # -- step accepts exactly the definitional candidates ------------------------

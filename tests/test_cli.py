@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from smasp import cli
 from smasp.cli import main
 
 F1_CNF = "p cnf 3 2\n1 2 0\n-1 3 0\n"
@@ -255,6 +256,38 @@ class TestCheckTrace:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_a_malformed_record_is_an_input_error_naming_its_line(self, f1, tmp_path, capsys):
+        trace_file = tmp_path / "run.trace"
+        main(["solve", "--mode", "dpll", "--format", "cnf", "--trace", str(trace_file), f1])
+        lines = trace_file.read_text().splitlines()
+        lines[2] = lines[2].replace('"index": 2', '"index": "2"')
+        trace_file.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert main(["check-trace", "--trace", str(trace_file), "--format", "cnf", f1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trace line 4: index is not an integer")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("records, strict, verdict", [
+        (['{"index": 1, "rule": "UnitPropagateLearn", "literal": "x3", "clause": ["-x1", "x3"]}'],
+         True, "invalid at step 1: inapplicable UnitPropagateLearn"),
+        (['{"index": 1, "rule": "Decide", "literal": "-x1"}',
+          '{"index": 2, "rule": "Decide", "literal": "-x2"}'],
+         True, "invalid at step 2: higher-priority rule UnitPropagateLearn was applicable"),
+        (['{"index": 1, "rule": "Decide", "literal": "-x1"}',
+          '{"index": 2, "rule": "Decide", "literal": "-x2"}'], False, "valid"),
+    ])
+    def test_hand_made_clasp_traces(self, tmp_path, capsys, records, strict, verdict):
+        cnf = tmp_path / "three.cnf"
+        cnf.write_text("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+        trace_file = tmp_path / "hand.trace"
+        trace_file.write_text("\n".join(['{"mode": "clasp"}'] + records) + "\n")
+        argv = ["check-trace", "--trace", str(trace_file), "--format", "cnf", str(cnf)]
+        code = main(argv[:1] + ["--strict-strategy"] * strict + argv[1:])
+        assert code == (0 if verdict == "valid" else 1)
+        assert capsys.readouterr().out.startswith(verdict)
+
     def test_deeply_nested_trace_is_an_input_error(self, f1, tmp_path, capsys):
         trace_file = tmp_path / "deep.trace"
         trace_file.write_text("[" * 100_000 + "\n")
@@ -290,6 +323,14 @@ class TestSelfCheck:
         p.write_text("a :- not a.\n")
         assert main(["solve", "--mode", "clasp", "--format", "lp",
                      "--self-check", str(p)]) == 20
+
+    def test_a_self_checked_pcid_input_is_parsed_once(self, pcid0, monkeypatch, capsys):
+        parsed = []
+        parse = cli.parse_pcid
+        monkeypatch.setattr(cli, "parse_pcid", lambda text: parsed.append(text) or parse(text))
+        assert main(["solve", "--mode", "minisatid", "--format", "pcid",
+                     "--self-check", pcid0]) == 10
+        assert parsed == [PCID0]
 
     def test_non_total_pcid_is_rejected_by_the_definitional_pipeline(self, tmp_path):
         p = tmp_path / "nontotal.pcid"

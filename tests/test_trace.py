@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from helpers import PI0, PI3, cl, lit, prog, rule
+from helpers import PI0, PI3, cl, lit, prog, reference_load_trace, rule
 from smasp import engine, oracles
 from smasp.engine import Strategy, TraceStep, Transition, run
 from smasp.model import ORIGIN_FRESH, Atom, Clause, Literal, SmaspTheory, Trail, __version__
@@ -44,6 +44,7 @@ class TestValidate:
             bare(3, "Decide", literal=lit("b")),
         )
         assert validate_trace(make_trace(F1, steps), F1, "dpll").ok
+        assert validate_trace(make_trace(F1, steps), F1).ok  # a lax replay needs no strategy
 
     def test_swapped_steps_fail_at_the_first(self):
         steps = (
@@ -123,6 +124,38 @@ class TestValidate:
                 False, 1, f"rule Learn is not part of mode {mode!r}")
 
 
+THREE = SmaspTheory(parse_dimacs("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"))
+
+
+def test_strict_strategy_leaves_a_rule_no_earlier_group_outranks_to_step():
+    # on the empty trail only Decide applies, and it ranks below the step
+    propagate = bare(1, "UnitPropagateLearn", literal=lit("x3"), clause=cl("-x1", "x3"))
+    for strict in (False, True):
+        result = validate_trace(make_trace(THREE, [propagate], mode="clasp"), THREE, "clasp",
+                                strict_strategy=strict)
+        assert result == Validation(
+            False, 1, f"inapplicable UnitPropagateLearn: {propagate.transition}")
+    # after -x1 the clause x1 | x2 propagates, which outranks deciding -x2
+    decisions = make_trace(THREE, [bare(1, "Decide", literal=lit("-x1")),
+                                   bare(2, "Decide", literal=lit("-x2"))], mode="clasp")
+    assert validate_trace(decisions, THREE, "clasp").ok
+    assert validate_trace(decisions, THREE, "clasp", strict_strategy=True) == Validation(
+        False, 2, "higher-priority rule UnitPropagateLearn was applicable")
+
+
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_strict_strategy_reports_a_second_group_step_past_the_end_as_such(mode):
+    second = engine.for_mode(mode).priority[1][0]
+    unsat = SmaspTheory(parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"))
+    for theory in (THREE, unsat):
+        steps = run(theory, mode).steps
+        extra = bare(len(steps) + 1, second, literal=lit("x1"), clause=theory.clauses[0])
+        trace = make_trace(theory, steps + (extra,), mode=mode)
+        assert validate_trace(trace, theory, mode, strict_strategy=True) == Validation(
+            False, len(steps) + 1, f"no rule of mode {mode!r} is applicable")
+        assert not validate_trace(trace, theory, mode).ok
+
+
 class TestSerialization:
     def test_dump_load_round_trip(self):
         t = SmaspTheory(ed_completion(PI3), PI3)
@@ -151,6 +184,14 @@ class TestSerialization:
     def test_line_that_is_not_an_object_is_a_parse_error(self, lines):
         with pytest.raises(ParseError):
             load_trace("\n".join(lines) + "\n")
+
+    def test_a_malformed_record_names_its_line_blank_lines_counted(self):
+        good = '{"index": 1, "rule": "Decide", "literal": "a"}'
+        bad = '{"index": 2, "rule": "Decide", "literal": 5}'
+        with pytest.raises(ParseError, match="^trace line 4: literal token is not a string: 5$"):
+            load_trace("\n".join([HEADER, good, "  ", bad, good]) + "\n")
+        with pytest.raises(ParseError, match="^trace line 3 is malformed: Expecting"):
+            load_trace("\n".join(["", HEADER, "{", good]))
 
     def test_null_index_is_a_parse_error(self):
         with pytest.raises(ParseError):
@@ -357,6 +398,82 @@ def test_a_bad_literal_token_raises_on_every_load(token, field):
         else:
             steps = load_trace(text).steps
             assert steps[1] == steps[2] and lit("a") in steps[0].transition.clause
+
+
+# -- load_trace's payload memo against a decoder without one -----------------
+
+_VALID_RECORDS = (
+    {"index": 1, "rule": "Decide", "literal": "a", "trail": "0123456789abcdef"},
+    {"index": 2, "rule": "UnitPropagate", "literal": "b", "clause": ["-a", "b"], "trail": ""},
+    {"index": 3, "rule": "Backjump", "literal": "-a", "clause": ["-a", "f{b}"],
+     "prefix_length": 1},
+    {"index": 4, "rule": "Unfounded", "literal": "-a", "witness": ["a", "b"]},
+    {"index": 5, "rule": "Learn", "clause": ["a", "b"]},
+    {"index": 6, "rule": "Fail"},
+)
+_FIELDS = ("index", "rule", "literal", "clause", "witness", "prefix_length", "trail")
+# each JSON type, with values that compare equal across int, float and
+# bool, and the payloads of the records above
+_TRICKY = (None, True, False, 0, 1, 0.0, 1.0, "a", "-b", "Decide", "1", "", [], ["a", "b"],
+           ["-a", "b"], ["-a", "f{b}"], [1], [True], [1.0], [None], [[]], {}, {"a": 1})
+_odd_values = st.one_of(
+    st.sampled_from(_TRICKY), st.integers(-3, 3), st.floats(allow_nan=False),
+    st.lists(st.sampled_from(["a", "-b", 1, 1.0, True, None, [], {}]), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from([1, True, "a"]), max_size=2))
+_mutations = st.lists(st.tuples(st.sampled_from(("set", "drop", "before", "after")),
+                                st.sampled_from(_FIELDS), _odd_values), min_size=1, max_size=3)
+
+
+def _record_line(record, mutations=()):
+    """The record's JSON text after the mutations: a field set in place,
+    dropped, or written again before or after the record's fields (the
+    later of two values counts)."""
+    pairs = list(record.items())
+    for kind, field, value in mutations:
+        if kind == "set":
+            pairs = [(k, value if k == field else v) for k, v in pairs]
+            if field not in record:
+                pairs.append((field, value))
+        elif kind == "drop":
+            pairs = [(k, v) for k, v in pairs if k != field]
+        else:
+            pairs.insert(0 if kind == "before" else len(pairs), (field, value))
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+def _assert_loads_as_the_reference(lines):
+    """After every valid record once, so that the memo holds each, the
+    lines load to the same trace, or fail, as the reference decoder."""
+    text = "\n".join([HEADER] + [_record_line(r) for r in _VALID_RECORDS] + lines) + "\n"
+    try:
+        want = reference_load_trace(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            load_trace(text)
+    else:
+        got = load_trace(text)
+        assert got == want and repr(got) == repr(want)  # repr tells 1 from 1.0 and True
+
+
+def test_the_payload_memo_decodes_each_single_mutation_as_a_decoder_without_one():
+    for record in _VALID_RECORDS:
+        for field in _FIELDS:
+            _assert_loads_as_the_reference([_record_line(record, [("drop", field, None)])] * 2)
+            for kind in ("set", "before", "after"):
+                for value in _TRICKY:
+                    line = _record_line(record, [(kind, field, value)])
+                    _assert_loads_as_the_reference([line, line])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_VALID_RECORDS), _mutations), min_size=1, max_size=3),
+       st.lists(st.integers(0, 8), max_size=8), st.booleans())
+def test_the_payload_memo_decodes_as_a_decoder_without_one(mutated, picks, blank):
+    """Lines drawn with repeats from mutated and valid records, with or
+    without a blank line among them."""
+    lines = [_record_line(record, mutations) for record, mutations in mutated]
+    lines += [_record_line(record) for record in _VALID_RECORDS]
+    _assert_loads_as_the_reference([""] * blank + [lines[i % len(lines)] for i in picks])
 
 
 # -- dump_trace against the trace format's definition -------------------------
