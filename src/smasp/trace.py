@@ -159,7 +159,6 @@ def load_trace(text: str) -> Trace:
     """A header line, then a step record per line, blank lines skipped.
     A payload that recurs maps through a memo to its transition, checked
     and built once; a malformed line's error names it, blank lines counted."""
-    decoder = json.JSONDecoder()
     literals = _Memo(parse_literal_token)
     transitions: dict[tuple, engine.Transition] = {}
     header, steps = None, []
@@ -167,12 +166,7 @@ def load_trace(text: str) -> Trace:
         if not line.strip():
             continue
         try:
-            try:  # a line as dump_trace writes it: one value, nothing around it
-                record, end = decoder.raw_decode(line)
-                if end < len(line):
-                    raise ValueError
-            except ValueError:  # json.loads's reading, or its error
-                record = decoder.decode(line)
+            record = json.loads(line)
             if type(record) is not dict:
                 raise ParseError(f"not a JSON object: {line.strip()[:40]}")
             if header is None:
@@ -220,8 +214,10 @@ def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -
     else:
         first = engine.conflict_rule(trail, strategy)
     for group in strategy.priority:
-        if rule in group and (first in group or rule != engine.RULE_LEARN):
-            return None
+        if rule in group:
+            if first in group or rule != engine.RULE_LEARN:
+                return None
+            return f"{rule} must sit in the group of {first}"
         if first in group:
             break
     return f"higher-priority rule {first} was applicable"

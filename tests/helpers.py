@@ -115,6 +115,8 @@ def reference_strict_violation(state, theory, strategy, rule):
     mine = next(i for i, group in enumerate(strategy.priority) if rule in group)
     if rule in strategy.priority[first] or (mine < first and rule != engine.RULE_LEARN):
         return None
+    if mine < first:  # Learn, outside the learning policy
+        return f"{rule} must sit in the group of {applicable[first][0]}"
     return f"higher-priority rule {applicable[first][0]} was applicable"
 
 

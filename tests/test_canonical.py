@@ -263,17 +263,21 @@ def test_strict_check_matches_the_reference_with_learn_in_the_second_group(learn
         (engine.RULE_DECIDE,),
     ), learning=learning)
     rng = random.Random(173)
-    verdicts = set()
+    verdicts, reasons = set(), set()
     for _ in range(6):
         theory = gen.random_3sat(rng, 8)
         steps = _random_strict_walk(theory, strategy, rng)
         assert _assert_strict_check_matches_reference(theory, strategy, steps).ok
         for mutant in _learn_inserted(steps, theory, rng, 8):
-            verdicts.add(_assert_strict_check_matches_reference(theory, strategy, mutant).ok)
+            got = _assert_strict_check_matches_reference(theory, strategy, mutant)
+            verdicts.add(got.ok)
+            reasons.add(got.reason)
         for mutant in _mutants(steps, theory, rng, 4):
             _assert_strict_check_matches_reference(theory, strategy, mutant)
-    # under the learning policy a Learn of a theory clause is always taken
+    # under the learning policy a Learn of a theory clause is always taken;
+    # outside it, a Learn before a Decide ranks above it but is refused
     assert verdicts == ({True} if learning else {True, False})
+    assert learning or "Learn must sit in the group of Decide" in reasons
 
 
 # -- step accepts exactly the definitional candidates ------------------------

@@ -256,38 +256,6 @@ class TestCheckTrace:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
-    def test_a_malformed_record_is_an_input_error_naming_its_line(self, f1, tmp_path, capsys):
-        trace_file = tmp_path / "run.trace"
-        main(["solve", "--mode", "dpll", "--format", "cnf", "--trace", str(trace_file), f1])
-        lines = trace_file.read_text().splitlines()
-        lines[2] = lines[2].replace('"index": 2', '"index": "2"')
-        trace_file.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
-        capsys.readouterr()
-        assert main(["check-trace", "--trace", str(trace_file), "--format", "cnf", f1]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: trace line 4: index is not an integer")
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("records, strict, verdict", [
-        (['{"index": 1, "rule": "UnitPropagateLearn", "literal": "x3", "clause": ["-x1", "x3"]}'],
-         True, "invalid at step 1: inapplicable UnitPropagateLearn"),
-        (['{"index": 1, "rule": "Decide", "literal": "-x1"}',
-          '{"index": 2, "rule": "Decide", "literal": "-x2"}'],
-         True, "invalid at step 2: higher-priority rule UnitPropagateLearn was applicable"),
-        (['{"index": 1, "rule": "Decide", "literal": "-x1"}',
-          '{"index": 2, "rule": "Decide", "literal": "-x2"}'], False, "valid"),
-    ])
-    def test_hand_made_clasp_traces(self, tmp_path, capsys, records, strict, verdict):
-        cnf = tmp_path / "three.cnf"
-        cnf.write_text("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
-        trace_file = tmp_path / "hand.trace"
-        trace_file.write_text("\n".join(['{"mode": "clasp"}'] + records) + "\n")
-        argv = ["check-trace", "--trace", str(trace_file), "--format", "cnf", str(cnf)]
-        code = main(argv[:1] + ["--strict-strategy"] * strict + argv[1:])
-        assert code == (0 if verdict == "valid" else 1)
-        assert capsys.readouterr().out.startswith(verdict)
-
     def test_deeply_nested_trace_is_an_input_error(self, f1, tmp_path, capsys):
         trace_file = tmp_path / "deep.trace"
         trace_file.write_text("[" * 100_000 + "\n")
