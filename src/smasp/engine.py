@@ -234,7 +234,7 @@ def unfounded_reason(atom: Atom, u: Iterable[Atom], trail: Trail, pi: Program) -
         if not falsified:
             raise ValueError(f"body {body} of an allegedly unfounded set is not falsified")
         lits.add(falsified[0])
-    for a in us - pi.heads:
+    for a in sorted_atoms(us - pi.heads):  # the error names the smallest
         if Literal(a, positive=False) not in ms:
             raise ValueError(f"open member {a} of an allegedly unfounded set is not false")
         lits.add(Literal(a))
@@ -361,90 +361,87 @@ def is_singular_unfounded(state: AugmentedState, theory: SmaspTheory) -> bool:
         applicable(state, theory, r) for r in (RULE_UNIT_PROPAGATE, RULE_FAIL, RULE_BACKTRACK))
 
 
-def step(state: AugmentedState, transition: Transition, theory: SmaspTheory) -> AugmentedState:
+def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
+         ctx: Optional[_TheoryContext] = None) -> AugmentedState:
     """Apply a transition after checking that it carries its rule's
     payload (:data:`RULE_PAYLOADS`) and is applicable in ``state``.
+    ``ctx`` is ``_context(theory)``, looked up here when not given.
 
     An Unfounded witness must be unfounded in the opened program, where
     a member no rule defines has only ``a :- not not a``: it is checked
     on the program, and :func:`unfounded_reason` wants such members false."""
-    rule = transition.rule
+    rule, lit, cl, witness, plen = transition
     carries = _CARRIES.get(rule)
     if carries is None:
         raise ValueError(f"unknown transition rule: {rule!r}")
-    if carries != (transition.literal is not None, transition.clause is not None,
-                   transition.witness is not None, transition.prefix_length is not None):
+    if carries != (lit is not None, cl is not None, witness is not None, plen is not None):
         raise ValueError(f"{rule} carries {', '.join(RULE_PAYLOADS[rule]) or 'no payload'}"
                          f" and nothing else: {transition}")
-    if state.failed:
+    trail, learned, failed = state
+    if failed:
         raise ValueError("no transition applies to the failed state")
-    trail = state.trail
+    if ctx is None:
+        ctx = _context(theory)
 
     # UnitPropagate(Learn) and Decide accept exactly the candidates that
     # applicable_unit_propagate / applicable_decide list, checked locally
     if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-        lit, cl = transition.literal, transition.clause
         m = trail.literal_set
-        known = cl in _context(theory).source_set or (
-            rule == RULE_UNIT_PROPAGATE_LEARN and cl in state.learned)
-        if not (known and lit in cl and lit not in m
-                and all(o.complement() in m for o in cl if o != lit)):
-            raise ValueError(f"inapplicable {rule}: {transition}")
-        return AugmentedState(trail.append(lit, reason=cl), state.learned, False)
+        known = cl in ctx.source_set or (rule == RULE_UNIT_PROPAGATE_LEARN and cl in learned)
+        if known and lit in cl.literals and lit not in m:
+            for o in cl.literals:
+                if o is not lit and o.complement() not in m:
+                    break
+            else:
+                return AugmentedState(trail.append(lit, reason=cl), learned, False)
+        raise ValueError(f"inapplicable {rule}: {transition}")
 
     if rule == RULE_DECIDE:
-        lit = transition.literal
         if not (isinstance(lit, Literal) and trail.is_consistent
-                and lit.atom in _context(theory).atom_set and trail.is_unassigned(lit)):
+                and lit.atom in ctx.atom_set and trail.is_unassigned(lit)):
             raise ValueError(f"inapplicable Decide: {transition}")
-        return AugmentedState(trail.append(lit, decision=True), state.learned, False)
+        return AugmentedState(trail.append(lit, decision=True), learned, False)
 
     if rule == RULE_FAIL:
         if transition not in applicable(state, theory, rule):
             raise ValueError("Fail requires an inconsistent, decision-free trail")
-        return AugmentedState(Trail(), state.learned, True)
+        return AugmentedState(Trail(), learned, True)
 
     if rule == RULE_BACKTRACK:
         if transition not in applicable(state, theory, rule):
             raise ValueError(f"inapplicable Backtrack: {transition}")
         last = trail.decision_indices[-1]
-        return AugmentedState(trail.truncate(last).append(transition.literal),
-                              state.learned, False)
+        return AugmentedState(trail.truncate(last).append(lit), learned, False)
 
     if rule == RULE_UNFOUNDED:
         if not trail.is_consistent:
             raise ValueError("Unfounded requires a consistent trail")
-        witness, lit = transition.witness, transition.literal
-        ctx = _context(theory)
         if (lit.positive or lit.atom not in witness or lit in trail
                 or len(frozenset(witness)) < len(witness) or not ctx.atom_set.issuperset(witness)):
             raise ValueError(f"inapplicable Unfounded: {transition}")
         if not oracles.is_unfounded(witness, trail.literal_set, ctx.program):
             raise ValueError(f"witness {witness} is not unfounded on the trail")
         reason = unfounded_reason(lit.atom, witness, trail, ctx.program)
-        return AugmentedState(trail.append(lit, reason=reason), state.learned, False)
+        return AugmentedState(trail.append(lit, reason=reason), learned, False)
 
     if rule == RULE_BACKJUMP:
         if trail.is_consistent or not trail.decision_indices:
             raise ValueError("Backjump requires an inconsistent trail with a decision")
-        plen = transition.prefix_length
-        lit, cl = transition.literal, transition.clause
         if not (0 <= plen < len(trail)) or not trail.entries[plen].is_decision:
             raise ValueError("Backjump prefix must end right before a decision literal")
         kept = trail.truncate(plen)
         if lit not in cl or not duals(l for l in cl if l != lit) <= kept.literal_set:
             raise ValueError("Backjump clause must be asserting for the kept prefix")
-        if lit.atom not in _context(theory).atom_set:
+        if lit.atom not in ctx.atom_set:
             raise ValueError(f"Backjump literal {lit!r} is outside the theory")
-        return AugmentedState(kept.append(lit, reason=cl), state.learned, False)
+        return AugmentedState(kept.append(lit, reason=cl), learned, False)
 
     if rule == RULE_LEARN:
-        cl = transition.clause
-        if cl in state.learned:
+        if cl in learned:
             raise ValueError("clause is already in the learned store")
-        if not _context(theory).atom_set.issuperset(cl.atoms):
+        if not ctx.atom_set.issuperset(cl.atoms):
             raise ValueError("learned clause mentions atoms outside the theory")
-        return AugmentedState(trail, state.learned + (cl,), False)
+        return AugmentedState(trail, learned + (cl,), False)
 
     raise AssertionError(rule)
 
@@ -512,9 +509,9 @@ class PropagationIndex:
         one literal, which is what every trail-changing rule yields. A
         cut below what the unfounded-set index has read lowers its
         ``done``."""
-        keep = len(trail) - 1
-        while len(self.trail) > keep:
-            self._unassign(self.trail.pop())
+        keep, assigned = len(trail.entries) - 1, self.trail
+        while len(assigned) > keep:
+            self._unassign(assigned.pop())
         if self.founding is not None and keep < self.founding.done:
             self.founding.done = keep
         self._assign(self.code[trail.entries[keep].literal])
@@ -527,7 +524,7 @@ class PropagationIndex:
             n_true[i] += 1
         for i in self.occurs[x ^ 1]:
             n_false[i] += 1
-            if n_false[i] == len(codes[i]) - 1 and not n_true[i]:
+            if not n_true[i] and n_false[i] == len(codes[i]) - 1:
                 heapq.heappush(self.pending, i)
 
     def _unassign(self, x: int) -> None:
@@ -557,7 +554,10 @@ class PropagationIndex:
             return None
         x = codes[i][0]
         if n_false[i] < len(codes[i]):
-            x = next(y for y in codes[i] if not self.true[y ^ 1])
+            true = self.true
+            for x in codes[i]:
+                if not true[x ^ 1]:
+                    break
         return self.literals[x], self.clauses[i]
 
     def first_unassigned(self) -> Optional[Literal]:
@@ -713,47 +713,56 @@ def require_conflict_first(strategy: Strategy) -> None:
         raise ValueError("the first priority group must hold Fail and Backtrack or Backjump only")
 
 
+def _offer(index: PropagationIndex, rule: str):
+    """How :meth:`Walk.choose` asks ``index`` for ``rule``'s first
+    candidate on a consistent trail: a call that returns its transition
+    or None. None for a rule that has no candidate there."""
+    if rule == RULE_DECIDE:
+        return lambda: (lit := index.first_unassigned()) and Transition(rule, lit)
+    if rule == RULE_UNFOUNDED:
+        return lambda: (cand := index.first_unfounded()) and Transition(rule, cand[0], witness=cand[1])
+    if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
+        learned = rule == RULE_UNIT_PROPAGATE_LEARN
+        return lambda: (cand := index.first_unit(learned)) and Transition(rule, *cand)
+    return None
+
+
 class Walk:
     """A path from the empty state, taken by :func:`run` and retraced by a
-    replay; with a strategy it keeps the index that :meth:`choose` reads."""
+    replay. It binds the theory's context once; with a strategy it keeps
+    the index that :meth:`choose` reads, the offers of the groups after
+    the conflict group in priority order, and the strategy's rules."""
 
     def __init__(self, theory: SmaspTheory, strategy: Optional[Strategy] = None) -> None:
+        self.theory, self.strategy, self.state = theory, strategy, AugmentedState()
+        self.ctx, self.index = _context(theory), None
         if strategy is not None:
             require_conflict_first(strategy)
-        self.theory, self.strategy, self.state = theory, strategy, AugmentedState()
-        self.index = None if strategy is None else PropagationIndex(_context(theory))
+            self.index, self.rules = PropagationIndex(self.ctx), strategy.rules
+            self.offers = tuple(filter(None, (_offer(self.index, rule)
+                                              for group in strategy.priority[1:] for rule in group)))
 
     def choose(self) -> Optional[Transition]:
         """The first candidate of the highest-priority applicable rule:
         :func:`conflict_rule`'s on an inconsistent trail (a Backtrack has
         one on any trail :func:`step` built, as a decided literal had
         neither polarity before it), else the first the index offers."""
-        state, index = self.state, self.index
+        state = self.state
         if state.failed:
             return None
-        if not state.trail.is_consistent:
+        if state.trail.first_conflict_index is not None:
             return applicable(state, self.theory, conflict_rule(state.trail, self.strategy))[0]
-        for group in self.strategy.priority:
-            for rule in group:
-                if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-                    cand = index.first_unit(rule == RULE_UNIT_PROPAGATE_LEARN)
-                    if cand is not None:
-                        return Transition(rule, literal=cand[0], clause=cand[1])
-                elif rule == RULE_DECIDE:
-                    lit = index.first_unassigned()
-                    if lit is not None:
-                        return Transition(RULE_DECIDE, literal=lit)
-                elif rule == RULE_UNFOUNDED:
-                    cand = index.first_unfounded()
-                    if cand is not None:
-                        return Transition(RULE_UNFOUNDED, literal=cand[0], witness=cand[1])
+        for offer in self.offers:
+            tr = offer()
+            if tr is not None:
+                return tr
         return None
 
     def advance(self, transition: Transition) -> str:
         """Take one edge through :func:`step`; the index follows the new
         trail, or learns a Learn's clause. Returns the digest of the new
         trail."""
-        state = self.state = step(self.state, transition, self.theory)
+        state = self.state = step(self.state, transition, self.theory, self.ctx)
         if self.index is not None:
             if transition.rule == RULE_LEARN:
                 self.index.learn(transition.clause)

@@ -374,19 +374,42 @@ def entry_token(entry: TrailEntry) -> str:
     return token + "@d" if entry.is_decision else token
 
 
-@dataclass(frozen=True)
 class Trail:
     """An ordered, duplicate-free record of literals, some marked as
-    decisions; propagated entries carry their reason clause. ``digest``
-    is ``engine.digest_trail`` of the trail: an appended trail extends
-    its parent's sha256 state by one token, any other trail hashes its
-    entries when first asked."""
+    decisions; propagated entries carry their reason clause. An
+    immutable value that compares and hashes by its entries.
 
-    entries: tuple[TrailEntry, ...] = ()
+    ``literal_set``, ``first_conflict_index`` and ``decision_indices``
+    are set when the trail is made; :meth:`append` and :meth:`truncate`
+    derive them from their parent's instead of rescanning. ``levels``
+    is computed on first use. ``digest`` is ``engine.digest_trail`` of
+    the trail: an appended trail extends its parent's sha256 state by
+    one token, any other trail hashes its entries when first asked."""
 
-    def __post_init__(self) -> None:
-        if len(self.literal_set) < len(self.entries):
+    __slots__ = ("entries", "literal_set", "first_conflict_index", "decision_indices",
+                 "_sha256", "_levels")
+    __setattr__, __delattr__ = _Interned.__setattr__, _Interned.__delattr__
+
+    def __init__(self, entries: tuple[TrailEntry, ...] = ()) -> None:
+        literal_set = frozenset(e.literal for e in entries)
+        if len(literal_set) < len(entries):
             raise ValueError("a literal occurs twice in trail")
+        conflict, seen = None, set()
+        for i, e in enumerate(entries):
+            if e.literal.complement() in seen:
+                conflict = i
+                break
+            seen.add(e.literal)
+        _fill(self, entries, literal_set, conflict,
+              tuple(i for i, e in enumerate(entries) if e.is_decision), None)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Trail:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -397,92 +420,76 @@ class Trail:
     def __contains__(self, literal: Literal) -> bool:
         return literal in self.literal_set
 
-    @cached_property
-    def literal_set(self) -> frozenset[Literal]:
-        return frozenset(e.literal for e in self.entries)
-
     def is_unassigned(self, literal: Literal) -> bool:
         return literal not in self.literal_set and literal.complement() not in self.literal_set
-
-    @cached_property
-    def first_conflict_index(self) -> Optional[int]:
-        """Index of the first entry whose dual occurs earlier, if any."""
-        seen: set[Literal] = set()
-        for i, e in enumerate(self.entries):
-            if e.literal.complement() in seen:
-                return i
-            seen.add(e.literal)
-        return None
 
     @property
     def is_consistent(self) -> bool:
         return self.first_conflict_index is None
 
-    @cached_property
-    def _sha256(self):
-        return hashlib.sha256(" ".join(map(entry_token, self.entries)).encode())
+    def _state(self):
+        """The sha256 state of a trail made without one, kept once made."""
+        sha256 = hashlib.sha256(" ".join(map(entry_token, self.entries)).encode())
+        _put_sha256(self, sha256)
+        return sha256
 
     @property
     def digest(self) -> str:
-        return self._sha256.hexdigest()[:16]
+        return (self._sha256 or self._state()).hexdigest()[:16]
 
     def consistent_prefix(self) -> "Trail":
         """Longest prefix in which no atom occurs in both polarities."""
         i = self.first_conflict_index
         return self if i is None else self.truncate(i)
 
-    @cached_property
-    def decision_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.entries) if e.is_decision)
-
-    @cached_property
+    @property
     def levels(self) -> tuple[int, ...]:
         """Decision level of each entry; entries before the first
         decision are level 0, a decision opens the next level."""
-        out = []
-        level = 0
-        for e in self.entries:
-            if e.is_decision:
-                level += 1
-            out.append(level)
-        return tuple(out)
+        levels = self._levels
+        if levels is None:
+            out, level = [], 0
+            for e in self.entries:
+                if e.is_decision:
+                    level += 1
+                out.append(level)
+            levels = tuple(out)
+            _put_levels(self, levels)
+        return levels
 
     def append(self, literal: Literal, decision: bool = False,
                reason: Optional[Clause] = None) -> "Trail":
-        """The trail extended by one entry; its cached views are derived
-        from this trail's instead of rescanning the entries."""
-        if literal in self.literal_set:
+        """The trail extended by one entry."""
+        literal_set = self.literal_set
+        if literal in literal_set:
             raise ValueError(f"literal {literal!r} occurs twice in trail")
-        n = len(self.entries)
+        entries = self.entries
+        n = len(entries)
         conflict = self.first_conflict_index
-        if conflict is None and literal.complement() in self.literal_set:
+        if conflict is None and literal.complement() in literal_set:
             conflict = n
         entry = TrailEntry(literal, decision, reason)
         token = entry_token(entry)
-        sha256 = self._sha256.copy()
+        sha256 = (self._sha256 or self._state()).copy()
         sha256.update((" " + token if n else token).encode())
-        return _derived(
-            self.entries + (entry,),
-            literal_set=self.literal_set | {literal},
-            first_conflict_index=conflict,
-            decision_indices=self.decision_indices + (n,) if decision else self.decision_indices,
-            _sha256=sha256)
+        decisions = self.decision_indices
+        return _fill(object.__new__(Trail), entries + (entry,), literal_set | {literal},
+                     conflict, decisions + (n,) if decision else decisions, sha256)
 
     def truncate(self, length: int) -> "Trail":
         """The first ``length`` entries. A prefix of a duplicate-free
         trail is duplicate-free, and its first conflict and decisions
-        are this trail's below the cut, so nothing is rescanned."""
+        are this trail's below the cut."""
         entries = self.entries[:length]
         n = len(entries)
         conflict = self.first_conflict_index
         decisions = self.decision_indices
-        return _derived(
-            entries,
-            first_conflict_index=None if conflict is None or conflict >= n else conflict,
-            decision_indices=decisions[:bisect_left(decisions, n)])
+        return _fill(object.__new__(Trail), entries, frozenset(e.literal for e in entries),
+                     None if conflict is None or conflict >= n else conflict,
+                     decisions[:bisect_left(decisions, n)], None)
 
     def __reduce__(self):
-        # a sha256 state does not pickle; the cached views are rebuilt
+        # a sha256 state does not pickle; the views are rebuilt
         return (Trail, (self.entries,))
 
     def __repr__(self) -> str:
@@ -490,13 +497,22 @@ class Trail:
         return "Trail(" + " ".join(toks) + ")"
 
 
-def _derived(entries: tuple[TrailEntry, ...], **views) -> Trail:
-    """A trail over ``entries``, known to be duplicate-free, with the
-    given cached views set instead of computed."""
-    trail = object.__new__(Trail)
-    _set(trail, "entries", entries)
-    trail.__dict__.update(views)
+def _fill(trail: Trail, entries: tuple[TrailEntry, ...], literal_set: frozenset[Literal],
+          conflict: Optional[int], decisions: tuple[int, ...], sha256) -> Trail:
+    """Set every field of ``trail``; ``levels`` waits for first use, and
+    a ``sha256`` of None for the first digest."""
+    _put_entries(trail, entries)
+    _put_literal_set(trail, literal_set)
+    _put_conflict(trail, conflict)
+    _put_decisions(trail, decisions)
+    _put_sha256(trail, sha256)
+    _put_levels(trail, None)
     return trail
+
+
+# the slots' own setters, past the __setattr__ that keeps a trail immutable
+_put_entries, _put_literal_set, _put_conflict, _put_decisions, _put_sha256, _put_levels = (
+    getattr(Trail, name).__set__ for name in Trail.__slots__)
 
 
 # Set-view helpers used by the oracles and validators; literal sets are

@@ -157,12 +157,14 @@ def _header(record: dict) -> TraceHeader:
 
 def load_trace(text: str) -> Trace:
     """A header line, then a step record per line, blank lines skipped.
-    A payload that recurs maps through a memo to its transition, checked
-    and built once; a malformed line's error names it, blank lines counted."""
+    Lines end at ``"\\n"`` alone, so a string may hold any other line
+    separator raw, and a ``"\\r"`` before it is JSON whitespace. A payload
+    that recurs maps through a memo to its transition, checked and built
+    once; a malformed line's error names it, blank lines counted."""
     literals = _Memo(parse_literal_token)
     transitions: dict[tuple, engine.Transition] = {}
     header, steps = None, []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -203,7 +205,7 @@ def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -
     strategy's policy; under another it must sit in the choice's group."""
     if rule == engine.RULE_LEARN and strategy.learning:
         return None
-    if rule not in strategy.rules:
+    if rule not in walk.rules:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
     trail = walk.state.trail
     if trail.is_consistent:  # so is the failed state's empty trail

@@ -182,7 +182,7 @@ def reference_load_trace(text):
     """:func:`smasp.trace.load_trace` by definition, without its memo:
     ``json.loads`` of every non-blank line, the first the header, each
     step record checked and built on its own."""
-    lines = [l for l in text.splitlines() if l.strip()]
+    lines = [l for l in text.split("\n") if l.strip()]
     if not lines:
         raise ParseError("empty trace file")
     try:

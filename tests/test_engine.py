@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from smasp.engine import (
     unfounded_reason,
 )
 from smasp.model import Clause, SmaspTheory, Trail, TrailEntry, positive_part
-from smasp.trace import Trace, TraceHeader, Validation
+from smasp.trace import Trace, TraceHeader, Validation, validate_trace
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -127,6 +129,15 @@ class TestUnfoundedReason:
         pi = prog(rule("a", pos="b"))
         with pytest.raises(ValueError):
             unfounded_reason(atom("a"), atoms("a"), trail(""), pi)
+
+    def test_the_error_names_the_smallest_open_member_that_is_not_false(self):
+        # no rule defines the o_i or f: all are open, and only f is false
+        names = [f"o{i}" for i in range(8)]
+        for low, high in itertools.combinations(names, 2):
+            for witness in (f"{high} {low} f", f"f {low} {high}", f"{low} f {high}"):
+                message = f"open member {atom(low)!r} of an allegedly unfounded set is not false"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    unfounded_reason(atom("f"), atoms(witness), trail("-f"), prog(rule("g")))
 
 
 class TestAnalyzeConflict:
@@ -523,6 +534,25 @@ def test_trails_copy_deepcopy_and_pickle_equal():
             assert other == original and other.entries == original.entries
             assert other.digest == original.digest == engine.digest_trail(original)
             assert other.append(lit("e")).digest == original.append(lit("e")).digest
+
+
+@pytest.mark.parametrize("mode", ["dpll", "clasp"])
+def test_a_run_and_a_strict_replay_each_look_the_context_up_once(monkeypatch, mode):
+    theory = gen.random_3sat(random.Random(3), 20)
+    lookups = []
+    context = engine._context
+
+    def counted(t):
+        lookups.append(t)
+        return context(t)
+
+    monkeypatch.setattr(engine, "_context", counted)
+    out = run(theory, mode)
+    assert len(lookups) <= 1 and len(out.steps) > 20
+    del lookups[:]
+    trace = Trace(TraceHeader(mode, ""), out.steps)
+    assert validate_trace(trace, theory, mode, strict_strategy=True) == Validation(True)
+    assert len(lookups) <= 1
 
 
 def test_trail_digest_is_the_specified_hash():

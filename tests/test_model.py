@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, atom, atoms, cl, lit, lits, prog, rule, trail
+from smasp import engine
 from smasp.model import (
     Atom,
     Body,
@@ -177,11 +178,26 @@ def test_appended_trail_views_match_a_trail_built_from_its_entries(moves):
         derived = [t, t.consistent_prefix()] + [t.truncate(n) for n in range(len(t) + 1)]
         for view in derived:
             built = Trail(view.entries)
-            assert view == built
+            assert view == built and hash(view) == hash(built)
             assert view.literal_set == built.literal_set
             assert view.first_conflict_index == built.first_conflict_index
             assert view.decision_indices == built.decision_indices
             assert view.levels == built.levels
+            for value in (view, built):
+                _assert_a_trail_value(value)
+
+
+def _assert_a_trail_value(t):
+    """A trail is an immutable value: its digest is the definition's,
+    and a copy or an unpickled trail equals it."""
+    assert t.digest == engine.digest_trail(t)
+    for other in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and hash(other) == hash(t) and other.digest == t.digest
+    for field in ("entries", "literal_set", "first_conflict_index", "decision_indices", "digest"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, getattr(t, field))
+        with pytest.raises(AttributeError):
+            delattr(t, field)
 
 
 def test_equal_atoms_and_literals_are_one_object():

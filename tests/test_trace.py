@@ -193,6 +193,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match="^trace line 3 is malformed: Expecting"):
             load_trace("\n".join(["", HEADER, "{", good]))
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_only_a_newline_ends_a_line(self, separator):
+        record = '{"index": 1, "rule": "Decide", "literal": "f{a%sb}"}' % separator
+        bad = '{"index": 2, "rule": "Decide", "literal": 5}'
+        with pytest.raises(ParseError, match="^trace line 3: literal token is not a string: 5$"):
+            load_trace("\n".join([HEADER, record, bad]) + "\n")
+        for newline in ("\n", "\r\n"):  # "\r" is JSON whitespace
+            steps = load_trace(newline.join([HEADER, record, ""])).steps
+            assert steps[0].transition.literal == Literal(Atom("f{a%sb}" % separator, ORIGIN_FRESH))
+        with pytest.raises(ParseError, match="^trace line 3: literal token is not a string: 5$"):
+            load_trace("\r\n".join([HEADER, record, bad]))
+
     def test_null_index_is_a_parse_error(self):
         with pytest.raises(ParseError):
             load_trace(HEADER + '\n{"index": null, "rule": "Decide", "literal": "a"}\n')
