@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
@@ -253,19 +254,18 @@ def conflicting_clause(state: AugmentedState) -> Clause:
     return reason
 
 
-def analyze_conflict(state: AugmentedState, conflicting: Clause,
-                     theory: SmaspTheory) -> tuple[Clause, Literal, int]:
+def analyze_conflict(state: AugmentedState, conflicting: Clause) -> tuple[Clause, Literal, int]:
     """Resolve the conflicting clause backwards along trail reasons
     until a single literal remains at the deepest decision level
     involved; returns the learned clause, its asserting literal, and
-    the length of the trail prefix the backjump keeps."""
+    the length of the trail prefix the backjump keeps, reading only the
+    entries before the first conflict."""
     trail = state.trail
     if trail.is_consistent or not trail.decision_indices:
         raise ValueError("conflict analysis requires an inconsistent trail with a decision")
-    prefix = trail.consistent_prefix()
-    entries = prefix.entries
+    entries = trail.entries[:trail.first_conflict_index]
     position = {e.literal: i for i, e in enumerate(entries)}
-    levels = prefix.levels
+    levels = trail.levels
 
     current = set(conflicting.literals)
     scan = len(entries)  # pivots only move back: see the scan below
@@ -341,7 +341,7 @@ def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Tr
             if any(e.literal == flipped for e in trail.entries[:last]):
                 return []
             return [Transition(RULE_BACKTRACK, literal=flipped)]
-        learned, asserting, kept = analyze_conflict(state, conflicting_clause(state), theory)
+        learned, asserting, kept = analyze_conflict(state, conflicting_clause(state))
         return [Transition(RULE_BACKJUMP, literal=asserting, clause=learned, prefix_length=kept)]
     if rule == RULE_DECIDE:
         return [Transition(rule, literal=l) for l in applicable_decide(state, theory)]
@@ -453,11 +453,11 @@ class PropagationIndex:
     Literals are interned as codes (atom ``i`` of the theory is ``2i``,
     its negation ``2i + 1``); clauses are numbered in unit-propagation
     order, theory sources first, then learned clauses as they are
-    learned. Each clause counts its true and its falsified literals, and
-    a min-heap holds every clause that is unit or falsified (no true
-    literal, at most one unfalsified) plus stale entries that are
-    dropped when they surface. On a consistent trail those clauses are
-    exactly the ones offering a unit-propagation candidate.
+    learned. Each clause counts its true and its open (not falsified)
+    literals, and a min-heap holds every clause that is unit or
+    falsified (no true literal, at most one open) plus stale entries
+    that are dropped when they surface. On a consistent trail those
+    clauses are exactly the ones offering a unit-propagation candidate.
     """
 
     def __init__(self, ctx: _TheoryContext) -> None:
@@ -469,18 +469,18 @@ class PropagationIndex:
         self.true = [False] * len(self.literals)
         self.trail: list[int] = []
         self.decide_from = 0  # every atom below it is assigned
-        # the sources in bulk: on the empty trail every count is 0 and
+        # the sources in bulk: on the empty trail every literal is open and
         # the pending clauses are the unit ones, a sorted list is a heap
         self.clauses: list[Clause] = list(ctx.up_sources)
         self.codes: list[tuple[int, ...]] = [tuple(map(self.code.__getitem__, c.literals))
                                              for c in self.clauses]
         self.n_true: list[int] = [0] * len(self.clauses)
-        self.n_false: list[int] = [0] * len(self.clauses)
+        self.n_open: list[int] = list(map(len, self.codes))
         self.occurs: list[list[int]] = [[] for _ in self.literals]
         for i, codes in enumerate(self.codes):
             for x in codes:
                 self.occurs[x].append(i)
-        self.pending: list[int] = [i for i, codes in enumerate(self.codes) if len(codes) <= 1]
+        self.pending: list[int] = [i for i, n in enumerate(self.n_open) if n <= 1]
         self.sources = ctx.source_set
         self.n_sources = len(self.clauses)
         self.program = ctx.program
@@ -492,12 +492,12 @@ class PropagationIndex:
         self.clauses.append(c)
         self.codes.append(codes)
         true = sum(self.true[x] for x in codes)
-        false = sum(self.true[x ^ 1] for x in codes)
+        open_ = sum(not self.true[x ^ 1] for x in codes)
         self.n_true.append(true)
-        self.n_false.append(false)
+        self.n_open.append(open_)
         for x in codes:
             self.occurs[x].append(i)
-        if not true and false >= len(codes) - 1:
+        if not true and open_ <= 1:
             heapq.heappush(self.pending, i)
 
     def learn(self, c: Clause) -> None:
@@ -519,22 +519,22 @@ class PropagationIndex:
     def _assign(self, x: int) -> None:
         self.true[x] = True
         self.trail.append(x)
-        n_true, n_false, codes = self.n_true, self.n_false, self.codes
+        n_true, n_open = self.n_true, self.n_open
         for i in self.occurs[x]:
             n_true[i] += 1
         for i in self.occurs[x ^ 1]:
-            n_false[i] += 1
-            if not n_true[i] and n_false[i] == len(codes[i]) - 1:
+            n_open[i] -= 1
+            if not n_true[i] and n_open[i] == 1:
                 heapq.heappush(self.pending, i)
 
     def _unassign(self, x: int) -> None:
         self.true[x] = False
-        n_true, n_false, codes = self.n_true, self.n_false, self.codes
+        n_true, n_open = self.n_true, self.n_open
         for i in self.occurs[x ^ 1]:
-            n_false[i] -= 1
+            n_open[i] += 1
         for i in self.occurs[x]:
             n_true[i] -= 1
-            if not n_true[i] and n_false[i] >= len(codes[i]) - 1:
+            if not n_true[i] and n_open[i] <= 1:
                 heapq.heappush(self.pending, i)
         self.decide_from = min(self.decide_from, x >> 1)
 
@@ -542,10 +542,10 @@ class PropagationIndex:
         """``applicable_unit_propagate(...)[0]`` on a consistent trail:
         the smallest unit or falsified clause with its only unfalsified
         literal, or its first literal when all are falsified."""
-        pending, n_true, n_false, codes = self.pending, self.n_true, self.n_false, self.codes
+        pending, n_true, n_open, codes = self.pending, self.n_true, self.n_open, self.codes
         while pending:
             i = pending[0]
-            if not n_true[i] and n_false[i] >= len(codes[i]) - 1:
+            if not n_true[i] and n_open[i] <= 1:
                 break
             heapq.heappop(pending)
         else:
@@ -553,7 +553,7 @@ class PropagationIndex:
         if i >= self.n_sources and not include_learned:
             return None
         x = codes[i][0]
-        if n_false[i] < len(codes[i]):
+        if n_open[i]:
             true = self.true
             for x in codes[i]:
                 if not true[x ^ 1]:
@@ -730,29 +730,34 @@ def _offer(index: PropagationIndex, rule: str):
 class Walk:
     """A path from the empty state, taken by :func:`run` and retraced by a
     replay. It binds the theory's context once; with a strategy it keeps
-    the index that :meth:`choose` reads, the offers of the groups after
-    the conflict group in priority order, and the strategy's rules."""
+    the index that :meth:`choose` reads, each rule's rank (the number of
+    its first priority group), and in priority order each rule's
+    :func:`_offer` with its rank; conflict rules have none."""
 
     def __init__(self, theory: SmaspTheory, strategy: Optional[Strategy] = None) -> None:
         self.theory, self.strategy, self.state = theory, strategy, AugmentedState()
         self.ctx, self.index = _context(theory), None
         if strategy is not None:
             require_conflict_first(strategy)
-            self.index, self.rules = PropagationIndex(self.ctx), strategy.rules
-            self.offers = tuple(filter(None, (_offer(self.index, rule)
-                                              for group in strategy.priority[1:] for rule in group)))
+            self.index, ranked = PropagationIndex(self.ctx), tuple(enumerate(strategy.priority))
+            self.rank = {rule: rank for rank, group in reversed(ranked) for rule in group}
+            self.offers = tuple((rank, offer) for rank, group in ranked for rule in group
+                                if (offer := _offer(self.index, rule)))
 
-    def choose(self) -> Optional[Transition]:
+    def choose(self, before: int = sys.maxsize) -> Optional[Transition]:
         """The first candidate of the highest-priority applicable rule:
         :func:`conflict_rule`'s on an inconsistent trail (a Backtrack has
         one on any trail :func:`step` built, as a decided literal had
-        neither polarity before it), else the first the index offers."""
+        neither polarity before it), else the first the index offers,
+        asking only the groups ranked before ``before`` (all by default)."""
         state = self.state
         if state.failed:
             return None
         if state.trail.first_conflict_index is not None:
             return applicable(state, self.theory, conflict_rule(state.trail, self.strategy))[0]
-        for offer in self.offers:
+        for rank, offer in self.offers:
+            if rank >= before:
+                return None
             tr = offer()
             if tr is not None:
                 return tr

@@ -567,7 +567,7 @@ class SmaspTheory:
 
     @cached_property
     def _hash(self) -> int:
-        # the engine looks theories up by value several times per step
+        # theories are keys of engine._context's cache and trace.theory_digest's
         return hash((self.clauses, self.program))
 
     @cached_property

@@ -197,32 +197,35 @@ def load_trace(text: str) -> Trace:
     return Trace(header, tuple(steps))
 
 
-def _strict_violation(walk: engine.Walk, strategy: engine.Strategy, rule: str) -> Optional[str]:
-    """No priority group before the rule's may offer a transition: the
-    first that does holds :meth:`engine.Walk.choose`'s choice, or on an
-    inconsistent trail :func:`engine.conflict_rule`'s. Whether the rule
-    applies is :func:`engine.step`'s to say. Learn is a learning
-    strategy's policy; under another it must sit in the choice's group."""
-    if rule == engine.RULE_LEARN and strategy.learning:
+def _strict_violation(walk: engine.Walk, rule: str, rejected: bool = False) -> Optional[str]:
+    """No priority group ranked above the rule's may offer a transition.
+    On an inconsistent trail the conflict group offers one, named by
+    :func:`engine.conflict_rule`; on a consistent trail
+    :meth:`engine.Walk.choose` asks only the groups above the rule's.
+    Whether the rule applies is :func:`engine.step`'s to say; once it has
+    ``rejected`` the step, every group is asked, so that a step where no
+    rule applies is reported as such. Learn is a learning strategy's
+    policy; under another it must sit in the group of the whole choice."""
+    strategy, rank = walk.strategy, walk.rank.get(rule)
+    learn = rule == engine.RULE_LEARN
+    if learn and strategy.learning:
         return None
-    if rule not in walk.rules:
+    if rank is None:
         return f"rule {rule} is not part of mode {strategy.mode!r}"
     trail = walk.state.trail
     if trail.is_consistent:  # so is the failed state's empty trail
-        chosen = walk.choose()
+        whole = learn or rejected
+        chosen = walk.choose() if whole else walk.choose(rank)
         if chosen is None:
-            return f"no rule of mode {strategy.mode!r} is applicable"
+            return f"no rule of mode {strategy.mode!r} is applicable" if whole else None
         first = chosen.rule
     else:
         first = engine.conflict_rule(trail, strategy)
-    for group in strategy.priority:
-        if rule in group:
-            if first in group or rule != engine.RULE_LEARN:
-                return None
-            return f"{rule} must sit in the group of {first}"
-        if first in group:
-            break
-    return f"higher-priority rule {first} was applicable"
+    if walk.rank[first] < rank:
+        return f"higher-priority rule {first} was applicable"
+    if learn and walk.rank[first] > rank:
+        return f"{rule} must sit in the group of {first}"
+    return None
 
 
 def validate_trace(trace: Trace, theory: SmaspTheory,
@@ -234,7 +237,7 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
     conditions are oracle-checked at desk scale. Strategy priorities
     are only enforced under ``strict_strategy``: the walk then takes
     the strategy, which must pass :func:`engine.require_conflict_first`,
-    and no priority group before each step's rule's may offer a
+    and no priority group ranked above each step's rule's may offer a
     transition (:func:`_strict_violation`).
     """
     if isinstance(strategy, str):
@@ -254,25 +257,17 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
 
     check_entailment = oracles.at_desk_scale(theory)
     walk = engine.Walk(theory, strategy if strict_strategy else None)
-    # A second-group rule but Learn on a consistent trail: the first group
-    # is conflict rules only, none applies there, so step's verdict is the
-    # strict one, and _strict_violation only names a rejection's reason.
-    direct = frozenset()
-    if strict_strategy and len(strategy.priority) > 1:
-        direct = frozenset(strategy.priority[1]) - {engine.RULE_LEARN}
     for position, step in enumerate(trace.steps, start=1):
         tr = step.transition
         if step.index != position:
             return Validation(False, position, f"step index {step.index} out of order")
-        deferred = tr.rule in direct and walk.state.trail.is_consistent
-        if strict_strategy and not deferred:
-            violation = _strict_violation(walk, strategy, tr.rule)
-            if violation:
-                return Validation(False, position, violation)
+        violation = strict_strategy and _strict_violation(walk, tr.rule)
+        if violation:
+            return Validation(False, position, violation)
         try:
             digest = walk.advance(tr)
         except ValueError as exc:
-            violation = deferred and _strict_violation(walk, strategy, tr.rule)
+            violation = strict_strategy and _strict_violation(walk, tr.rule, rejected=True)
             return Validation(False, position, violation or str(exc))
         if check_entailment and tr.rule == engine.RULE_BACKJUMP:
             # the new trail is the kept prefix plus the asserted literal

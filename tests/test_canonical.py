@@ -58,6 +58,17 @@ def test_runs_on_random_3sat_above_the_oracle_caps_take_the_canonical_transition
         assert len(verdicts) == 1
 
 
+def _mixed_runs():
+    """``(mode, theory)`` pairs over random programs and 3-SAT formulas,
+    in every mode."""
+    rng = random.Random(167)
+    runs = [pair for _ in range(10)
+            for pair in gen.theories_per_mode(gen.random_program(rng, n_atoms=6, max_rules=10))]
+    runs += [(mode, gen.random_3sat(random.Random(seed), n))  # (3, 12) is unsatisfiable
+             for seed, n in ((1, 16), (2, 16), (3, 12)) for mode in engine.MODES]
+    return runs
+
+
 def test_runs_and_strict_replays_ask_applicable_only_about_conflicts(monkeypatch):
     """On a consistent trail ``Walk.choose`` reads the index alone: in
     every mode neither ``run`` nor a strict replay calls
@@ -71,19 +82,48 @@ def test_runs_and_strict_replays_ask_applicable_only_about_conflicts(monkeypatch
         return applicable(state, theory, rule)
 
     monkeypatch.setattr(engine, "applicable", on_conflicts_only)
-    rng = random.Random(167)
-    runs = [pair for _ in range(10)
-            for pair in gen.theories_per_mode(gen.random_program(rng, n_atoms=6, max_rules=10))]
-    runs += [(mode, gen.random_3sat(random.Random(seed), n))  # (3, 12) is unsatisfiable
-             for seed, n in ((1, 16), (2, 16), (3, 12)) for mode in engine.MODES]
     taken = set()
-    for mode, theory in runs:
+    for mode, theory in _mixed_runs():
         out = run(theory, mode, self_check=False)
         taken.update(out.stats)
         tr = Trace(TraceHeader(mode, theory_digest(theory)), out.steps)
         assert validate_trace(tr, theory, mode, strict_strategy=True).ok
     assert taken == engine.ALL_RULES
     assert asked == {engine.RULE_FAIL, engine.RULE_BACKTRACK, engine.RULE_BACKJUMP}
+
+
+def test_strict_replays_ask_the_index_only_about_groups_above_the_step(monkeypatch):
+    """Before each step a strict replay asks for Decide's or Unfounded's
+    first candidate only when the step's rule ranks after that rule, so
+    a replay in a mode that ranks Decide last never asks for a decision."""
+    events = []  # index queries, and the rule of each step taken after them
+    queried = {"first_unassigned": engine.RULE_DECIDE, "first_unfounded": engine.RULE_UNFOUNDED}
+    for name in queried:
+        query = getattr(engine.PropagationIndex, name)
+        monkeypatch.setattr(engine.PropagationIndex, name, lambda index, name=name, query=query:
+                            events.append(name) or query(index))
+    take = engine.step
+    monkeypatch.setattr(engine, "step", lambda state, tr, *rest:
+                        events.append(tr.rule) or take(state, tr, *rest))
+    asked = {mode: {name: 0 for name in queried} for mode in engine.MODES}
+    for mode, theory in _mixed_runs():
+        out = run(theory, mode, self_check=False)
+        del events[:]
+        tr = Trace(TraceHeader(mode, theory_digest(theory)), out.steps)
+        assert validate_trace(tr, theory, mode, strict_strategy=True).ok
+        rank = engine.Walk(theory, engine.for_mode(mode)).rank
+        before = []
+        for event in events:
+            if event in queried:
+                before.append(event)
+                asked[mode][event] += 1
+                continue
+            for name in before:
+                assert rank.get(event, -1) > rank[queried[name]], (mode, name, event)
+            before = []
+        assert not before
+    assert [m for m in engine.MODES if asked[m]["first_unassigned"]] == ["cmodels"]
+    assert asked["smodels"]["first_unfounded"] and asked["clasp"]["first_unfounded"]
 
 
 # -- strict validate_trace agrees with the reference strict check ------------
@@ -221,7 +261,7 @@ def test_strict_check_on_a_conflict_analysis_cannot_resolve():
     for tr in transitions:
         if tr is transitions[-1]:
             with pytest.raises(ValueError):  # resolution reaches the flipped ny
-                engine.analyze_conflict(state, engine.conflicting_clause(state), theory)
+                engine.analyze_conflict(state, engine.conflicting_clause(state))
         state = step(state, tr, theory)
         steps.append(TraceStep(len(steps) + 1, tr, engine.digest_trail(state.trail)))
     assert _assert_strict_check_matches_reference(theory, BACKJUMP_FIRST, steps).ok

@@ -142,28 +142,25 @@ class TestUnfoundedReason:
 
 class TestAnalyzeConflict:
     def test_single_resolution_step(self):
-        t = SmaspTheory((cl("-a", "b"), cl("-a", "-b")))
         s = state("a* b -b", reasons={"b": cl("-a", "b"), "-b": cl("-a", "-b")})
-        learned, asserting, plen = analyze_conflict(s, cl("-a", "-b"), t)
+        learned, asserting, plen = analyze_conflict(s, cl("-a", "-b"))
         assert learned == cl("-a")
         assert asserting == lit("-a")
         assert plen == 0
 
     def test_already_asserting_clause_is_returned_unchanged(self):
-        t = SmaspTheory((cl("-a"),))
         s = state("a* -a", reasons={"-a": cl("-a")}, learned=[cl("-a")])
-        learned, asserting, plen = analyze_conflict(s, cl("-a"), t)
+        learned, asserting, plen = analyze_conflict(s, cl("-a"))
         assert (learned, asserting, plen) == (cl("-a"), lit("-a"), 0)
 
     def test_unfounded_reason_conflict(self):
-        t = SmaspTheory(ed_completion(PI3), PI3)
         s = state("a* b -a", reasons={"b": cl("-a", "b"), "-a": cl("-a")})
-        learned, asserting, plen = analyze_conflict(s, cl("-a"), t)
+        learned, asserting, plen = analyze_conflict(s, cl("-a"))
         assert (learned, asserting, plen) == (cl("-a"), lit("-a"), 0)
 
     def test_requires_an_inconsistent_trail_with_a_decision(self):
         with pytest.raises(ValueError):
-            analyze_conflict(state("a b"), cl("-a"), F1)
+            analyze_conflict(state("a b"), cl("-a"))
 
 
 class TestStep:
@@ -422,7 +419,7 @@ def test_one_pass_conflict_analysis_equals_rescanning_from_the_end(seed):
         if s.transition.rule == "Backjump":
             seen += 1
             conflicting = engine.conflicting_clause(before)
-            assert analyze_conflict(before, conflicting, theory) == _rescanning_analysis(
+            assert analyze_conflict(before, conflicting) == _rescanning_analysis(
                 before, conflicting)
     assert seen > 0
 
@@ -463,7 +460,7 @@ def test_bulk_built_index_equals_one_built_clause_by_clause(rng, alias_completio
     assert bulk.n_sources == len(ref.clauses) == len(ctx.up_sources)
     assert bulk.clauses == ref.clauses
     assert bulk.codes == ref.codes
-    assert bulk.n_true == ref.n_true and bulk.n_false == ref.n_false
+    assert bulk.n_true == ref.n_true and bulk.n_open == ref.n_open
     assert bulk.occurs == ref.occurs
     assert sorted(bulk.pending) == sorted(ref.pending)
     assert bulk.pending == sorted(bulk.pending)  # a sorted list is a heap
@@ -553,6 +550,21 @@ def test_a_run_and_a_strict_replay_each_look_the_context_up_once(monkeypatch, mo
     trace = Trace(TraceHeader(mode, ""), out.steps)
     assert validate_trace(trace, theory, mode, strict_strategy=True) == Validation(True)
     assert len(lookups) <= 1
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("mode", ["dpll", "cmodels", "clasp"])
+def test_a_run_truncates_its_trail_once_per_backtrack_or_backjump(monkeypatch, mode, seed):
+    """Conflict analysis reads the trail below its first conflict in
+    place, so only the step itself cuts the trail."""
+    theory = gen.random_3sat(random.Random(seed), 18)
+    cuts = []
+    truncate = Trail.truncate
+    monkeypatch.setattr(Trail, "truncate",
+                        lambda t, length: cuts.append(length) or truncate(t, length))
+    out = run(theory, mode)
+    jumps = out.stats.get("Backtrack", 0) + out.stats.get("Backjump", 0)
+    assert jumps > 0 and len(cuts) == jumps
 
 
 def test_trail_digest_is_the_specified_hash():

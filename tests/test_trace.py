@@ -143,13 +143,15 @@ def test_strict_strategy_leaves_a_rule_no_earlier_group_outranks_to_step():
         False, 2, "higher-priority rule UnitPropagateLearn was applicable")
 
 
-@pytest.mark.parametrize("mode", engine.MODES)
-def test_strict_strategy_reports_a_second_group_step_past_the_end_as_such(mode):
-    second = engine.for_mode(mode).priority[1][0]
+@pytest.mark.parametrize("mode, rule", [
+    (mode, group[0]) for mode in engine.MODES for group in engine.for_mode(mode).priority])
+def test_strict_strategy_reports_a_step_past_the_end_as_such(mode, rule):
     unsat = SmaspTheory(parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"))
     for theory in (THREE, unsat):
+        payload = {"literal": lit("x1"), "clause": theory.clauses[0],
+                   "witness": (Atom("x1"),), "prefix_length": 0}
         steps = run(theory, mode).steps
-        extra = bare(len(steps) + 1, second, literal=lit("x1"), clause=theory.clauses[0])
+        extra = bare(len(steps) + 1, rule, **{f: payload[f] for f in engine.RULE_PAYLOADS[rule]})
         trace = make_trace(theory, steps + (extra,), mode=mode)
         assert validate_trace(trace, theory, mode, strict_strategy=True) == Validation(
             False, len(steps) + 1, f"no rule of mode {mode!r} is applicable")
