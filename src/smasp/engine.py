@@ -25,6 +25,7 @@ from .model import (
     Program,
     SmaspTheory,
     Trail,
+    _make_record,
     duals,
     entry_token,
     sorted_atoms,
@@ -178,13 +179,13 @@ def applicable_unit_propagate(state: AugmentedState, theory: SmaspTheory,
     m = state.trail.literal_set
     out: list[tuple[Literal, Clause]] = []
     for c in sources:
-        falsified = sum(1 for l in c if l.complement() in m)
+        falsified = sum(1 for l in c if l.dual in m)
         if falsified < len(c) - 1:
             continue
         for l in c:
             if l in m:
                 continue
-            if all(o.complement() in m for o in c if o != l):
+            if all(o.dual in m for o in c if o != l):
                 out.append((l, c))
     return out
 
@@ -231,7 +232,7 @@ def unfounded_reason(atom: Atom, u: Iterable[Atom], trail: Trail, pi: Program) -
     lits = {Literal(atom, positive=False)}
     bodies = {body for a in us for body in pi.bodies(a) if not (body.pos_set & us)}
     for body in sorted(bodies, key=lambda b: b.key):
-        falsified = [l for l in body.s_literals if l.complement() in ms]
+        falsified = [l for l in body.s_literals if l.dual in ms]
         if not falsified:
             raise ValueError(f"body {body} of an allegedly unfounded set is not falsified")
         lits.add(falsified[0])
@@ -255,52 +256,62 @@ def conflicting_clause(state: AugmentedState) -> Clause:
 
 
 def analyze_conflict(state: AugmentedState, conflicting: Clause) -> tuple[Clause, Literal, int]:
-    """Resolve the conflicting clause backwards along trail reasons
-    until a single literal remains at the deepest decision level
-    involved; returns the learned clause, its asserting literal, and
-    the length of the trail prefix the backjump keeps, reading only the
-    entries before the first conflict."""
+    """Resolve the conflicting clause backwards along trail reasons until
+    one literal is left at the conflict level, the deepest level in the
+    clause, and return the learned clause, that asserting literal, and
+    the length of the trail prefix the backjump keeps.
+
+    The analysis counts instead of regrouping (Eén & Sörensson, MiniSat,
+    SAT 2003). It computes the conflict level once and counts the
+    clause's literals at that level. It walks the entries before the
+    first conflict backwards and resolves on each non-decision entry at
+    that level whose dual is in the clause: the dual leaves, and each
+    new literal of the entry's reason is added once and counted if it
+    sits at the conflict level. It stops when the count is one. A
+    literal the prefix does not falsify, or a reason literal above the
+    conflict level, raises ``ValueError``; no trail :func:`step` builds
+    holds either."""
     trail = state.trail
     if trail.is_consistent or not trail.decision_indices:
         raise ValueError("conflict analysis requires an inconsistent trail with a decision")
-    entries = trail.entries[:trail.first_conflict_index]
-    position = {e.literal: i for i, e in enumerate(entries)}
-    levels = trail.levels
+    entries, levels, scan = trail.entries, trail.levels, trail.first_conflict_index
+    position = {entries[i].literal: i for i in range(scan)}
+
+    def level(lit: Literal) -> int:
+        i = position.get(lit.dual)
+        if i is None:
+            raise ValueError(f"clause literal {lit!r} is not falsified by the trail prefix")
+        return levels[i]
 
     current = set(conflicting.literals)
-    scan = len(entries)  # pivots only move back: see the scan below
-    while True:
-        by_level: list[tuple[int, Literal]] = []
-        for lit in current:
-            dual = lit.complement()
-            if dual not in position:
-                raise ValueError(f"clause literal {lit!r} is not falsified by the trail prefix")
-            by_level.append((levels[position[dual]], lit))
-        dec = max(level for level, _ in by_level)
-        at_dec = [lit for level, lit in by_level if level == dec]
-        if len(at_dec) == 1:
-            asserting = at_dec[0]
-            break
-        # resolve on the most recently assigned non-decision literal of
-        # the deepest level whose dual sits in the clause; a resolvent
-        # adds only literals falsified before its pivot and keeps a
-        # second one at level dec, so the next pivot lies below this one
-        pivot_entry = None
-        while scan:
+    found = [level(lit) for lit in current]
+    dec = max(found)
+    count = found.count(dec)
+    while count > 1:
+        # the latest such entry: a resolvent adds only literals falsified
+        # before its pivot, so the next pivot lies below this one
+        while True:
+            if not scan:
+                raise ValueError("no resolvable literal; reason bookkeeping is broken")
             scan -= 1
             e = entries[scan]
-            if not e.is_decision and levels[scan] == dec and e.literal.complement() in current:
-                pivot_entry = e
+            if not e.is_decision and levels[scan] == dec and e.literal.dual in current:
                 break
-        if pivot_entry is None or pivot_entry.reason is None:
+        pivot, reason = e.literal, e.reason
+        if reason is None:
             raise ValueError("no resolvable literal; reason bookkeeping is broken")
-        current.discard(pivot_entry.literal.complement())
-        current.update(l for l in pivot_entry.reason if l != pivot_entry.literal)
-
-    learned = Clause(tuple(current))
-    target_decision = max(dec, 1)  # level 0 jumps to the decision-free prefix
-    prefix_length = trail.decision_indices[target_decision - 1]
-    return learned, asserting, prefix_length
+        current.remove(pivot.dual)
+        count -= 1
+        for lit in reason.literals:
+            if lit is not pivot and lit not in current:
+                at = level(lit)
+                if at > dec:
+                    raise ValueError(f"reason literal {lit!r} lies above the conflict level")
+                current.add(lit)
+                count += at == dec
+    asserting = next(lit for lit in current if level(lit) == dec)
+    # level 0 jumps to the decision-free prefix
+    return Clause(tuple(current)), asserting, trail.decision_indices[max(dec, 1) - 1]
 
 
 _CONFLICT_RULES = frozenset({RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP})
@@ -337,7 +348,7 @@ def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Tr
             return [Transition(RULE_FAIL)]
         if rule == RULE_BACKTRACK:  # the new trail repeats no literal
             last = trail.decision_indices[-1]
-            flipped = trail.entries[last].literal.complement()
+            flipped = trail.entries[last].literal.dual
             if any(e.literal == flipped for e in trail.entries[:last]):
                 return []
             return [Transition(RULE_BACKTRACK, literal=flipped)]
@@ -390,17 +401,17 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
         known = cl in ctx.source_set or (rule == RULE_UNIT_PROPAGATE_LEARN and cl in learned)
         if known and lit in cl.literals and lit not in m:
             for o in cl.literals:
-                if o is not lit and o.complement() not in m:
+                if o is not lit and o.dual not in m:
                     break
             else:
-                return AugmentedState(trail.append(lit, reason=cl), learned, False)
+                return _make_record(AugmentedState, (trail.append(lit, False, cl), learned, False))
         raise ValueError(f"inapplicable {rule}: {transition}")
 
     if rule == RULE_DECIDE:
         if not (isinstance(lit, Literal) and trail.is_consistent
                 and lit.atom in ctx.atom_set and trail.is_unassigned(lit)):
             raise ValueError(f"inapplicable Decide: {transition}")
-        return AugmentedState(trail.append(lit, decision=True), learned, False)
+        return _make_record(AugmentedState, (trail.append(lit, True), learned, False))
 
     if rule == RULE_FAIL:
         if transition not in applicable(state, theory, rule):
@@ -464,7 +475,7 @@ class PropagationIndex:
         self.literals: list[Literal] = []
         for a in ctx.atoms:
             positive = Literal(a)
-            self.literals += (positive, positive.complement())
+            self.literals += (positive, positive.dual)
         self.code = {l: x for x, l in enumerate(self.literals)}
         self.true = [False] * len(self.literals)
         self.trail: list[int] = []
@@ -718,12 +729,14 @@ def _offer(index: PropagationIndex, rule: str):
     candidate on a consistent trail: a call that returns its transition
     or None. None for a rule that has no candidate there."""
     if rule == RULE_DECIDE:
-        return lambda: (lit := index.first_unassigned()) and Transition(rule, lit)
+        return lambda: (lit := index.first_unassigned()) and _make_record(
+            Transition, (rule, lit, None, None, None))
     if rule == RULE_UNFOUNDED:
         return lambda: (cand := index.first_unfounded()) and Transition(rule, cand[0], witness=cand[1])
     if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
         learned = rule == RULE_UNIT_PROPAGATE_LEARN
-        return lambda: (cand := index.first_unit(learned)) and Transition(rule, *cand)
+        return lambda: (cand := index.first_unit(learned)) and _make_record(
+            Transition, (rule, cand[0], cand[1], None, None))
     return None
 
 
@@ -820,7 +833,7 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         taken = learn or tr
         if len(steps) >= max_steps or (learn and len(walk.state.learned) >= DEFAULT_MAX_LEARNED):
             break
-        steps.append(TraceStep(len(steps) + 1, taken, walk.advance(taken)))
+        steps.append(_make_record(TraceStep, (len(steps) + 1, taken, walk.advance(taken))))
         if learn:
             # Learning cannot change the choice ``tr``: the clause is the
             # reason of the literal just asserted, so it offers no candidate.

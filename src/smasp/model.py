@@ -6,10 +6,10 @@ Atoms, literals, clauses, rule bodies and rules are interned: equal
 arguments (after sorting and deduplicating a clause's literals or a
 body's atom tuples) give the one live object, so they compare and hash
 by identity and membership tests never compare values. Each literal
-keeps its dual, each clause and body its sort key. No value defines
-an order; sorting is by ``key``, a total order, so that candidate
-enumeration is reproducible across runs (the trace-identity tests
-depend on it).
+holds its dual and its printed token, each clause and body its sort
+key. No value defines an order; sorting is by ``key``, a total order,
+so that candidate enumeration is reproducible across runs (the
+trace-identity tests depend on it).
 """
 
 from __future__ import annotations
@@ -107,42 +107,37 @@ class Atom(_Interned):
 
 
 class Literal(_Interned):
-    """An atom with a polarity; interned like atoms, and each literal
-    keeps its dual once :meth:`complement` has made it."""
+    """An atom with a polarity; interned like atoms, and made in dual
+    pairs: ``Literal(atom, p)`` makes both polarities at once, so each
+    literal holds its ``dual`` and its printed ``token`` from the start."""
 
-    __slots__ = ("atom", "positive", "key", "_dual")
+    __slots__ = ("atom", "positive", "key", "dual", "token")
     _table: dict[tuple[Atom, bool], weakref.ref] = {}
 
     def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
         literal = _live(cls._table, (atom, positive))
         if literal is not None:
             return literal
-        positive = bool(positive)
-        literal = object.__new__(cls)
-        _set(literal, "atom", atom)
-        _set(literal, "positive", positive)
-        _set(literal, "key", (*atom.key, 0 if positive else 1))
-        _set(literal, "_dual", None)
-        _enter(cls._table, (atom, positive), literal)
-        return literal
+        pair = object.__new__(cls), object.__new__(cls)
+        for literal, polarity, token in ((pair[0], True, atom.name),
+                                         (pair[1], False, "-" + atom.name)):
+            _set(literal, "atom", atom)
+            _set(literal, "positive", polarity)
+            _set(literal, "key", (*atom.key, 0 if polarity else 1))
+            _set(literal, "dual", pair[polarity])
+            _set(literal, "token", token)
+            _enter(cls._table, (atom, polarity), literal)
+        return pair[not positive]
 
     def __reduce__(self):
         return (Literal, (self.atom, self.positive))
 
-    def complement(self) -> "Literal":
-        dual = self._dual
-        if dual is None:
-            dual = Literal(self.atom, not self.positive)
-            _set(self, "_dual", dual)
-            _set(dual, "_dual", self)
-        return dual
-
     def __repr__(self) -> str:
-        return self.atom.name if self.positive else f"-{self.atom.name}"
+        return self.token
 
 
 def duals(literals: Iterable[Literal]) -> frozenset[Literal]:
-    return frozenset(l.complement() for l in literals)
+    return frozenset(l.dual for l in literals)
 
 
 def _by_key(value):
@@ -303,7 +298,7 @@ class Rule(_Interned):
         """The rule read as a clause: head against the body literals."""
         clause = self._clause
         if clause is None:
-            lits = [l.complement() for l in self.body.s_literals]
+            lits = [l.dual for l in self.body.s_literals]
             if self.head is not None:
                 lits.append(Literal(self.head))
             clause = Clause(lits)
@@ -360,6 +355,11 @@ class Program:
         return iter(self.rules)
 
 
+# what ``namedtuple._make`` calls: a record built from a tuple of its
+# fields in order, without the generated keyword-taking ``__new__``
+_make_record = tuple.__new__
+
+
 class TrailEntry(NamedTuple):
     literal: Literal
     is_decision: bool = False
@@ -367,10 +367,9 @@ class TrailEntry(NamedTuple):
 
 
 def entry_token(entry: TrailEntry) -> str:
-    """An entry as the trail digest hashes it: the atom name, ``-``
-    before a negative literal, ``@d`` after a decision."""
-    name = entry.literal.atom.name
-    token = name if entry.literal.positive else "-" + name
+    """An entry as the trail digest hashes it: the literal's token, then
+    ``@d`` after a decision."""
+    token = entry.literal.token
     return token + "@d" if entry.is_decision else token
 
 
@@ -396,7 +395,7 @@ class Trail:
             raise ValueError("a literal occurs twice in trail")
         conflict, seen = None, set()
         for i, e in enumerate(entries):
-            if e.literal.complement() in seen:
+            if e.literal.dual in seen:
                 conflict = i
                 break
             seen.add(e.literal)
@@ -421,7 +420,7 @@ class Trail:
         return literal in self.literal_set
 
     def is_unassigned(self, literal: Literal) -> bool:
-        return literal not in self.literal_set and literal.complement() not in self.literal_set
+        return literal not in self.literal_set and literal.dual not in self.literal_set
 
     @property
     def is_consistent(self) -> bool:
@@ -436,11 +435,6 @@ class Trail:
     @property
     def digest(self) -> str:
         return (self._sha256 or self._state()).hexdigest()[:16]
-
-    def consistent_prefix(self) -> "Trail":
-        """Longest prefix in which no atom occurs in both polarities."""
-        i = self.first_conflict_index
-        return self if i is None else self.truncate(i)
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -459,27 +453,35 @@ class Trail:
 
     def append(self, literal: Literal, decision: bool = False,
                reason: Optional[Clause] = None) -> "Trail":
-        """The trail extended by one entry."""
+        """The trail extended by one entry, whose :func:`entry_token`
+        extends the parent's sha256 state."""
         literal_set = self.literal_set
         if literal in literal_set:
             raise ValueError(f"literal {literal!r} occurs twice in trail")
         entries = self.entries
         n = len(entries)
         conflict = self.first_conflict_index
-        if conflict is None and literal.complement() in literal_set:
+        if conflict is None and literal.dual in literal_set:
             conflict = n
-        entry = TrailEntry(literal, decision, reason)
-        token = entry_token(entry)
+        token = literal.token + "@d" if decision else literal.token
         sha256 = (self._sha256 or self._state()).copy()
         sha256.update((" " + token if n else token).encode())
         decisions = self.decision_indices
-        return _fill(object.__new__(Trail), entries + (entry,), literal_set | {literal},
-                     conflict, decisions + (n,) if decision else decisions, sha256)
+        trail = object.__new__(Trail)
+        _put_entries(trail, entries + (_make_record(TrailEntry, (literal, decision, reason)),))
+        _put_literal_set(trail, literal_set | {literal})
+        _put_conflict(trail, conflict)
+        _put_decisions(trail, decisions + (n,) if decision else decisions)
+        _put_sha256(trail, sha256)
+        _put_levels(trail, None)
+        return trail
 
-    def truncate(self, length: int) -> "Trail":
-        """The first ``length`` entries. A prefix of a duplicate-free
-        trail is duplicate-free, and its first conflict and decisions
-        are this trail's below the cut."""
+    def truncate(self, length: Optional[int]) -> "Trail":
+        """The first ``length`` entries, all of them when ``length`` is
+        None, so ``truncate(first_conflict_index)`` is the longest
+        consistent prefix. A prefix of a duplicate-free trail is
+        duplicate-free, and its first conflict and decisions are this
+        trail's below the cut."""
         entries = self.entries[:length]
         n = len(entries)
         conflict = self.first_conflict_index
@@ -533,7 +535,7 @@ def atoms_of_literals(literals: Iterable[Literal]) -> frozenset[Atom]:
 
 def is_consistent_literals(literals: Iterable[Literal]) -> bool:
     ls = set(literals)
-    return not any(l.complement() in ls for l in ls)
+    return not any(l.dual in ls for l in ls)
 
 
 def is_complete_over(literals: Iterable[Literal], atoms: Iterable[Atom]) -> bool:

@@ -47,7 +47,7 @@ def parse_literal_token(token: str) -> Literal:
 
 
 def format_literal(literal: Literal) -> str:
-    return literal.atom.name if literal.positive else "-" + literal.atom.name
+    return literal.token
 
 
 def format_literals(literals: Iterable[Literal]) -> str:

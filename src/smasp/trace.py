@@ -13,7 +13,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import engine, oracles
 from .model import Clause, Literal, SmaspTheory, __version__, satisfies
-from .parsing import ParseError, format_clause, format_literal, format_program, parse_literal_token
+from .parsing import ParseError, format_clause, format_program, parse_literal_token
 
 
 class TraceHeader(NamedTuple):
@@ -62,28 +62,35 @@ class _Memo(dict):
         return value
 
 
+def _payload(transition: engine.Transition) -> str:
+    """A transition's part of its record: the rule, then each payload
+    field that is present, in field order."""
+    encode = encode_basestring_ascii
+    rule, literal, clause, witness, prefix_length = transition
+    text = '"rule": ' + encode(rule)
+    if literal is not None:
+        text += ', "literal": ' + encode(literal.token)
+    if clause is not None:
+        text += ', "clause": [' + ", ".join([encode(l.token) for l in clause]) + "]"
+    if witness is not None:
+        text += ', "witness": [' + ", ".join([encode(a.name) for a in witness]) + "]"
+    if prefix_length is not None:
+        text += ', "prefix_length": %d' % prefix_length
+    return text
+
+
 def _lines(trace: Trace) -> Iterator[str]:
     """The lines of the trace's text, each ending in a newline. A step's
     record is what ``json.dumps`` writes for it, keys in the order index,
-    rule, literal, clause, witness, prefix_length, trail; each rule and
-    literal is encoded once per call."""
+    rule, literal, clause, witness, prefix_length, trail; each distinct
+    transition is encoded once per call, through a payload memo that
+    mirrors :func:`load_trace`'s."""
     header = trace.header
     yield json.dumps({"mode": header.mode, "theory": header.theory_digest,
                       "version": header.version}) + "\n"
-    encode = encode_basestring_ascii
-    rules = _Memo(lambda rule: '"rule": ' + encode(rule))
-    tokens = _Memo(lambda literal: encode(format_literal(literal)))
-    for index, (rule, literal, clause, witness, prefix_length), digest in trace.steps:
-        line = '{"index": %d, ' % index + rules[rule]
-        if literal is not None:
-            line += ', "literal": ' + tokens[literal]
-        if clause is not None:
-            line += ', "clause": [' + ", ".join([tokens[l] for l in clause]) + "]"
-        if witness is not None:
-            line += ', "witness": [' + ", ".join([encode(a.name) for a in witness]) + "]"
-        if prefix_length is not None:
-            line += ', "prefix_length": %d' % prefix_length
-        yield line + ', "trail": ' + encode(digest) + "}\n"
+    encode, payloads = encode_basestring_ascii, _Memo(_payload)
+    for index, transition, digest in trace.steps:
+        yield '{"index": %d, %s, "trail": %s}\n' % (index, payloads[transition], encode(digest))
 
 
 def dump_trace(trace: Trace) -> str:
@@ -272,7 +279,7 @@ def validate_trace(trace: Trace, theory: SmaspTheory,
         if check_entailment and tr.rule == engine.RULE_BACKJUMP:
             # the new trail is the kept prefix plus the asserted literal
             kept = walk.state.trail.entries[:-1]
-            if not entailed(Clause((tr.literal,) + tuple(e.literal.complement() for e in kept))):
+            if not entailed(Clause((tr.literal,) + tuple(e.literal.dual for e in kept))):
                 return Validation(False, position, "backjump literal is not entailed over the kept prefix")
         if check_entailment and tr.rule == engine.RULE_LEARN and not entailed(tr.clause):
             return Validation(False, position, "learned clause is not entailed")

@@ -113,8 +113,8 @@ def ed_completion(pi: Program) -> tuple[Clause, ...]:
             defined.add(b)
             alias = body_alias(b)
             for l in lits:
-                out.add(Clause((alias.complement(), l)))
-            out.add(Clause((alias,) + tuple(l.complement() for l in lits)))
+                out.add(Clause((alias.dual, l)))
+            out.add(Clause((alias,) + tuple(l.dual for l in lits)))
     return sorted_clauses(out)
 
 

@@ -144,7 +144,7 @@ def simplify_by(pi: Program, n: Iterable[Literal]) -> Program:
     kept = []
     for r in pi:
         body = r.body.s_literals  # program literals, via their s() reading
-        if any(l.complement() in ns for l in body):
+        if any(l.dual in ns for l in body):
             continue
         pos = tuple(a for a in r.pos if Literal(a) not in ns)
         neg = tuple(a for a in r.neg if Literal(a, positive=False) not in ns)

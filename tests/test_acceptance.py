@@ -47,7 +47,7 @@ def _alias_extension(pi, assignment):
                 continue
             seen.add(alias)
             holds = all(l in assignment for l in body_lits)
-            extra.append(alias if holds else alias.complement())
+            extra.append(alias if holds else alias.dual)
     return frozenset(assignment) | frozenset(extra)
 
 
@@ -178,8 +178,8 @@ def test_criterion_1_running_example_exactness():
         cl("a", "-b", "c"),
         Clause((lit("-a"), alias)),
         Clause((alias, lit("-b"), lit("c"))),
-        Clause((alias.complement(), lit("b"))),
-        Clause((alias.complement(), lit("-c"))),
+        Clause((alias.dual, lit("b"))),
+        Clause((alias.dual, lit("-c"))),
         cl("b"),
         cl("-c"),
     }
@@ -275,8 +275,7 @@ def test_criterion_7_learning_soundness(corpus3):
         checked_reasons = set()
         states = _replay_states(theory, out.steps)
         for state in states:
-            prefix = state.trail.consistent_prefix()
-            boundary = len(prefix)
+            boundary = len(state.trail.truncate(state.trail.first_conflict_index))
             for position, entry in enumerate(state.trail.entries):
                 if entry.is_decision:
                     continue

@@ -245,7 +245,7 @@ BACKJUMP_FIRST = engine.Strategy("backjump-first", (
 
 def test_strict_check_on_a_conflict_analysis_cannot_resolve():
     x, y, z, w, u = (Literal(Atom(n)) for n in "xyzwu")
-    nx, ny, nz, nw, nu = (l.complement() for l in (x, y, z, w, u))
+    nx, ny, nz, nw, nu = (l.dual for l in (x, y, z, w, u))
     c = [Clause((nx, ny, z)), Clause((nx, ny, nz)), Clause((nx, y, w)),
          Clause((y, nw, u)), Clause((y, nw, nu))]
     theory = SmaspTheory(tuple(c))
@@ -370,14 +370,14 @@ def test_step_accepts_exactly_the_definitional_candidates(
         # falsify the clause's other literals, or some of all its
         # literals, so that it is often unit or falsified
         if clause is not None:
-            others = [l.complement() for l in clause if l != literal]
-            duals = [l.complement() for l in clause]
+            others = [l.dual for l in clause if l != literal]
+            duals = [l.dual for l in clause]
             forced = data.draw(st.one_of(
                 st.just(others), st.lists(st.sampled_from(duals), unique=True)))
     conflict = rule in (engine.RULE_FAIL, engine.RULE_BACKTRACK)
     extra = data.draw(st.lists(literals, min_size=conflict, max_size=4))
     if extra and data.draw(st.booleans()):  # an inconsistent trail
-        extra.append(data.draw(st.sampled_from(extra)).complement())
+        extra.append(data.draw(st.sampled_from(extra)).dual)
     order = data.draw(st.permutations(list(dict.fromkeys(forced + extra))))
     # conflict rules often draw a trail without decisions, which Fail
     # needs, or with one decision first, whose flip Backtrack can take
@@ -389,7 +389,7 @@ def test_step_accepts_exactly_the_definitional_candidates(
     if conflict:
         # a Backtrack flips the last decision, or another one; a Fail
         # carrying a literal is malformed
-        flips = [e.literal.complement() for e in trail if e.is_decision]
+        flips = [e.literal.dual for e in trail if e.is_decision]
         backtrack = rule == engine.RULE_BACKTRACK and flips
         picks = [st.just(flips[-1]), st.sampled_from(flips)] if backtrack else []
         transition = Transition(rule, literal=data.draw(st.one_of(*picks, st.none(), literals)))

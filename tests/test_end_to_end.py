@@ -77,7 +77,7 @@ def test_flipping_any_recorded_literal_invalidates_the_trace():
         position = rng.choice(candidates)
         steps = list(trace.steps)
         s = steps[position]
-        flipped = s.transition._replace(literal=s.transition.literal.complement())
+        flipped = s.transition._replace(literal=s.transition.literal.dual)
         steps[position] = s._replace(transition=flipped)
         tampered = trace.__class__(trace.header, tuple(steps))
         result = validate_trace(tampered, theory, "clasp")

@@ -27,7 +27,7 @@ from smasp.engine import (
     strategy_priority,
     unfounded_reason,
 )
-from smasp.model import Clause, SmaspTheory, Trail, TrailEntry, positive_part
+from smasp.model import Clause, SmaspTheory, Trail, TrailEntry, _make_record, positive_part
 from smasp.trace import Trace, TraceHeader, Validation, validate_trace
 from smasp.translations import completion, ed_completion
 
@@ -338,14 +338,14 @@ def test_reason_and_learned_contracts_on_learning_runs():
         out = run(theory, "clasp")
         states = _replay_states(theory, out.steps)
         for s in states:
-            prefix = s.trail.consistent_prefix()
+            prefix = s.trail.truncate(s.trail.first_conflict_index)
             seen = set()
             for e in prefix.entries:
                 if not e.is_decision:
                     assert e.reason is not None
                     assert e.literal in e.reason
                     rest = [l for l in e.reason if l != e.literal]
-                    assert all(l.complement() in seen for l in rest)
+                    assert all(l.dual in seen for l in rest)
                     assert oracles.entails(theory, e.reason)
                     checked += 1
                 seen.add(e.literal)
@@ -381,12 +381,12 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
             if tr.rule != "Backjump":
                 continue
             seen += 1
-            prefix = before.trail.consistent_prefix()
+            prefix = before.trail.truncate(before.trail.first_conflict_index)
             level = {e.literal: lv for e, lv in zip(prefix, prefix.levels)}
-            levels = [level[l.complement()] for l in tr.clause]
+            levels = [level[l.dual] for l in tr.clause]
             top = max(levels)
             assert levels.count(top) == 1
-            assert level[tr.literal.complement()] == top
+            assert level[tr.literal.dual] == top
     assert seen > 0
 
 
@@ -394,34 +394,82 @@ def _rescanning_analysis(state, conflicting):
     """Conflict analysis that looks for each pivot from the end of the
     prefix, as :func:`engine.analyze_conflict` did before it kept its
     place between resolutions."""
-    prefix = state.trail.consistent_prefix()
+    prefix = state.trail.truncate(state.trail.first_conflict_index)
     level = {e.literal: lv for e, lv in zip(prefix, prefix.levels)}
     current = set(conflicting.literals)
     while True:
-        dec = max(level[l.complement()] for l in current)
-        at_dec = [l for l in current if level[l.complement()] == dec]
+        dec = max(level[l.dual] for l in current)
+        at_dec = [l for l in current if level[l.dual] == dec]
         if len(at_dec) == 1:
             break
         pivot = next(e for e in reversed(prefix.entries) if not e.is_decision
-                     and level[e.literal] == dec and e.literal.complement() in current)
-        current.discard(pivot.literal.complement())
+                     and level[e.literal] == dec and e.literal.dual in current)
+        current.discard(pivot.literal.dual)
         current.update(l for l in pivot.reason if l != pivot.literal)
     return Clause(tuple(current)), at_dec[0], state.trail.decision_indices[max(dec, 1) - 1]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_one_pass_conflict_analysis_equals_rescanning_from_the_end(seed):
-    theory = gen.random_3sat(random.Random(seed), 14)
-    out = run(theory, "clasp")
-    states = _replay_states(theory, out.steps)
-    seen = 0
-    for s, before in zip(out.steps, states):
-        if s.transition.rule == "Backjump":
+def _completed_programs():
+    """ED-completed random programs; under cmodels program 277 (index
+    276) backjumps to level 0."""
+    rng = random.Random(3)
+    programs = [gen.random_program(rng, n_atoms=6, max_rules=10) for _ in range(300)]
+    return [SmaspTheory(ed_completion(pi), pi) for pi in programs]
+
+
+_ANALYSIS_COHORTS = {
+    **{f"3sat-{n}-{seed}": (lambda n=n, seed=seed: [gen.random_3sat(random.Random(seed), n)])
+       for n in (14, 30) for seed in (1, 2, 3)},
+    "programs": _completed_programs,
+}
+
+
+@pytest.mark.parametrize("mode", ["clasp", "cmodels"])
+@pytest.mark.parametrize("cohort", sorted(_ANALYSIS_COHORTS))
+def test_one_pass_conflict_analysis_equals_rescanning_from_the_end(cohort, mode):
+    """Every Backjump of the runs: the counting analysis learns what the
+    rescanning one does. Learned clauses on 3-SAT span several levels;
+    the programs include a level-0 Backjump under cmodels."""
+    seen = level_zero = 0
+    for theory in _ANALYSIS_COHORTS[cohort]():
+        out = run(theory, mode, self_check=False)
+        for s, before in zip(out.steps, _replay_states(theory, out.steps)):
+            if s.transition.rule != "Backjump":
+                continue
             seen += 1
             conflicting = engine.conflicting_clause(before)
-            assert analyze_conflict(before, conflicting) == _rescanning_analysis(
-                before, conflicting)
+            learned, asserting, kept = analyze_conflict(before, conflicting)
+            assert (learned, asserting, kept) == _rescanning_analysis(before, conflicting)
+            assert (s.transition.clause, s.transition.literal, s.transition.prefix_length) == (
+                learned, asserting, kept)
+            literals = [e.literal for e in before.trail.entries]
+            level_zero += before.trail.levels[literals.index(asserting.dual)] == 0
     assert seen > 0
+    if cohort == "programs" and mode == "cmodels":
+        assert level_zero > 0
+
+
+# a, then b and c propagated at level 1 and a clash on c; the analysis of
+# -b | -c resolves on c, then on b
+_ANALYSED = "a* b c -c"
+
+
+@pytest.mark.parametrize("reasons, message", [
+    ({"b": cl("b", "d"), "c": cl("-a", "c")},
+     "clause literal d is not falsified by the trail prefix"),
+    ({"c": cl("-a", "c")}, "no resolvable literal; reason bookkeeping is broken"),
+], ids=["reason-literal-not-falsified", "pivot-without-reason"])
+def test_conflict_analysis_rejects_broken_reasons(reasons, message):
+    before = state(_ANALYSED, {**reasons, "-c": cl("-b", "-c")})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        analyze_conflict(before, cl("-b", "-c"))
+
+
+def test_conflict_analysis_rejects_a_reason_literal_above_the_conflict_level():
+    # b's reason holds -d, falsified by the level-2 decision d after it
+    before = state("a* b c d* e -e", {"b": cl("-a", "b", "-d"), "c": cl("-a", "c")})
+    with pytest.raises(ValueError, match="^reason literal -d lies above the conflict level$"):
+        analyze_conflict(before, cl("-b", "-c"))
 
 
 @pytest.mark.parametrize("value, field", [
@@ -444,6 +492,22 @@ def test_step_values_are_immutable(value, field):
         delattr(value, field)
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (Transition, ("Backjump", lit("-a"), cl("-a", "b"), None, 2)),
+    (Transition, ("Decide", lit("a"), None, None, None)),
+    (AugmentedState, (trail("a* b", {"b": cl("-a", "b")}), (cl("a"),), False)),
+    (TraceStep, (3, Transition("Fail"), "0" * 16)),
+    (TrailEntry, (lit("-b"), False, cl("-b"))),
+], ids=["Transition", "Transition-Decide", "AugmentedState", "TraceStep", "TrailEntry"])
+def test_records_built_positionally_equal_records_built_by_keyword(cls, fields):
+    made = _make_record(cls, fields)
+    built = cls(**dict(zip(cls._fields, fields)))
+    assert type(made) is type(built) is cls
+    assert tuple(made) == tuple(built) == fields
+    assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+    assert all(getattr(made, f) is getattr(built, f) for f in cls._fields)
 
 
 @settings(max_examples=200, deadline=None)
@@ -509,14 +573,14 @@ def test_trail_digest_sees_every_trail_changing_rule():
     assert "Unfounded" in _assert_digests_follow_the_definition(unfounded, "clasp")
 
 
-def test_trail_digest_after_truncate_and_consistent_prefix():
+def test_trail_digest_after_truncate():
     full = Trail()
     for literal, decision in (("a", True), ("b", False), ("-c", True), ("d", False), ("-b", False)):
         full = full.append(lit(literal), decision)
         assert full.digest == engine.digest_trail(full)
     assert full.digest == engine.digest_trail(trail("a* b -c* d -b"))
-    assert full.consistent_prefix() == full.truncate(4)
-    for cut in (full.consistent_prefix(), *map(full.truncate, range(len(full) + 1))):
+    assert full.first_conflict_index == 4
+    for cut in map(full.truncate, range(len(full) + 1)):
         # append to the cut before its own digest is asked for, then ask
         longer = cut.append(lit("e"), decision=True).append(lit("-f"))
         assert longer.digest == engine.digest_trail(longer)

@@ -28,13 +28,13 @@ from smasp.model import (
 )
 
 
-def test_complement_flips_polarity():
-    assert lit("a").complement() == lit("-a")
-    assert lit("-a").complement() == lit("a")
+def test_dual_flips_polarity():
+    assert lit("a").dual == lit("-a")
+    assert lit("-a").dual == lit("a")
 
 
-def test_complement_is_an_involution():
-    assert lit("b").complement().complement() == lit("b")
+def test_dual_is_an_involution():
+    assert lit("b").dual.dual == lit("b")
 
 
 def test_body_literals_of_running_example_rule():
@@ -51,22 +51,24 @@ def test_body_literals_double_negation_reads_positively():
     assert set(r.body.s_literals) == lits("c")
 
 
-def test_consistent_prefix_stops_at_first_clash():
+def test_truncating_at_the_first_conflict_stops_at_the_first_clash():
     t = trail("a b c -b d")
-    assert not t.is_consistent
-    assert tuple(e.literal for e in t.consistent_prefix()) == (lit("a"), lit("b"), lit("c"))
+    assert not t.is_consistent and t.first_conflict_index == 3
+    prefix = t.truncate(t.first_conflict_index)
+    assert tuple(e.literal for e in prefix) == (lit("a"), lit("b"), lit("c"))
+    assert prefix.is_consistent
 
 
-def test_consistent_prefix_of_empty_trail():
-    t = Trail()
-    assert t.is_consistent
-    assert t.consistent_prefix() == t
+def test_truncating_a_consistent_trail_at_its_first_conflict_keeps_it_whole():
+    for t in (Trail(), trail("a b* -c")):
+        assert t.is_consistent
+        assert t.truncate(t.first_conflict_index) == t
 
 
 def test_decision_trail_can_be_inconsistent():
     t = trail("b* -b")
     assert not t.is_consistent
-    prefix = t.consistent_prefix()
+    prefix = t.truncate(t.first_conflict_index)
     assert tuple(e.literal for e in prefix) == (lit("b"),)
     assert prefix.entries[0].is_decision
 
@@ -148,7 +150,7 @@ def test_prefix_is_consistent_and_next_entry_breaks_it():
     rng = random.Random(7)
     for _ in range(200):
         t = _random_trail(rng)
-        prefix = t.consistent_prefix()
+        prefix = t.truncate(t.first_conflict_index)
         assert prefix.is_consistent
         if len(prefix) < len(t):
             extended = Trail(t.entries[:len(prefix) + 1])
@@ -175,7 +177,7 @@ def test_appended_trail_views_match_a_trail_built_from_its_entries(moves):
             continue
         t = t.append(literal, decision=decision,
                      reason=Clause((literal,)) if with_reason else None)
-        derived = [t, t.consistent_prefix()] + [t.truncate(n) for n in range(len(t) + 1)]
+        derived = [t, t.truncate(t.first_conflict_index)] + [t.truncate(n) for n in range(len(t) + 1)]
         for view in derived:
             built = Trail(view.entries)
             assert view == built and hash(view) == hash(built)
@@ -207,10 +209,50 @@ def test_equal_atoms_and_literals_are_one_object():
     assert Literal(atom("a"), False) is lit("-a")
 
 
-def test_complement_of_the_complement_is_the_literal_itself():
+def test_dual_of_the_dual_is_the_literal_itself():
     for l in (lit("a"), lit("-b"), Literal(Atom("f{c}", ORIGIN_FRESH), False)):
-        assert l.complement().complement() is l
-        assert l.complement() is Literal(l.atom, not l.positive)
+        assert l.dual.dual is l
+        assert l.dual is Literal(l.atom, not l.positive)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["positive-first", "negative-first"])
+def test_a_literal_is_made_with_its_dual(first):
+    atom = Atom(f"pair-{first}")
+    assert (atom, True) not in Literal._table and (atom, False) not in Literal._table
+    made = Literal(atom, first)
+    assert made.dual.dual is made and made.dual is not made
+    assert made.dual is Literal(atom, not first)
+    assert {made.positive, made.dual.positive} == {True, False}
+
+
+def test_a_literal_token_is_its_printed_form():
+    for atom in (Atom("a"), Atom("x12"), Atom("f{a,-b}", ORIGIN_FRESH)):
+        for positive in (True, False):
+            l = Literal(atom, positive)
+            assert l.token == ("-" if not l.positive else "") + l.atom.name
+            assert repr(l) == l.token
+
+
+def test_copies_and_pickles_of_a_literal_keep_its_dual():
+    fresh = Literal(Atom("f{d}", ORIGIN_FRESH), False)
+    for l in (lit("a"), lit("-a"), fresh):
+        for other in (copy.copy(l), copy.deepcopy(l), pickle.loads(pickle.dumps(l))):
+            assert other is l and other.dual is l.dual
+    # unpickled after its pair died: a new pair, made whole
+    data = pickle.dumps(Literal(Atom("pickled-pair"), False))
+    gc.collect()
+    back = pickle.loads(data)
+    assert back.token == "-pickled-pair" and back.dual.dual is back
+    assert back.dual is Literal(Atom("pickled-pair"))
+
+
+def test_a_dead_literal_pair_leaves_the_interning_table():
+    atom = Atom("dropped-pair")
+    made = Literal(atom, False)
+    assert Literal._table[(atom, True)]() is made.dual
+    del made
+    gc.collect()
+    assert (atom, True) not in Literal._table and (atom, False) not in Literal._table
 
 
 def test_fresh_and_user_atoms_of_one_name_are_distinct():

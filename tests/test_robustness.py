@@ -154,8 +154,8 @@ def _pigeonhole_clauses(pigeons, holes):
     for j in range(holes):
         for i1 in range(pigeons):
             for i2 in range(i1 + 1, pigeons):
-                clauses.append(Clause((var(i1, j).complement(),
-                                       var(i2, j).complement())))
+                clauses.append(Clause((var(i1, j).dual,
+                                       var(i2, j).dual)))
     return tuple(clauses)
 
 

@@ -90,8 +90,8 @@ class TestEdCompletion:
             cl("a", "-b", "c"),
             Clause((lit("-a"), F_ALIAS)),
             Clause((F_ALIAS, lit("-b"), lit("c"))),
-            Clause((F_ALIAS.complement(), lit("b"))),
-            Clause((F_ALIAS.complement(), lit("-c"))),
+            Clause((F_ALIAS.dual, lit("b"))),
+            Clause((F_ALIAS.dual, lit("-c"))),
             cl("b"),
             cl("-c"),
         }

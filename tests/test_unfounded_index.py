@@ -121,7 +121,7 @@ def _reference_reason(atom, witness, m, opened):
     us = frozenset(witness)
     bodies = {b for a in us for b in opened.bodies(a) if not (b.pos_set & us)}
     return Clause((Literal(atom, positive=False),) + tuple(
-        next(l for l in b.s_literals if l.complement() in m) for b in bodies))
+        next(l for l in b.s_literals if l.dual in m) for b in bodies))
 
 
 @settings(max_examples=300, deadline=None)
