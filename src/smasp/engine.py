@@ -364,14 +364,6 @@ def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Tr
     raise ValueError(f"unknown transition rule: {rule!r}")
 
 
-def is_singular_unfounded(state: AugmentedState, theory: SmaspTheory) -> bool:
-    """An unfounded-set edge is singular when some other non-decision
-    edge leaves the same state; strategies emulating the eager
-    unfounded-check solver must never traverse one."""
-    return bool(applicable(state, theory, RULE_UNFOUNDED)) and any(
-        applicable(state, theory, r) for r in (RULE_UNIT_PROPAGATE, RULE_FAIL, RULE_BACKTRACK))
-
-
 def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
          ctx: Optional[_TheoryContext] = None) -> AugmentedState:
     """Apply a transition after checking that it carries its rule's

@@ -1,7 +1,11 @@
 """Parsers for the three input formats (DIMACS CNF, logic programs,
-two-section clausal/program theories) and the matching printers.
+two-section clausal/program theories), for literal tokens and for
+goals, and the printers the CLI and the trace digests use:
+``format_literal``, ``format_literals``, ``format_clause``,
+``format_rule`` and ``format_program``.
 
-Printing then re-parsing any value yields a structurally equal one.
+Printing then re-parsing a literal, a clause or a program yields a
+structurally equal one.
 """
 
 from __future__ import annotations
@@ -65,10 +69,6 @@ def format_clause(clause: Clause) -> str:
     return " | ".join(format_literal(l) for l in clause)
 
 
-def format_clauses(clauses: Iterable[Clause]) -> str:
-    return "\n".join(format_clause(c) for c in clauses)
-
-
 # -- DIMACS CNF --------------------------------------------------------
 
 def parse_dimacs(text: str) -> tuple[Clause, ...]:
@@ -118,19 +118,6 @@ def parse_dimacs(text: str) -> tuple[Clause, ...]:
     if current:
         clauses.append(Clause(tuple(current)))
     return tuple(clauses)
-
-
-def format_dimacs(clauses: Iterable[Clause]) -> str:
-    clauses = tuple(clauses)
-    index: dict[Atom, int] = {}
-    for c in clauses:
-        for a in c.atoms:
-            index.setdefault(a, len(index) + 1)
-    lines = [f"p cnf {len(index)} {len(clauses)}"]
-    for c in clauses:
-        nums = sorted((index[l.atom] if l.positive else -index[l.atom]) for l in c)
-        lines.append(" ".join(str(n) for n in nums) + " 0")
-    return "\n".join(lines)
 
 
 # -- logic programs ----------------------------------------------------
@@ -298,10 +285,6 @@ def parse_smasp(text: str) -> SmaspTheory:
     """Same two-section format, without the weak-normality requirement."""
     clauses, program = parse_theory_sections(text)
     return SmaspTheory(clauses, program)
-
-
-def format_pcid(theory: PcidTheory) -> str:
-    return "#theory\n" + format_clauses(theory.clauses) + "\n#program\n" + format_program(theory.program) + "\n"
 
 
 def parse_goal(text: str) -> tuple[Clause, ...]:

@@ -151,7 +151,10 @@ def _payload_key(record: dict) -> tuple:
 
 def _header(record: dict) -> TraceHeader:
     """The header's mode, theory digest and version, each a string when
-    present; a trace written by another version is refused."""
+    present; a trace written by another version, or whose first record
+    is a step, is refused."""
+    if "index" in record or "rule" in record:
+        raise ParseError("the trace has no header: its first record is a step")
     header = TraceHeader(record.get("mode", ""), record.get("theory", ""),
                          record.get("version", __version__))
     for key, value in zip(("mode", "theory", "version"), header):
@@ -163,7 +166,8 @@ def _header(record: dict) -> TraceHeader:
 
 
 def load_trace(text: str) -> Trace:
-    """A header line, then a step record per line, blank lines skipped.
+    """A header line, then a step record per line, blank lines skipped;
+    a first record with an ``index`` or a ``rule`` is a step, not a header.
     Lines end at ``"\\n"`` alone, so a string may hold any other line
     separator raw, and a ``"\\r"`` before it is JSON whitespace. A payload
     that recurs maps through a memo to its transition, checked and built

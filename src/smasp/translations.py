@@ -46,18 +46,19 @@ def _non_fact_atoms(pi: Program) -> tuple[Atom, ...]:
     return tuple(a for a in pi.atoms if not pi.is_fact_atom(a))
 
 
-def completion(pi: Program, budget: int = DEFAULT_CLAUSE_BUDGET) -> tuple[Clause, ...]:
+def completion(pi: Program) -> tuple[Clause, ...]:
     """Clausified completion: the clause reading plus, for every
     non-fact atom, the distributed form of "the atom implies one of its
-    bodies". Can be exponential; guarded by a clause budget."""
+    bodies". Can be exponential; refused before it would write more
+    than :data:`DEFAULT_CLAUSE_BUDGET` clauses, duplicates counted."""
     out = set(clausal(pi))
     for a in _non_fact_atoms(pi):
         bodies = pi.bodies(a)
         count = 1
         for b in bodies:
             count *= max(len(b.s_literals), 1)
-        if len(out) + count > budget:
-            raise CapExceeded(f"completion would exceed the {budget}-clause budget")
+        if len(out) + count > DEFAULT_CLAUSE_BUDGET:
+            raise CapExceeded(f"completion would exceed the {DEFAULT_CLAUSE_BUDGET}-clause budget")
         head_lit = Literal(a, positive=False)
         for pick in itertools.product(*[b.s_literals for b in bodies]):
             out.add(Clause((head_lit,) + pick))

@@ -1,16 +1,19 @@
 """Seeded random instance generators for the property and acceptance
-tests."""
+tests, and the definitions only tests use: program simplification,
+choice rules, singular Unfounded edges, π-safety, and the DIMACS and
+PC(ID) printers."""
 
 import random
 from typing import Iterable
 
 from smasp.model import (
-    Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory, is_consistent_literals,
-    sorted_atoms,
+    Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory, atoms_of_clauses,
+    is_consistent_literals, positive_part, sorted_atoms,
 )
-from smasp.translations import completion, ed_completion
+from smasp.parsing import format_clause, format_program
+from smasp.translations import completion, ed_completion, open_atoms
 
-from smasp import oracles
+from smasp import engine, oracles
 
 POOL = tuple(Atom(n) for n in "abcdef")
 POOL8 = tuple(Atom(n) for n in "abcdefgh")
@@ -159,3 +162,51 @@ def simplify_by(pi: Program, n: Iterable[Literal]) -> Program:
 def choice_rules(atoms: Iterable[Atom]) -> tuple[Rule, ...]:
     """Self-supporting rules that exempt ``atoms`` from foundedness."""
     return tuple(Rule(a, negneg=(a,)) for a in sorted_atoms(atoms))
+
+
+def is_singular_unfounded(state: engine.AugmentedState, theory: SmaspTheory) -> bool:
+    """An unfounded-set edge is singular when some other non-decision
+    edge leaves the same state; strategies emulating the eager
+    unfounded-check solver must never traverse one."""
+    return bool(engine.applicable(state, theory, engine.RULE_UNFOUNDED)) and any(
+        engine.applicable(state, theory, r)
+        for r in (engine.RULE_UNIT_PROPAGATE, engine.RULE_FAIL, engine.RULE_BACKTRACK))
+
+
+def enumerate_models(clauses: Iterable[Clause],
+                     atoms: Iterable[Atom]) -> tuple[frozenset[Literal], ...]:
+    """The models of ``clauses`` over ``atoms``, within the enumeration cap."""
+    return tuple(oracles.clause_models(clauses, oracles._check_cap(atoms)))
+
+
+def is_pi_safe(f: Iterable[Clause], pi: Program) -> bool:
+    """The clause set forces every non-head atom false, and every
+    answer set of the program is the head projection of one of its
+    models."""
+    f = tuple(f)
+    models = enumerate_models(f, atoms_of_clauses(f) + pi.atoms)
+    if any(Literal(a) in m for a in open_atoms(pi, pi.atoms) for m in models):
+        return False
+    projections = {positive_part(m) & pi.heads for m in models}
+    return all(x in projections for x in oracles.enumerate_answer_sets(pi))
+
+
+def format_clauses(clauses: Iterable[Clause]) -> str:
+    return "\n".join(format_clause(c) for c in clauses)
+
+
+def format_dimacs(clauses: Iterable[Clause]) -> str:
+    clauses = tuple(clauses)
+    index: dict[Atom, int] = {}
+    for c in clauses:
+        for a in c.atoms:
+            index.setdefault(a, len(index) + 1)
+    lines = [f"p cnf {len(index)} {len(clauses)}"]
+    for c in clauses:
+        nums = sorted((index[l.atom] if l.positive else -index[l.atom]) for l in c)
+        lines.append(" ".join(str(n) for n in nums) + " 0")
+    return "\n".join(lines)
+
+
+def format_pcid(theory: PcidTheory) -> str:
+    return "#theory\n" + format_clauses(theory.clauses) + "\n#program\n" + format_program(theory.program) + "\n"

@@ -180,8 +180,9 @@ def _reference_step(record):
 
 def reference_load_trace(text):
     """:func:`smasp.trace.load_trace` by definition, without its memo:
-    ``json.loads`` of every non-blank line, the first the header, each
-    step record checked and built on its own."""
+    ``json.loads`` of every non-blank line, the first the header (which
+    holds neither ``index`` nor ``rule``), each step record checked and
+    built on its own."""
     lines = [l for l in text.split("\n") if l.strip()]
     if not lines:
         raise ParseError("empty trace file")
@@ -190,6 +191,8 @@ def reference_load_trace(text):
         if not all(isinstance(r, dict) for r in records):
             raise ParseError("a trace line is not a JSON object")
         first = records[0]
+        if "index" in first or "rule" in first:
+            raise ParseError(f"the trace has no header: its first record is a step: {first!r}")
         header = TraceHeader(first.get("mode", ""), first.get("theory", ""),
                              first.get("version", __version__))
         if not all(isinstance(v, str) for v in header) or header.version != __version__:

@@ -322,7 +322,7 @@ def test_criterion_9_eager_mode_avoids_singular_edges(corpus3):
         for st, before in zip(out.steps, states):
             if st.transition.rule != "Unfounded":
                 continue
-            assert not engine.is_singular_unfounded(before, theory)
+            assert not gen.is_singular_unfounded(before, theory)
             checked += 1
     assert checked
     _passes("criterion 9", f"{checked} unfounded-set steps, none singular")

@@ -1,12 +1,15 @@
-"""The caps a run stops at, and where the atom caps are defined.
+"""The caps a run stops at, where the atom caps and the clause budget
+are defined, and how the package's modules import one another.
 
 ``run`` checks ``max_steps`` and the learned-store cap at one point,
 just before a step is taken: a run that needs exactly N steps returns
 its verdict under ``max_steps=N``, and a capped run records a prefix of
 the uncapped run. The desk-scale test and the enumeration cap live in
-:mod:`smasp.oracles` alone.
+:mod:`smasp.oracles` alone. Each budget is one constant, read where it
+is used and set by no caller; a test lowers it with ``monkeypatch``.
 """
 
+import ast
 import random
 import tokenize
 from pathlib import Path
@@ -15,9 +18,10 @@ import pytest
 
 import gen
 import smasp
-from smasp import engine
+from helpers import F0, PI0, cl
+from smasp import engine, oracles
 from smasp.engine import run
-from smasp.model import SmaspTheory
+from smasp.model import CapExceeded, PcidTheory, SmaspTheory
 from smasp.parsing import parse_dimacs
 
 # pigeonhole 3 -> 2: clasp takes 16 steps; step 8 is a Backjump, step 9 its Learn
@@ -113,9 +117,114 @@ def test_the_desk_scale_is_compared_only_in_at_desk_scale():
     }
 
 
-def test_the_enumeration_cap_is_named_only_in_oracles():
-    assert {name for name, _ in _code_lines({"DEFAULT_ENUMERATION_CAP"})} == {"oracles.py"}
+def _functions():
+    """``(file, function, node)`` for every function the package defines,
+    nested ones included."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.name, node.name, node
 
 
-def test_translations_does_not_import_oracles():
-    assert _code_lines({"oracles"}, "translations.py") == set()
+def _reads(name):
+    """``(file, function)`` for each innermost function whose body reads
+    ``name``, bare or as an attribute; ``None`` for module level."""
+    found = set()
+
+    def visit(node, owner, file):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add((file, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, file)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.name)
+    return found
+
+
+def test_each_budget_is_read_only_where_it_is_enforced():
+    assert _reads("DEFAULT_ENUMERATION_CAP") == {("oracles.py", "_check_cap")}
+    assert _reads("DEFAULT_CLAUSE_BUDGET") == {("translations.py", "completion")}
+
+
+def test_no_caller_sets_a_cap_except_the_benchmark_harness():
+    settable = {(file, function, arg.arg) for file, function, node in _functions()
+                for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+                and arg.arg in ("cap", "budget", "universe")}
+    assert settable == {("oracles.py", "enumerate_smasp_models", "cap")}
+
+
+def test_definitions_only_tests_call_live_in_gen():
+    test_only = {"is_singular_unfounded", "is_pi_safe", "enumerate_models",
+                 "format_clauses", "format_dimacs", "format_pcid"}
+    assert {function for _, function, _ in _functions()} & test_only == set()
+    assert all(callable(getattr(gen, name)) for name in test_only)
+
+
+THREE_ATOMS = SmaspTheory((cl("a", "b", "c"),))  # seven models
+# each enumerates three atoms; the answer is the result's size when it is a tuple
+CAPPED = [
+    pytest.param(lambda: oracles.enumerate_answer_sets(PI0), 1, id="enumerate_answer_sets"),
+    pytest.param(lambda: oracles.enumerate_smasp_models(THREE_ATOMS), 7,
+                 id="enumerate_smasp_models"),
+    pytest.param(lambda: oracles.enumerate_pcid_models(PcidTheory(F0, PI0)), 2,
+                 id="enumerate_pcid_models"),
+    pytest.param(lambda: oracles.entails(THREE_ATOMS, cl("a", "b", "c")), True, id="entails"),
+    pytest.param(lambda: oracles.is_total(PcidTheory(F0, PI0)), True, id="is_total"),
+]
+
+
+@pytest.mark.parametrize("enumerate, answer", CAPPED)
+def test_every_enumeration_stops_at_the_one_cap(enumerate, answer, monkeypatch):
+    result = enumerate()
+    assert (len(result) if isinstance(result, tuple) else result) == answer
+    monkeypatch.setattr(oracles, "DEFAULT_ENUMERATION_CAP", 3)
+    assert enumerate() == result
+    monkeypatch.setattr(oracles, "DEFAULT_ENUMERATION_CAP", 2)
+    with pytest.raises(CapExceeded, match="enumeration over 3 atoms exceeds cap 2"):
+        enumerate()
+
+
+def test_the_benchmark_harness_cap_refuses_a_larger_theory():
+    assert len(oracles.enumerate_smasp_models(THREE_ATOMS, cap=3)) == 7
+    with pytest.raises(CapExceeded, match="exceeds cap 2"):
+        oracles.enumerate_smasp_models(THREE_ATOMS, cap=2)
+
+
+# each module's imports within the package, as they stand: model imports
+# none, translations only model, and oracles and parsing only those two
+IMPORTS = {
+    "model": set(),
+    "translations": {"model"},
+    "oracles": {"model", "translations"},
+    "parsing": {"model", "translations"},
+    "engine": {"model", "oracles", "translations"},
+    "trace": {"engine", "model", "oracles", "parsing"},
+    "cli": {"engine", "model", "oracles", "parsing", "trace", "translations"},
+    "__init__": {"engine", "model", "parsing", "trace"},
+}
+
+
+def _imports(path):
+    """The package modules a module imports relatively, and the top-level
+    names of everything else it imports; the package imports itself only
+    relatively, so the first set holds all its edges."""
+    inside, outside = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            inside |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            outside.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            outside |= {a.name.split(".")[0] for a in node.names}
+    return inside, outside
+
+
+def test_the_package_imports_follow_its_layers():
+    graph = {path.stem: _imports(path) for path in SRC.glob("*.py")}
+    assert {module: inside for module, (inside, _) in graph.items()} == IMPORTS
+    test_modules = {path.stem for path in Path(__file__).parent.glob("*.py")} | {"tests"}
+    assert all(not outside & (test_modules | {"smasp"}) for _, outside in graph.values())

@@ -256,6 +256,20 @@ class TestCheckTrace:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_a_trace_without_its_header_is_an_input_error(self, f1, tmp_path, capsys):
+        trace_file = tmp_path / "run.trace"
+        assert main(["solve", "--mode", "clasp", "--format", "cnf",
+                     "--trace", str(trace_file), f1]) == 10
+        headless = tmp_path / "headless.trace"
+        headless.write_text(trace_file.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        for strict in ([], ["--strict-strategy"]):
+            assert main(["check-trace", "--trace", str(headless), "--format", "cnf",
+                         *strict, f1]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: trace line 1: ")
+            assert "Traceback" not in captured.err
+
     def test_deeply_nested_trace_is_an_input_error(self, f1, tmp_path, capsys):
         trace_file = tmp_path / "deep.trace"
         trace_file.write_text("[" * 100_000 + "\n")

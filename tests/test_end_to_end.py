@@ -3,11 +3,12 @@
 import random
 
 import gen
+from gen import format_pcid
 from smasp import oracles
 from smasp.cli import main
 from smasp.engine import TraceStep, run
 from smasp.model import SmaspTheory
-from smasp.parsing import format_pcid, parse_literal_token
+from smasp.parsing import parse_literal_token
 from smasp.trace import dump_trace, load_trace, trace_from_outcome, validate_trace
 from smasp.translations import ed_completion
 

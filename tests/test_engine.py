@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from gen import is_singular_unfounded
 from helpers import PI0, PI3, atom, atoms, cl, lit, lits, prog, rule, trail
 from smasp import engine, oracles
 from smasp.engine import (
@@ -21,7 +22,6 @@ from smasp.engine import (
     applicable_decide,
     applicable_unfounded,
     applicable_unit_propagate,
-    is_singular_unfounded,
     run,
     step,
     strategy_priority,

@@ -23,7 +23,6 @@ from smasp.oracles import (
     clause_models,
     enumerate_answer_sets,
     enumerate_assignments,
-    enumerate_models,
     enumerate_pcid_models,
     enumerate_smasp_models,
     entails,
@@ -71,17 +70,18 @@ class TestAnswerSets:
         assert is_answer_set(PI3, set())
 
     def test_enumeration_running_example(self):
-        assert enumerate_answer_sets(PI0, atoms("a b c")) == (frozenset(atoms("a b")),)
+        assert enumerate_answer_sets(PI0) == (frozenset(atoms("a b")),)
 
     def test_enumeration_circular(self):
-        assert enumerate_answer_sets(PI3, atoms("a b")) == (frozenset(),)
+        assert enumerate_answer_sets(PI3) == (frozenset(),)
 
     def test_enumeration_empty_program(self):
-        assert enumerate_answer_sets(Program(), ()) == (frozenset(),)
+        assert enumerate_answer_sets(Program()) == (frozenset(),)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(oracles, "DEFAULT_ENUMERATION_CAP", 2)
         with pytest.raises(CapExceeded):
-            enumerate_answer_sets(Program(), gen.POOL, cap=3)
+            enumerate_answer_sets(PI0)
 
 
 class TestInputAnswerSets:
@@ -262,9 +262,10 @@ class TestClauseModels:
         assert tuple(clause_models((cl("b"),), atoms("a b c"))) == (
             lits("a b c"), lits("a b -c"), lits("-a b c"), lits("-a b -c"))
 
-    def test_enumerate_models_respects_the_cap(self):
+    def test_enumerate_models_respects_the_cap(self, monkeypatch):
+        monkeypatch.setattr(oracles, "DEFAULT_ENUMERATION_CAP", 2)
         with pytest.raises(CapExceeded):
-            enumerate_models((), atoms("a b c"), cap=2)
+            gen.enumerate_models((), atoms("a b c"))
 
 
 OUTSIDE = (Atom("y"), Atom("z"))

@@ -1,17 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+from gen import format_dimacs, format_pcid
 from helpers import PI0, cl, prog, rule
 from smasp.model import Program
 from smasp.parsing import (
     ParseError,
     format_clause,
-    format_pcid,
     format_program,
     parse_clause_line,
     parse_dimacs,
+    parse_goal,
+    parse_literal_token,
     parse_lp,
     parse_pcid,
     parse_smasp,
@@ -148,7 +152,26 @@ class TestRoundTrips:
             assert parse_pcid(format_pcid(t)) == t
 
     def test_dimacs_round_trip_by_content(self):
-        from smasp.parsing import format_dimacs
         text = "p cnf 3 2\n1 2 0\n-1 3 0"
         clauses = parse_dimacs(text)
         assert parse_dimacs(format_dimacs(clauses)) == clauses
+
+
+# -- fuzzing: any text parses to a value or raises ParseError ----------------
+
+PARSERS = (parse_dimacs, parse_lp, parse_pcid, parse_smasp, parse_goal, parse_literal_token)
+# the formats' own tokens, so that random text reaches past the first check
+_PIECES = ("p cnf 2 1", "p", "cnf", "c", "%", "0", "1", "-2", "9", "-", " ", "\n", "\t", "\r",
+           "#theory", "#program", "a", "b", "x1", "f{a}", "|", ";", ":-", ".", ",", "{", "}",
+           "not ", "not not ", "_", "\u2028", "\x00")
+_texts = st.one_of(st.text(max_size=40), st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+
+
+@pytest.mark.parametrize("parse", PARSERS, ids=[p.__name__ for p in PARSERS])
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+def test_a_parser_returns_a_value_or_raises_a_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass

@@ -94,7 +94,7 @@ class TestOverlappingBodyParts:
         assert r.pos == atoms("b") and r.neg == atoms("b")
         # the body is never satisfiable, so the atom stays unsupported
         from smasp.oracles import enumerate_answer_sets
-        assert enumerate_answer_sets(pi, atoms("a b")) == (frozenset(),)
+        assert enumerate_answer_sets(pi) == (frozenset(),)
 
     def test_self_contradictory_clause_constraint(self):
         from smasp.translations import clause_constraint

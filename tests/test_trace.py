@@ -264,6 +264,28 @@ class TestSerialization:
         assert load_trace('{"mode": "clasp"}\n').header == TraceHeader("clasp", "", __version__)
         assert load_trace("{}\n").header == TraceHeader("", "")
 
+    @pytest.mark.parametrize("first", [
+        '{"index": 1}',
+        '{"rule": "Fail"}',
+        '{"mode": "dpll", "rule": null}',
+        '{"index": 2, "rule": "Decide", "literal": "b", "trail": "0123456789abcdef"}',
+    ])
+    def test_a_first_record_that_is_a_step_is_a_parse_error(self, first):
+        for text in (first + "\n", "\n".join([first, HEADER]) + "\n"):
+            with pytest.raises(ParseError, match="^trace line 1: the trace has no header"):
+                load_trace(text)
+            with pytest.raises(ParseError, match="^the trace has no header"):
+                reference_load_trace(text)
+
+    def test_a_trace_without_its_header_line_is_refused_not_misread(self):
+        text = dump_trace(trace_from_outcome(run(F1, "dpll"), "dpll", F1))
+        headless = text.split("\n", 1)[1]
+        assert headless.startswith('{"index": 1, ')
+        with pytest.raises(ParseError, match="^trace line 1: "):
+            load_trace(headless)
+        with pytest.raises(ParseError, match="^trace line 2: "):
+            load_trace("\n" + headless)
+
 
 def test_every_emitted_trace_validates():
     rng = random.Random(149)

@@ -14,10 +14,11 @@ import random
 import pytest
 
 import gen
+from gen import format_pcid
 from smasp import engine
 from smasp.cli import build_theory
 from smasp.model import PcidTheory
-from smasp.parsing import format_pcid, format_program
+from smasp.parsing import format_program
 from smasp.trace import dump_trace, theory_digest, trace_from_outcome
 
 PROGRAM_MODES = ("smodels", "cmodels", "clasp", "minisatid")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import gen
 from helpers import PI0, PI2, PI3, F0, atom, atoms, cl, lit, prog, reference_clausal, rule
-from smasp import oracles
+from smasp import oracles, translations
 from smasp.model import (
     Atom,
     CapExceeded,
@@ -78,10 +78,11 @@ class TestCompletion:
         assert cl("-d") in out
         assert out == {cl("a", "-d"), cl("-a", "d"), cl("-d")}
 
-    def test_clause_budget(self):
+    def test_clause_budget(self, monkeypatch):
         rules = [rule("a", pos=f"b{i} c{i}", neg=f"d{i}") for i in range(8)]
+        monkeypatch.setattr(translations, "DEFAULT_CLAUSE_BUDGET", 100)
         with pytest.raises(CapExceeded):
-            completion(prog(*rules), budget=100)
+            completion(prog(*rules))
 
 
 class TestEdCompletion:
@@ -131,13 +132,13 @@ class TestPiTranslation:
 
 class TestPiSafety:
     def test_explicit_negation_of_open_atoms(self):
-        assert oracles.is_pi_safe((cl("-c"),), PI0)
+        assert gen.is_pi_safe((cl("-c"),), PI0)
 
     def test_completion_is_safe(self):
-        assert oracles.is_pi_safe(completion(PI0), PI0)
+        assert gen.is_pi_safe(completion(PI0), PI0)
 
     def test_empty_clause_set_is_unsafe(self):
-        assert not oracles.is_pi_safe((), PI0)
+        assert not gen.is_pi_safe((), PI0)
 
 
 class TestDesugarChoice:
@@ -195,11 +196,11 @@ def test_alias_extension_is_conservative():
     rng = random.Random(73)
     for _ in range(30):
         pi = gen.random_program(rng, n_atoms=4, max_rules=4)
-        comp_models = set(oracles.enumerate_models(completion(pi), pi.atoms))
+        comp_models = set(gen.enumerate_models(completion(pi), pi.atoms))
         ed = ed_completion(pi)
         ed_atoms = SmaspTheory(ed).atoms
         projected = {frozenset(oracles.restrict_literals(m, pi.atoms))
-                     for m in oracles.enumerate_models(ed, ed_atoms)}
+                     for m in gen.enumerate_models(ed, ed_atoms)}
         assert projected == comp_models
 
 
