@@ -283,11 +283,10 @@ def clause_models(clauses: Iterable[Clause], atoms: Iterable[Atom]) -> Iterator[
 
 def enumerate_smasp_models(theory: SmaspTheory,
                            cap: Optional[int] = None) -> tuple[frozenset[Literal], ...]:
-    """The theory's models; ``cap``, which only perfbench/harness.py
-    passes, refuses a theory over more atoms."""
+    """The theory's models. ``cap`` is unused: perfbench/harness.py
+    passes it, after checking its own atom limit, and
+    :data:`DEFAULT_ENUMERATION_CAP` is the cap enforced here."""
     atoms = _check_cap(theory.atoms)
-    if cap is not None and len(atoms) > cap:
-        raise CapExceeded(f"enumeration over {len(atoms)} atoms exceeds cap {cap}")
     return tuple(m for m in clause_models(theory.clauses, atoms) if is_smasp_model(theory, m))
 
 

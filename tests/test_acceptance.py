@@ -105,7 +105,7 @@ def corpus3():
         }
         assert bool(models[comp_theory]) == bool(models[ed_theory])
         if spot_checked < 30 and len(ed_theory.atoms) <= 11:
-            direct = set(oracles.enumerate_smasp_models(ed_theory, cap=11))
+            direct = set(oracles.enumerate_smasp_models(ed_theory))
             assert direct == set(models[ed_theory])
             spot_checked += 1
         for mode in ("smodels", "cmodels", "clasp", "minisatid"):

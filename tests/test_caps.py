@@ -145,6 +145,14 @@ def _reads(name):
     return found
 
 
+def test_the_enumeration_cap_is_named_only_in_oracles():
+    assert {name for name, _ in _code_lines({"DEFAULT_ENUMERATION_CAP"})} == {"oracles.py"}
+
+
+def test_the_clause_budget_is_named_only_in_translations():
+    assert {name for name, _ in _code_lines({"DEFAULT_CLAUSE_BUDGET"})} == {"translations.py"}
+
+
 def test_each_budget_is_read_only_where_it_is_enforced():
     assert _reads("DEFAULT_ENUMERATION_CAP") == {("oracles.py", "_check_cap")}
     assert _reads("DEFAULT_CLAUSE_BUDGET") == {("translations.py", "completion")}
@@ -186,12 +194,6 @@ def test_every_enumeration_stops_at_the_one_cap(enumerate, answer, monkeypatch):
     monkeypatch.setattr(oracles, "DEFAULT_ENUMERATION_CAP", 2)
     with pytest.raises(CapExceeded, match="enumeration over 3 atoms exceeds cap 2"):
         enumerate()
-
-
-def test_the_benchmark_harness_cap_refuses_a_larger_theory():
-    assert len(oracles.enumerate_smasp_models(THREE_ATOMS, cap=3)) == 7
-    with pytest.raises(CapExceeded, match="exceeds cap 2"):
-        oracles.enumerate_smasp_models(THREE_ATOMS, cap=2)
 
 
 # each module's imports within the package, as they stand: model imports
