@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import sys
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
@@ -274,14 +275,14 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause) -> tuple[Clause
     trail = state.trail
     if trail.is_consistent or not trail.decision_indices:
         raise ValueError("conflict analysis requires an inconsistent trail with a decision")
-    entries, levels, scan = trail.entries, trail.levels, trail.first_conflict_index
+    entries, decisions, scan = trail.entries, trail.decision_indices, trail.first_conflict_index
     position = {entries[i].literal: i for i in range(scan)}
 
     def level(lit: Literal) -> int:
         i = position.get(lit.dual)
         if i is None:
             raise ValueError(f"clause literal {lit!r} is not falsified by the trail prefix")
-        return levels[i]
+        return bisect_right(decisions, i)
 
     current = set(conflicting.literals)
     found = [level(lit) for lit in current]
@@ -289,13 +290,15 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause) -> tuple[Clause
     count = found.count(dec)
     while count > 1:
         # the latest such entry: a resolvent adds only literals falsified
-        # before its pivot, so the next pivot lies below this one
+        # before its pivot, so the next pivot lies below this one; it is
+        # at the conflict level, which follows every lower level and
+        # holds a non-decision clause literal while the count is above one
         while True:
             if not scan:
                 raise ValueError("no resolvable literal; reason bookkeeping is broken")
             scan -= 1
             e = entries[scan]
-            if not e.is_decision and levels[scan] == dec and e.literal.dual in current:
+            if not e.is_decision and e.literal.dual in current:
                 break
         pivot, reason = e.literal, e.reason
         if reason is None:
@@ -311,7 +314,7 @@ def analyze_conflict(state: AugmentedState, conflicting: Clause) -> tuple[Clause
                 count += at == dec
     asserting = next(lit for lit in current if level(lit) == dec)
     # level 0 jumps to the decision-free prefix
-    return Clause(tuple(current)), asserting, trail.decision_indices[max(dec, 1) - 1]
+    return Clause(tuple(current)), asserting, decisions[max(dec, 1) - 1]
 
 
 _CONFLICT_RULES = frozenset({RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP})

@@ -378,15 +378,14 @@ class Trail:
     decisions; propagated entries carry their reason clause. An
     immutable value that compares and hashes by its entries.
 
-    ``literal_set``, ``first_conflict_index`` and ``decision_indices``
-    are set when the trail is made; :meth:`append` and :meth:`truncate`
-    derive them from their parent's instead of rescanning. ``levels``
-    is computed on first use. ``digest`` is ``engine.digest_trail`` of
-    the trail: an appended trail extends its parent's sha256 state by
-    one token, any other trail hashes its entries when first asked."""
+    Every field is set when the trail is made. :meth:`append` and
+    :meth:`truncate` derive ``literal_set``, ``first_conflict_index``
+    and ``decision_indices`` from their parent's instead of rescanning.
+    ``digest`` is ``engine.digest_trail`` of the trail: ``append``
+    extends its parent's sha256 state by one token, and any other trail
+    hashes its entries when it is made."""
 
-    __slots__ = ("entries", "literal_set", "first_conflict_index", "decision_indices",
-                 "_sha256", "_levels")
+    __slots__ = ("entries", "literal_set", "first_conflict_index", "decision_indices", "_sha256")
     __setattr__, __delattr__ = _Interned.__setattr__, _Interned.__delattr__
 
     def __init__(self, entries: tuple[TrailEntry, ...] = ()) -> None:
@@ -400,7 +399,7 @@ class Trail:
                 break
             seen.add(e.literal)
         _fill(self, entries, literal_set, conflict,
-              tuple(i for i, e in enumerate(entries) if e.is_decision), None)
+              tuple(i for i, e in enumerate(entries) if e.is_decision))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Trail:
@@ -426,30 +425,9 @@ class Trail:
     def is_consistent(self) -> bool:
         return self.first_conflict_index is None
 
-    def _state(self):
-        """The sha256 state of a trail made without one, kept once made."""
-        sha256 = hashlib.sha256(" ".join(map(entry_token, self.entries)).encode())
-        _put_sha256(self, sha256)
-        return sha256
-
     @property
     def digest(self) -> str:
-        return (self._sha256 or self._state()).hexdigest()[:16]
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        """Decision level of each entry; entries before the first
-        decision are level 0, a decision opens the next level."""
-        levels = self._levels
-        if levels is None:
-            out, level = [], 0
-            for e in self.entries:
-                if e.is_decision:
-                    level += 1
-                out.append(level)
-            levels = tuple(out)
-            _put_levels(self, levels)
-        return levels
+        return self._sha256.hexdigest()[:16]
 
     def append(self, literal: Literal, decision: bool = False,
                reason: Optional[Clause] = None) -> "Trail":
@@ -464,7 +442,7 @@ class Trail:
         if conflict is None and literal.dual in literal_set:
             conflict = n
         token = literal.token + "@d" if decision else literal.token
-        sha256 = (self._sha256 or self._state()).copy()
+        sha256 = self._sha256.copy()
         sha256.update((" " + token if n else token).encode())
         decisions = self.decision_indices
         trail = object.__new__(Trail)
@@ -473,7 +451,6 @@ class Trail:
         _put_conflict(trail, conflict)
         _put_decisions(trail, decisions + (n,) if decision else decisions)
         _put_sha256(trail, sha256)
-        _put_levels(trail, None)
         return trail
 
     def truncate(self, length: Optional[int]) -> "Trail":
@@ -488,7 +465,7 @@ class Trail:
         decisions = self.decision_indices
         return _fill(object.__new__(Trail), entries, frozenset(e.literal for e in entries),
                      None if conflict is None or conflict >= n else conflict,
-                     decisions[:bisect_left(decisions, n)], None)
+                     decisions[:bisect_left(decisions, n)])
 
     def __reduce__(self):
         # a sha256 state does not pickle; the views are rebuilt
@@ -500,20 +477,18 @@ class Trail:
 
 
 def _fill(trail: Trail, entries: tuple[TrailEntry, ...], literal_set: frozenset[Literal],
-          conflict: Optional[int], decisions: tuple[int, ...], sha256) -> Trail:
-    """Set every field of ``trail``; ``levels`` waits for first use, and
-    a ``sha256`` of None for the first digest."""
+          conflict: Optional[int], decisions: tuple[int, ...]) -> Trail:
+    """Set every field of ``trail``, hashing its entries for the digest."""
     _put_entries(trail, entries)
     _put_literal_set(trail, literal_set)
     _put_conflict(trail, conflict)
     _put_decisions(trail, decisions)
-    _put_sha256(trail, sha256)
-    _put_levels(trail, None)
+    _put_sha256(trail, hashlib.sha256(" ".join(map(entry_token, entries)).encode()))
     return trail
 
 
 # the slots' own setters, past the __setattr__ that keeps a trail immutable
-_put_entries, _put_literal_set, _put_conflict, _put_decisions, _put_sha256, _put_levels = (
+_put_entries, _put_literal_set, _put_conflict, _put_decisions, _put_sha256 = (
     getattr(Trail, name).__set__ for name in Trail.__slots__)
 
 

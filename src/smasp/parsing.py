@@ -216,8 +216,6 @@ def _parse_rule(stream: _TokenStream) -> Rule:
     try:
         if choice_heads is not None:
             return desugar_choice(choice_heads, pos, neg, negneg)
-        if head is None and not (pos or neg or negneg):
-            raise ValueError("a constraint must have a non-empty body")
         return Rule(head, tuple(pos), tuple(neg), tuple(negneg))
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -49,19 +49,22 @@ def _non_fact_atoms(pi: Program) -> tuple[Atom, ...]:
 def completion(pi: Program) -> tuple[Clause, ...]:
     """Clausified completion: the clause reading plus, for every
     non-fact atom, the distributed form of "the atom implies one of its
-    bodies". Can be exponential; refused before it would write more
-    than :data:`DEFAULT_CLAUSE_BUDGET` clauses, duplicates counted."""
+    bodies". Can be exponential: refused once its distinct clauses, the
+    clause reading's included, exceed :data:`DEFAULT_CLAUSE_BUDGET`, or
+    before expanding an atom whose body picks alone exceed it."""
     out = set(clausal(pi))
     for a in _non_fact_atoms(pi):
         bodies = pi.bodies(a)
-        count = 1
+        picks = 1
         for b in bodies:
-            count *= max(len(b.s_literals), 1)
-        if len(out) + count > DEFAULT_CLAUSE_BUDGET:
+            picks *= max(len(b.s_literals), 1)
+        if max(len(out), picks) > DEFAULT_CLAUSE_BUDGET:
             raise CapExceeded(f"completion would exceed the {DEFAULT_CLAUSE_BUDGET}-clause budget")
         head_lit = Literal(a, positive=False)
         for pick in itertools.product(*[b.s_literals for b in bodies]):
             out.add(Clause((head_lit,) + pick))
+    if len(out) > DEFAULT_CLAUSE_BUDGET:
+        raise CapExceeded(f"completion would exceed the {DEFAULT_CLAUSE_BUDGET}-clause budget")
     return sorted_clauses(out)
 
 

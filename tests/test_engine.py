@@ -382,7 +382,7 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
                 continue
             seen += 1
             prefix = before.trail.truncate(before.trail.first_conflict_index)
-            level = {e.literal: lv for e, lv in zip(prefix, prefix.levels)}
+            level = {e.literal: lv for e, lv in zip(prefix, _levels(prefix))}
             levels = [level[l.dual] for l in tr.clause]
             top = max(levels)
             assert levels.count(top) == 1
@@ -390,12 +390,22 @@ def test_analyze_conflict_output_shape_on_random_conflicts():
     assert seen > 0
 
 
+def _levels(trail):
+    """Decision level of each entry: entries before the first decision
+    are level 0, and a decision opens the next level."""
+    out, level = [], 0
+    for e in trail:
+        level += e.is_decision
+        out.append(level)
+    return out
+
+
 def _rescanning_analysis(state, conflicting):
     """Conflict analysis that looks for each pivot from the end of the
-    prefix, as :func:`engine.analyze_conflict` did before it kept its
-    place between resolutions."""
+    prefix, at the conflict level, as :func:`engine.analyze_conflict`
+    did before it kept its place between resolutions."""
     prefix = state.trail.truncate(state.trail.first_conflict_index)
-    level = {e.literal: lv for e, lv in zip(prefix, prefix.levels)}
+    level = {e.literal: lv for e, lv in zip(prefix, _levels(prefix))}
     current = set(conflicting.literals)
     while True:
         dec = max(level[l.dual] for l in current)
@@ -443,7 +453,7 @@ def test_one_pass_conflict_analysis_equals_rescanning_from_the_end(cohort, mode)
             assert (s.transition.clause, s.transition.literal, s.transition.prefix_length) == (
                 learned, asserting, kept)
             literals = [e.literal for e in before.trail.entries]
-            level_zero += before.trail.levels[literals.index(asserting.dual)] == 0
+            level_zero += _levels(before.trail)[literals.index(asserting.dual)] == 0
     assert seen > 0
     if cohort == "programs" and mode == "cmodels":
         assert level_zero > 0
@@ -470,6 +480,17 @@ def test_conflict_analysis_rejects_a_reason_literal_above_the_conflict_level():
     before = state("a* b c d* e -e", {"b": cl("-a", "b", "-d"), "c": cl("-a", "c")})
     with pytest.raises(ValueError, match="^reason literal -d lies above the conflict level$"):
         analyze_conflict(before, cl("-b", "-c"))
+
+
+def test_conflict_analysis_below_the_top_level_passes_its_propagations():
+    # -b | -c lies wholly at level 0, below the decision d; the scan
+    # passes e, a level-1 propagation, then resolves on c and on b, as a
+    # level-0 Backjump under cmodels does
+    reasons = {"a": cl("a"), "b": cl("-a", "b"), "c": cl("-a", "c"), "e": cl("-d", "e")}
+    before = state("a b c d* e -c", reasons)
+    conflicting = cl("-b", "-c")
+    assert analyze_conflict(before, conflicting) == (cl("-a"), lit("-a"), 3)
+    assert _rescanning_analysis(before, conflicting) == (cl("-a"), lit("-a"), 3)
 
 
 @pytest.mark.parametrize("value, field", [

@@ -73,15 +73,6 @@ def test_decision_trail_can_be_inconsistent():
     assert prefix.entries[0].is_decision
 
 
-def test_decision_level_before_first_decision_is_zero():
-    assert trail("b a* c").levels[0] == 0
-
-
-def test_decision_level_counts_opening_decisions():
-    assert trail("b a* c").levels == (0, 1, 1)
-    assert trail("a* b* c").levels == (1, 2, 2)
-
-
 def test_trail_rejects_duplicate_literal():
     with pytest.raises(ValueError):
         trail("a a")
@@ -157,13 +148,6 @@ def test_prefix_is_consistent_and_next_entry_breaks_it():
             assert not extended.is_consistent
 
 
-def test_decision_levels_are_monotone_along_the_trail():
-    rng = random.Random(11)
-    for _ in range(200):
-        t = _random_trail(rng)
-        assert list(t.levels) == sorted(t.levels)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("abcdef"), st.booleans(), st.booleans(),
                           st.booleans()), max_size=14))
@@ -184,9 +168,17 @@ def test_appended_trail_views_match_a_trail_built_from_its_entries(moves):
             assert view.literal_set == built.literal_set
             assert view.first_conflict_index == built.first_conflict_index
             assert view.decision_indices == built.decision_indices
-            assert view.levels == built.levels
             for value in (view, built):
                 _assert_a_trail_value(value)
+
+
+def test_a_trail_sets_its_five_fields_when_it_is_made():
+    assert Trail.__slots__ == ("entries", "literal_set", "first_conflict_index",
+                               "decision_indices", "_sha256")
+    t = trail("a b* -a")
+    for made in (Trail(), t, t.truncate(1), t.truncate(None), t.append(lit("c"))):
+        assert all(getattr(made, name) is not None
+                   for name in Trail.__slots__ if name != "first_conflict_index")
 
 
 def _assert_a_trail_value(t):

@@ -78,9 +78,10 @@ class TestLp:
     def test_comments(self):
         assert parse_lp("% intro\nb. % fact\n") == prog(rule("b"))
 
-    def test_empty_constraint_is_rejected(self):
-        with pytest.raises(ParseError):
-            parse_lp(":- .")
+    @pytest.mark.parametrize("text", [":- .", "."], ids=["colon-dash", "period"])
+    def test_empty_constraint_is_rejected(self, text):
+        with pytest.raises(ParseError, match="^a constraint must have a non-empty body$"):
+            parse_lp(text)
 
     def test_unknown_token_is_rejected(self):
         with pytest.raises(ParseError):

@@ -84,6 +84,15 @@ class TestCompletion:
         with pytest.raises(CapExceeded):
             completion(prog(*rules))
 
+    def test_clause_budget_counts_each_distinct_clause_once(self, monkeypatch):
+        # each support clause -x | x repeats the clause reading of x :- not not x
+        choices = prog(*(rule(x, negneg=x) for x in "abc"))
+        monkeypatch.setattr(translations, "DEFAULT_CLAUSE_BUDGET", 3)
+        assert set(completion(choices)) == {cl("-a", "a"), cl("-b", "b"), cl("-c", "c")}
+        monkeypatch.setattr(translations, "DEFAULT_CLAUSE_BUDGET", 2)
+        with pytest.raises(CapExceeded, match="^completion would exceed the 2-clause budget$"):
+            completion(choices)
+
 
 class TestEdCompletion:
     def test_running_example_has_seven_clauses(self):
