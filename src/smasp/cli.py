@@ -26,6 +26,7 @@ from .parsing import (
     parse_lp,
     parse_pcid,
     parse_smasp,
+    quote,
 )
 from .trace import load_trace, trace_from_outcome, validate_trace, write_trace
 
@@ -211,7 +212,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_check_trace(args) -> int:
     trace = load_trace(_read(args.trace))
     if trace.header.mode not in engine.MODES:
-        raise InputError(f"trace header carries unknown mode: {trace.header.mode!r}")
+        raise InputError(f"trace header carries unknown mode: {quote(trace.header.mode)}")
     text = _read(args.input)
     theory, _, _ = build_theory(trace.header.mode, args.format, text)
     result = validate_trace(trace, theory, trace.header.mode,

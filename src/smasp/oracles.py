@@ -108,13 +108,10 @@ def _least_model(pi: Program) -> frozenset[Atom]:
 
 def is_answer_set(pi: Program, x: Iterable[Atom]) -> bool:
     xs = frozenset(x)
-    for r in pi:
-        if r.head is None:
-            survives = not any(a in xs for a in r.neg) and all(a in xs for a in r.negneg)
-            if survives and set(r.pos) <= xs:
-                return False
-    defining = Program(tuple(r for r in pi if r.head is not None))
-    return _least_model(reduct(defining, xs)) == xs
+    reduced = reduct(pi, xs)
+    if any(r.head is None and set(r.pos) <= xs for r in reduced):
+        return False
+    return _least_model(reduced) == xs
 
 
 def enumerate_answer_sets(pi: Program) -> tuple[frozenset[Atom], ...]:

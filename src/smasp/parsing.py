@@ -30,6 +30,12 @@ class ParseError(Exception):
     pass
 
 
+def quote(value: object) -> str:
+    """``repr(value)`` for an error message, cut to 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -46,7 +52,7 @@ def parse_literal_token(token: str) -> Literal:
     if token.startswith("f{") and token.endswith("}"):
         return Literal(Atom(token, origin=ORIGIN_FRESH), positive)
     if not _IDENT.match(token):
-        raise ParseError(f"invalid atom name: {token!r}")
+        raise ParseError(f"invalid atom name: {quote(token)}")
     return Literal(Atom(token), positive)
 
 
@@ -61,7 +67,7 @@ def format_literals(literals: Iterable[Literal]) -> str:
 def parse_clause_line(line: str) -> Clause:
     pieces = [p.strip() for p in line.split("|")]
     if any(not p for p in pieces):
-        raise ParseError(f"malformed clause line: {line!r}")
+        raise ParseError(f"malformed clause line: {quote(line)}")
     return Clause(tuple(parse_literal_token(p) for p in pieces))
 
 
@@ -87,14 +93,14 @@ def parse_dimacs(text: str) -> tuple[Clause, ...]:
                 raise ParseError("duplicate DIMACS header")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed DIMACS header: {line!r}")
+                raise ParseError(f"malformed DIMACS header: {quote(line)}")
             try:
                 var_count = int(parts[2])
                 clause_count = int(parts[3])
             except ValueError:
-                raise ParseError(f"malformed DIMACS header: {line!r}") from None
+                raise ParseError(f"malformed DIMACS header: {quote(line)}") from None
             if var_count < 0 or clause_count < 0:
-                raise ParseError(f"malformed DIMACS header: {line!r}")
+                raise ParseError(f"malformed DIMACS header: {quote(line)}")
             continue
         if var_count is None:
             raise ParseError("clause before the 'p cnf' header")
@@ -102,7 +108,7 @@ def parse_dimacs(text: str) -> tuple[Clause, ...]:
             try:
                 value = int(token)
             except ValueError:
-                raise ParseError(f"unexpected DIMACS token: {token!r}") from None
+                raise ParseError(f"unexpected DIMACS token: {quote(token)}") from None
             if value == 0:
                 if not current:
                     raise ParseError("zero-length clause in DIMACS input")
@@ -111,7 +117,7 @@ def parse_dimacs(text: str) -> tuple[Clause, ...]:
             else:
                 index = abs(value)
                 if index > var_count:
-                    raise ParseError(f"literal {value} exceeds declared variable count {var_count}")
+                    raise ParseError(f"literal {quote(value)} exceeds declared variable count {var_count}")
                 current.append(Literal(Atom(f"x{index}"), value > 0))
     if var_count is None:
         raise ParseError("missing 'p cnf' header")
@@ -122,113 +128,38 @@ def parse_dimacs(text: str) -> tuple[Clause, ...]:
 
 # -- logic programs ----------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(:-|[A-Za-z_][A-Za-z0-9_]*|[{};,.])")
+def _parse_atom(word: str) -> Atom:
+    if word == "not" or not _IDENT.match(word):
+        raise ParseError(f"expected an atom, found {quote(word)}")
+    return Atom(word)
 
 
-def _tokenize_lp(text: str) -> list[str]:
-    # strip % comments first
-    stripped = "\n".join(line.split("%", 1)[0] for line in text.splitlines())
-    tokens = []
-    pos = 0
-    while pos < len(stripped):
-        m = _TOKEN.match(stripped, pos)
-        if m is None:
-            rest = stripped[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unknown token near: {rest[:20]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, token: str) -> None:
-        tok = self.take()
-        if tok != token:
-            raise ParseError(f"expected {token!r}, found {tok!r}")
-
-
-def _parse_atom(stream: _TokenStream) -> Atom:
-    tok = stream.take()
-    if tok == "not" or not _IDENT.match(tok):
-        raise ParseError(f"expected an atom, found {tok!r}")
-    return Atom(tok)
-
-
-def _parse_body(stream: _TokenStream) -> tuple[list[Atom], list[Atom], list[Atom]]:
-    pos: list[Atom] = []
-    neg: list[Atom] = []
-    negneg: list[Atom] = []
-    while True:
-        if stream.peek() == "not":
-            stream.take()
-            if stream.peek() == "not":
-                stream.take()
-                negneg.append(_parse_atom(stream))
-            else:
-                neg.append(_parse_atom(stream))
-        else:
-            pos.append(_parse_atom(stream))
-        if stream.peek() == ",":
-            stream.take()
-            continue
-        return pos, neg, negneg
-
-
-def _parse_rule(stream: _TokenStream) -> Rule:
-    choice_heads: Optional[list[Atom]] = None
-    head: Optional[Atom] = None
-    tok = stream.peek()
-    if tok == "{":
-        stream.take()
-        choice_heads = [_parse_atom(stream)]
-        while stream.peek() == ";":
-            stream.take()
-            choice_heads.append(_parse_atom(stream))
-        stream.expect("}")
-    elif tok not in (":-", "."):
-        head = _parse_atom(stream)
-
-    pos: list[Atom] = []
-    neg: list[Atom] = []
-    negneg: list[Atom] = []
-    if stream.peek() == ":-":
-        stream.take()
-        if stream.peek() != ".":
-            pos, neg, negneg = _parse_body(stream)
-    stream.expect(".")
-
+def _parse_rule(text: str) -> Rule:
+    head, _, body = text.partition(":-")
+    head = head.strip()
+    parts: tuple[list[Atom], list[Atom], list[Atom]] = ([], [], [])  # pos, neg, negneg
+    for item in body.split(",") if body.strip() else ():
+        *nots, atom = item.split() or [""]
+        if len(nots) > 2 or any(w != "not" for w in nots):
+            raise ParseError(f"expected a body item, found {quote(item.strip())}")
+        parts[len(nots)].append(_parse_atom(atom))
     try:
-        if choice_heads is not None:
-            return desugar_choice(choice_heads, pos, neg, negneg)
-        return Rule(head, tuple(pos), tuple(neg), tuple(negneg))
+        if head.startswith("{") and head.endswith("}"):
+            return desugar_choice([_parse_atom(a.strip()) for a in head[1:-1].split(";")], *parts)
+        return Rule(_parse_atom(head) if head else None, *parts)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def parse_lp(text: str) -> Program:
     """Rules ``head :- body.`` with ``not`` / ``not not`` body items,
-    ``{a}`` choice heads, headless constraints, and ``%`` comments."""
-    stream = _TokenStream(_tokenize_lp(text))
-    rules = []
-    while stream.peek() is not None:
-        rules.append(_parse_rule(stream))
-    return Program(tuple(rules))
+    ``{a}`` choice heads, headless constraints, and ``%`` comments; a
+    period ends each rule, and no atom holds one."""
+    stripped = "\n".join(line.split("%", 1)[0] for line in text.splitlines())
+    *rules, rest = stripped.split(".")
+    if rest.strip():
+        raise ParseError(f"expected a period after {quote(rest.strip())}")
+    return Program(tuple(_parse_rule(r) for r in rules))
 
 
 def format_rule(rule: Rule) -> str:

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import engine, oracles
 from .model import Clause, Literal, SmaspTheory, __version__, satisfies
-from .parsing import ParseError, format_clause, format_program, parse_literal_token
+from .parsing import ParseError, format_clause, format_program, parse_literal_token, quote
 
 
 class TraceHeader(NamedTuple):
@@ -104,10 +104,10 @@ def write_trace(path: str, trace: Trace) -> None:
 
 def _parsed(key: str, tokens, literals: _Memo) -> tuple[Literal, ...]:
     if not isinstance(tokens, list):
-        raise ParseError(f"{key} is not a JSON array: {tokens!r}")
+        raise ParseError(f"{key} is not a JSON array: {quote(tokens)}")
     for token in tokens:
         if not isinstance(token, str):
-            raise ParseError(f"literal token is not a string: {token!r}")
+            raise ParseError(f"literal token is not a string: {quote(token)}")
     return tuple(literals[t] for t in tokens)
 
 
@@ -116,10 +116,10 @@ def _transition(record: dict, literals: _Memo) -> engine.Transition:
     their checks."""
     rule = record.get("rule")
     if not isinstance(rule, str) or rule not in engine.ALL_RULES:
-        raise ParseError(f"unknown trace rule: {rule!r}")
+        raise ParseError(f"unknown trace rule: {quote(rule)}")
     prefix_length = record.get("prefix_length")  # null reads as absent
     if prefix_length is not None and type(prefix_length) is not int:
-        raise ParseError(f"prefix_length is not an integer: {prefix_length!r}")
+        raise ParseError(f"prefix_length is not an integer: {quote(prefix_length)}")
     literal = clause = witness = None
     if "literal" in record:
         literal = _parsed("literal", [record["literal"]], literals)[0]
@@ -128,7 +128,7 @@ def _transition(record: dict, literals: _Memo) -> engine.Transition:
     if "witness" in record:
         members = _parsed("witness", record["witness"], literals)
         if not all(l.positive for l in members):
-            raise ParseError(f"witness entries are atom names: {record['witness']!r}")
+            raise ParseError(f"witness entries are atom names: {quote(record['witness'])}")
         witness = tuple(l.atom for l in members)
     return engine.Transition(rule, literal, clause, witness, prefix_length)
 
@@ -159,9 +159,9 @@ def _header(record: dict) -> TraceHeader:
                          record.get("version", __version__))
     for key, value in zip(("mode", "theory", "version"), header):
         if not isinstance(value, str):
-            raise ParseError(f"trace header {key} is not a string: {value!r}")
+            raise ParseError(f"trace header {key} is not a string: {quote(value)}")
     if header.version != __version__:
-        raise ParseError(f"trace version {header.version!r} is not {__version__!r}")
+        raise ParseError(f"trace version {quote(header.version)} is not {__version__!r}")
     return header
 
 
@@ -187,9 +187,9 @@ def load_trace(text: str) -> Trace:
                 continue
             index, digest = record.get("index"), record.get("trail", "")
             if type(index) is not int:  # nor bool
-                raise ParseError(f"index is not an integer: {index!r}")
+                raise ParseError(f"index is not an integer: {quote(index)}")
             if type(digest) is not str:
-                raise ParseError(f"trail digest is not a string: {digest!r}")
+                raise ParseError(f"trail digest is not a string: {quote(digest)}")
             key = _payload_key(record)
             try:
                 transition = transitions[key]

@@ -19,7 +19,9 @@ from smasp.parsing import (
     parse_lp,
     parse_pcid,
     parse_smasp,
+    quote,
 )
+from smasp.trace import load_trace
 
 
 class TestDimacs:
@@ -99,6 +101,22 @@ class TestLp:
         with pytest.raises(ParseError):
             parse_lp("not.")
 
+    @pytest.mark.parametrize("text", [
+        "a :- b", "a :- b,, c.", "a :- not not not b.", "{}.", "{a;}.", "a b.", "a :- b :- c.",
+        "not :- a.",
+    ])
+    def test_malformed_rule_is_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_lp(text)
+
+    def test_an_empty_body_after_the_arrow_makes_a_fact(self):
+        assert parse_lp("a :- .") == prog(rule("a"))
+
+    def test_whitespace_and_line_breaks_separate_tokens(self):
+        text = "a:-b,\tnot\r\nc.\x0bb  .\r\n{ c }.\n:-\nb ."
+        assert parse_lp(text) == prog(rule("a", pos="b", neg="c"), rule("b"),
+                                      rule("c", negneg="c"), rule(None, pos="b"))
+
 
 class TestPcid:
     def test_running_example(self):
@@ -152,6 +170,33 @@ class TestRoundTrips:
             t = gen.random_total_pcid(rng, n_atoms=3, max_rules=4)
             assert parse_pcid(format_pcid(t)) == t
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_program_parses_back_from_any_concrete_syntax(self, data):
+        pi = gen.random_program(random.Random(data.draw(st.integers(0, 2**32))))
+        draw = lambda options: data.draw(st.sampled_from(options))
+        space = lambda: draw(["", " ", "\t", "\n", "\r\n", " \t "])
+        gap = lambda: draw([" ", "\t", "\n", "\r\n"])  # between `not` and what follows
+        text = ""
+        for r in pi:
+            negneg = [a.name for a in r.negneg]
+            if r.head is not None and r.head.name in negneg and draw([True, False]):
+                negneg.remove(r.head.name)
+                head = "{" + space() + r.head.name + space() + "}"
+            else:
+                head = r.head.name if r.head is not None else ""
+            items = ([a.name for a in r.pos] + [f"not{gap()}{a.name}" for a in r.neg]
+                     + [f"not{gap()}not{gap()}{a}" for a in negneg])
+            body = "".join((space() + "," + space() if i else "") + item for i, item in enumerate(items))
+            if body or head == "" or draw([True, False]):
+                text += head + space() + ":-" + space() + body
+            else:
+                text += head
+            text += space() + "."
+            comment = draw(["", " % a note", "%:- a, not b. {c}", "%"])
+            text += comment + (draw(["\n", "\r\n"]) if comment else draw(["", " ", "\n", "\r\n"]))
+        assert parse_lp(text) == pi
+
     def test_dimacs_round_trip_by_content(self):
         text = "p cnf 3 2\n1 2 0\n-1 3 0"
         clauses = parse_dimacs(text)
@@ -176,3 +221,28 @@ def test_a_parser_returns_a_value_or_raises_a_parse_error(parse, text):
         parse(text)
     except ParseError:
         pass
+
+
+_LONG = "&" * 1_000_000
+_LONG_INPUTS = {
+    parse_dimacs: "p cnf 1 1\n" + _LONG,
+    parse_lp: f"a :- {_LONG}.",
+    parse_pcid: f"#theory\n{_LONG}\n#program\n",
+    parse_smasp: f"#theory\n{_LONG}\n#program\n",
+    parse_goal: _LONG,
+    parse_literal_token: _LONG,
+    load_trace: '{"mode": "clasp"}\n{"index": "%s", "rule": "Decide"}' % _LONG,
+}
+
+
+@pytest.mark.parametrize("parse", PARSERS + (load_trace,), ids=lambda p: p.__name__)
+def test_an_error_message_quotes_at_most_a_prefix_of_a_long_token(parse):
+    with pytest.raises(ParseError) as caught:
+        parse(_LONG_INPUTS[parse])
+    assert len(str(caught.value)) < 200
+
+
+def test_an_error_message_quotes_a_short_token_whole():
+    assert quote("b & c") == "'b & c'"
+    with pytest.raises(ParseError, match=r"^invalid atom name: 'a&'$"):
+        parse_literal_token("a&")
