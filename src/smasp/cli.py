@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--enumerate", type=int, default=1, metavar="K",
                        help="find up to K models via blocking clauses")
     solve.add_argument("--self-check", action="store_true",
-                       help="cross-validate verdicts against the oracle at desk scale")
+                       help="check a model verdict against the oracle at any size; at desk "
+                            "scale also cross-check an unsat verdict by enumeration and "
+                            "reject a minisatid pcid input that is not total")
     solve.add_argument("--raw", action="store_true",
                        help="report the full internal model, alias atoms included")
     solve.add_argument("input")

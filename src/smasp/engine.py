@@ -127,15 +127,19 @@ MODES = tuple(sorted(_PRIORITIES))
 _LEARNING_MODES = frozenset({"cmodels", "clasp", "minisatid"})
 
 
-def strategy_priority(mode: str) -> tuple[tuple[str, ...], ...]:
+_STRATEGIES = {mode: Strategy(mode, priority, mode in _LEARNING_MODES)
+               for mode, priority in _PRIORITIES.items()}
+
+
+def for_mode(mode: str) -> Strategy:
     try:
-        return _PRIORITIES[mode]
+        return _STRATEGIES[mode]
     except KeyError:
         raise ValueError(f"unknown strategy mode: {mode!r}") from None
 
 
-def for_mode(mode: str) -> Strategy:
-    return Strategy(mode, strategy_priority(mode), mode in _LEARNING_MODES)
+def strategy_priority(mode: str) -> tuple[tuple[str, ...], ...]:
+    return for_mode(mode).priority
 
 
 class _TheoryContext(NamedTuple):

@@ -524,8 +524,10 @@ def satisfies(literals: Iterable[Literal], clauses: Iterable[Clause]) -> bool:
     return all(any(l in ls for l in c) for c in clauses)
 
 
-def atoms_of_clauses(clauses: Iterable[Clause]) -> tuple[Atom, ...]:
-    return sorted_atoms(l.atom for c in clauses for l in c.literals)
+def _theory_atoms(clauses: tuple[Clause, ...], program: Program) -> tuple[Atom, ...]:
+    found = {l.atom for c in clauses for l in c.literals}
+    found.update(program.atoms)
+    return tuple(sorted(found, key=_by_key))
 
 
 @dataclass(frozen=True)
@@ -549,7 +551,7 @@ class SmaspTheory:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        return sorted_atoms(atoms_of_clauses(self.clauses) + self.program.atoms)
+        return _theory_atoms(self.clauses, self.program)
 
 
 @dataclass(frozen=True)
@@ -567,4 +569,4 @@ class PcidTheory:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        return sorted_atoms(atoms_of_clauses(self.clauses) + self.program.atoms)
+        return _theory_atoms(self.clauses, self.program)

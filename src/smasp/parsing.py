@@ -72,7 +72,7 @@ def parse_clause_line(line: str) -> Clause:
 
 
 def format_clause(clause: Clause) -> str:
-    return " | ".join(format_literal(l) for l in clause)
+    return " | ".join([l.token for l in clause])
 
 
 # -- DIMACS CNF --------------------------------------------------------
@@ -175,7 +175,7 @@ def format_rule(rule: Rule) -> str:
 
 
 def format_program(pi: Program) -> str:
-    return "\n".join(format_rule(r) for r in pi)
+    return "\n".join([format_rule(r) for r in pi])
 
 
 # -- two-section clausal/program theories ------------------------------

@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import engine, oracles
-from .model import Clause, Literal, SmaspTheory, __version__, satisfies
+from .model import Clause, Literal, SmaspTheory, __version__, _make_record, satisfies
 from .parsing import ParseError, format_clause, format_program, parse_literal_token, quote
 
 
@@ -40,7 +40,7 @@ _DIGESTS: weakref.WeakKeyDictionary[SmaspTheory, str] = weakref.WeakKeyDictionar
 def theory_digest(theory: SmaspTheory) -> str:
     digest = _DIGESTS.get(theory)
     if digest is None:
-        text = "\n".join(format_clause(c) for c in theory.clauses)
+        text = "\n".join([format_clause(c) for c in theory.clauses])
         text += "\n#\n" + format_program(theory.program)
         digest = _DIGESTS[theory] = hashlib.sha256(text.encode()).hexdigest()[:16]
     return digest
@@ -80,15 +80,13 @@ def _payload(transition: engine.Transition) -> str:
 
 
 def _lines(trace: Trace) -> Iterator[str]:
-    """The lines of the trace's text, each ending in a newline. A step's
-    record is what ``json.dumps`` writes for it, keys in the order index,
-    rule, literal, clause, witness, prefix_length, trail; each distinct
-    transition is encoded once per call, through a payload memo that
-    mirrors :func:`load_trace`'s."""
-    header = trace.header
-    yield json.dumps({"mode": header.mode, "theory": header.theory_digest,
-                      "version": header.version}) + "\n"
+    """The lines of the trace's text, each ending in a newline. Each
+    line is what ``json.dumps`` writes for its record: the header's keys
+    are mode, theory, version, and a step's are index, rule, literal,
+    clause, witness, prefix_length, trail. Each distinct transition is
+    encoded once per call, through a payload memo."""
     encode, payloads = encode_basestring_ascii, _Memo(_payload)
+    yield '{"mode": %s, "theory": %s, "version": %s}\n' % tuple(map(encode, trace.header))
     for index, transition, digest in trace.steps:
         yield '{"index": %d, %s, "trail": %s}\n' % (index, payloads[transition], encode(digest))
 
@@ -103,50 +101,42 @@ def write_trace(path: str, trace: Trace) -> None:
 
 
 def _parsed(key: str, tokens, literals: _Memo) -> tuple[Literal, ...]:
-    if not isinstance(tokens, list):
+    if type(tokens) is not list:
         raise ParseError(f"{key} is not a JSON array: {quote(tokens)}")
     for token in tokens:
-        if not isinstance(token, str):
+        if type(token) is not str:
             raise ParseError(f"literal token is not a string: {quote(token)}")
     return tuple(literals[t] for t in tokens)
 
 
-def _transition(record: dict, literals: _Memo) -> engine.Transition:
+def _transition(record: dict, literals: _Memo, clauses: dict) -> engine.Transition:
     """The transition a record's payload names, once its fields pass
-    their checks."""
+    their checks; ``clauses`` maps each clause array's tokens to its clause."""
     rule = record.get("rule")
-    if not isinstance(rule, str) or rule not in engine.ALL_RULES:
+    if type(rule) is not str or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {quote(rule)}")
     prefix_length = record.get("prefix_length")  # null reads as absent
     if prefix_length is not None and type(prefix_length) is not int:
         raise ParseError(f"prefix_length is not an integer: {quote(prefix_length)}")
     literal = clause = witness = None
     if "literal" in record:
-        literal = _parsed("literal", [record["literal"]], literals)[0]
+        token = record["literal"]
+        if type(token) is not str:
+            raise ParseError(f"literal token is not a string: {quote(token)}")
+        literal = literals[token]
     if "clause" in record:
-        clause = Clause(_parsed("clause", record["clause"], literals))
+        tokens = record["clause"]
+        key = tuple(tokens) if type(tokens) is list else None  # tuple("ab") == ("a", "b")
+        try:
+            clause = clauses[key]
+        except (KeyError, TypeError):  # new, not an array, or unhashable and so malformed
+            clause = clauses[key] = Clause(_parsed("clause", tokens, literals))
     if "witness" in record:
         members = _parsed("witness", record["witness"], literals)
         if not all(l.positive for l in members):
             raise ParseError(f"witness entries are atom names: {quote(record['witness'])}")
         witness = tuple(l.atom for l in members)
-    return engine.Transition(rule, literal, clause, witness, prefix_length)
-
-
-_ABSENT = object()
-
-
-def _payload_key(record: dict) -> tuple:
-    """The payload fields, each after its JSON type so that ``1``,
-    ``1.0`` and ``true`` differ, and absent apart from null; an array
-    becomes a tuple, unhashable when it holds an array or an object."""
-    rule, literal, clause, witness, prefix_length = (
-        record.get("rule", _ABSENT), record.get("literal", _ABSENT), record.get("clause", _ABSENT),
-        record.get("witness", _ABSENT), record.get("prefix_length", _ABSENT))
-    return (type(rule), rule, type(literal), literal,
-            type(clause), tuple(clause) if type(clause) is list else clause,
-            type(witness), tuple(witness) if type(witness) is list else witness,
-            type(prefix_length), prefix_length)
+    return _make_record(engine.Transition, (rule, literal, clause, witness, prefix_length))
 
 
 def _header(record: dict) -> TraceHeader:
@@ -169,11 +159,11 @@ def load_trace(text: str) -> Trace:
     """A header line, then a step record per line, blank lines skipped;
     a first record with an ``index`` or a ``rule`` is a step, not a header.
     Lines end at ``"\\n"`` alone, so a string may hold any other line
-    separator raw, and a ``"\\r"`` before it is JSON whitespace. A payload
-    that recurs maps through a memo to its transition, checked and built
-    once; a malformed line's error names it, blank lines counted."""
-    literals = _Memo(parse_literal_token)
-    transitions: dict[tuple, engine.Transition] = {}
+    separator raw, and a ``"\\r"`` before it is JSON whitespace. Every
+    record's fields are checked; literal tokens and clause arrays map
+    through memos local to the load, so each distinct one is parsed
+    once. A malformed line's error names it, blank lines counted."""
+    literals, clauses = _Memo(parse_literal_token), {}
     header, steps = None, []
     for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -181,7 +171,7 @@ def load_trace(text: str) -> Trace:
         try:
             record = json.loads(line)
             if type(record) is not dict:
-                raise ParseError(f"not a JSON object: {line.strip()[:40]}")
+                raise ParseError(f"not a JSON object: {quote(line.strip())}")
             if header is None:
                 header = _header(record)
                 continue
@@ -190,13 +180,8 @@ def load_trace(text: str) -> Trace:
                 raise ParseError(f"index is not an integer: {quote(index)}")
             if type(digest) is not str:
                 raise ParseError(f"trail digest is not a string: {quote(digest)}")
-            key = _payload_key(record)
-            try:
-                transition = transitions[key]
-            except (KeyError, TypeError):  # new, or unhashable and so malformed
-                transition = _transition(record, literals)
-                transitions[key] = transition
-            steps.append(engine.TraceStep(index, transition, digest))
+            transition = _transition(record, literals, clauses)
+            steps.append(_make_record(engine.TraceStep, (index, transition, digest)))
         except ParseError as exc:
             raise ParseError(f"trace line {number}: {exc}") from None
         except ValueError as exc:  # malformed JSON, or an empty clause

@@ -1,14 +1,14 @@
 """Seeded random instance generators for the property and acceptance
-tests, and the definitions only tests use: program simplification,
-choice rules, singular Unfounded edges, π-safety, and the DIMACS and
-PC(ID) printers."""
+tests, and the definitions only tests use: the atoms of clauses,
+program simplification, choice rules, singular Unfounded edges,
+π-safety, and the DIMACS and PC(ID) printers."""
 
 import random
 from typing import Iterable
 
 from smasp.model import (
-    Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory, atoms_of_clauses,
-    is_consistent_literals, positive_part, sorted_atoms,
+    Atom, Clause, Literal, PcidTheory, Program, Rule, SmaspTheory, is_consistent_literals,
+    positive_part, sorted_atoms,
 )
 from smasp.parsing import format_clause, format_program
 from smasp.translations import completion, ed_completion, open_atoms
@@ -17,6 +17,8 @@ from smasp import engine, oracles
 
 POOL = tuple(Atom(n) for n in "abcdef")
 POOL8 = tuple(Atom(n) for n in "abcdefgh")
+# names that need JSON escapes; an ED-completion's alias atoms hold them too
+ESCAPED_POOL = tuple(Atom(n) for n in ("a", 'q"u', "b\\s", "t\tab", "\u00e9\u2028", "n\x00"))
 
 
 def random_program(rng: random.Random, n_atoms=6, max_rules=10,
@@ -76,6 +78,18 @@ def theories_per_mode(pi: Program):
         ("minisatid", SmaspTheory(ed_completion(pi), pi)),
         ("dpll", SmaspTheory(completion(pi))),
     )
+
+
+def escaped_theories(rng: random.Random) -> list:
+    """Theories over :data:`ESCAPED_POOL`: one per mode of a random
+    program, its ED-completion with random clauses added, and a
+    PC(ID) theory of those clauses."""
+    pi = random_program(rng, n_atoms=rng.randint(1, 6), pool=ESCAPED_POOL)
+    weak = random_program(rng, n_atoms=rng.randint(1, 6), allow_constraints=False,
+                          pool=ESCAPED_POOL)
+    clauses = random_clauses(rng, ESCAPED_POOL)
+    return ([theory for _, theory in theories_per_mode(pi)]
+            + [SmaspTheory(clauses + ed_completion(pi), pi), PcidTheory(clauses, weak)])
 
 
 def random_3sat(rng: random.Random, n: int) -> SmaspTheory:
@@ -171,6 +185,10 @@ def is_singular_unfounded(state: engine.AugmentedState, theory: SmaspTheory) -> 
     return bool(engine.applicable(state, theory, engine.RULE_UNFOUNDED)) and any(
         engine.applicable(state, theory, r)
         for r in (engine.RULE_UNIT_PROPAGATE, engine.RULE_FAIL, engine.RULE_BACKTRACK))
+
+
+def atoms_of_clauses(clauses: Iterable[Clause]) -> tuple[Atom, ...]:
+    return sorted_atoms(l.atom for c in clauses for l in c.literals)
 
 
 def enumerate_models(clauses: Iterable[Clause],

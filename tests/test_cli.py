@@ -32,6 +32,13 @@ def pcid0(tmp_path):
 
 
 class TestSolve:
+    def test_self_check_help_names_what_is_checked_at_any_size(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "check a model verdict against the oracle at any size; at desk scale" in text
+        assert "cross-validate" not in text
+
     def test_dpll_model_and_exit_code(self, f1, capsys):
         assert main(["solve", "--mode", "dpll", "--format", "cnf", f1]) == 10
         out = capsys.readouterr().out.splitlines()

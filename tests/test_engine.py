@@ -223,6 +223,16 @@ class TestStrategyPriority:
         with pytest.raises(ValueError):
             strategy_priority("chronological")
 
+    def test_each_mode_has_one_strategy(self):
+        for mode in engine.MODES:
+            assert engine.for_mode(mode) is engine.for_mode(mode)
+            assert engine.for_mode(mode).priority == strategy_priority(mode)
+
+    def test_an_unknown_mode_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown strategy mode: 'chronological'"):
+                engine.for_mode("chronological")
+
 
 class TestRun:
     def test_strategy_must_rank_conflict_handling_first(self):

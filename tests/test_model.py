@@ -117,6 +117,14 @@ def test_theory_atom_sets_union_both_parts():
     assert set(t.atoms) == set(atoms("a b c x"))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_theory_atoms_are_the_sorted_atoms_of_both_parts(rng):
+    for theory in gen.escaped_theories(rng):
+        clause_atoms = gen.atoms_of_clauses(theory.clauses)
+        assert theory.atoms == sorted_atoms(clause_atoms + theory.program.atoms)
+
+
 def test_pcid_theory_rejects_constraints():
     with pytest.raises(ValueError):
         PcidTheory((), prog(rule(None, pos="a")))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -21,7 +22,7 @@ from smasp.trace import (
     validate_trace,
     write_trace,
 )
-from smasp.parsing import ParseError, format_literal, parse_dimacs, parse_literal_token
+from smasp.parsing import ParseError, format_literal, format_rule, parse_dimacs, parse_literal_token
 from smasp.translations import completion, ed_completion
 
 F1 = SmaspTheory((cl("a", "b"), cl("-a", "c")))
@@ -227,6 +228,23 @@ class TestSerialization:
     def test_malformed_step_field_is_a_parse_error(self, step):
         with pytest.raises(ParseError):
             load_trace(HEADER + "\n" + step + "\n")
+
+    @pytest.mark.parametrize("clause", [{"a": 1, "b": 1}, "ab"], ids=["object", "string"])
+    def test_a_clause_that_is_no_array_never_meets_an_earlier_array(self, clause):
+        """``tuple`` of the object or the string equals ``("a", "b")``,
+        the key of the first record's clause."""
+        good = '{"index": 1, "rule": "Learn", "clause": ["a", "b"]}'
+        bad = json.dumps({"index": 2, "rule": "Learn", "clause": clause})
+        with pytest.raises(ParseError, match="^trace line 3: clause is not a JSON array: "):
+            load_trace("\n".join([HEADER, good, bad]) + "\n")
+
+    def test_a_long_line_that_is_not_an_object_is_quoted_short(self):
+        line = json.dumps(["a"] * 200_000)
+        assert len(line) >= 1_000_000
+        with pytest.raises(ParseError, match="^trace line 2: not a JSON object: ") as raised:
+            load_trace(HEADER + "\n" + line + "\n")
+        message = str(raised.value)
+        assert len(message) < 200 and message.endswith("...")
 
     @pytest.mark.parametrize("line", ["[" * 100_000, '{"index": ' + "[" * 100_000],
                              ids=["line", "field"])
@@ -605,6 +623,22 @@ def test_one_solve_and_one_strict_check_format_the_theory_once(monkeypatch):
     trace = trace_from_outcome(run(theory, "clasp"), "clasp", theory)
     assert validate_trace(trace, theory, "clasp", strict_strategy=True).ok
     assert calls == [PI3]
+
+
+def _reference_theory_digest(theory):
+    """The theory digest by definition: the sha256 prefix of the clauses
+    printed one a line, a ``#`` line, then the program rule by rule."""
+    text = "\n".join(" | ".join(format_literal(l) for l in c) for c in theory.clauses)
+    text += "\n#\n" + "\n".join(format_rule(r) for r in theory.program)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_theory_digest_hashes_the_printed_theory(rng):
+    for theory in gen.escaped_theories(rng):
+        if isinstance(theory, SmaspTheory):
+            assert theory_digest(theory) == _reference_theory_digest(theory)
 
 
 # ROADMAP item 2: above oracles.DESK_CHECK_ATOM_LIMIT atoms a Learn or
