@@ -19,6 +19,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 __version__ = "0.1.0"
@@ -524,12 +525,6 @@ def satisfies(literals: Iterable[Literal], clauses: Iterable[Clause]) -> bool:
     return all(any(l in ls for l in c) for c in clauses)
 
 
-def _theory_atoms(clauses: tuple[Clause, ...], program: Program) -> tuple[Atom, ...]:
-    found = {l.atom for c in clauses for l in c.literals}
-    found.update(program.atoms)
-    return tuple(sorted(found, key=_by_key))
-
-
 @dataclass(frozen=True)
 class SmaspTheory:
     """A clause set paired with a program; models are models of the
@@ -551,7 +546,8 @@ class SmaspTheory:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        return _theory_atoms(self.clauses, self.program)
+        clause_atoms = (l.atom for c in self.clauses for l in c.literals)
+        return sorted_atoms(chain(self.program.atoms, clause_atoms))
 
 
 @dataclass(frozen=True)
@@ -569,4 +565,5 @@ class PcidTheory:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        return _theory_atoms(self.clauses, self.program)
+        clause_atoms = (l.atom for c in self.clauses for l in c.literals)
+        return sorted_atoms(chain(self.program.atoms, clause_atoms))

@@ -109,9 +109,9 @@ def _parsed(key: str, tokens, literals: _Memo) -> tuple[Literal, ...]:
     return tuple(literals[t] for t in tokens)
 
 
-def _transition(record: dict, literals: _Memo, clauses: dict) -> engine.Transition:
+def _transition(record: dict, literals: _Memo) -> engine.Transition:
     """The transition a record's payload names, once its fields pass
-    their checks; ``clauses`` maps each clause array's tokens to its clause."""
+    their checks."""
     rule = record.get("rule")
     if type(rule) is not str or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {quote(rule)}")
@@ -125,12 +125,7 @@ def _transition(record: dict, literals: _Memo, clauses: dict) -> engine.Transiti
             raise ParseError(f"literal token is not a string: {quote(token)}")
         literal = literals[token]
     if "clause" in record:
-        tokens = record["clause"]
-        key = tuple(tokens) if type(tokens) is list else None  # tuple("ab") == ("a", "b")
-        try:
-            clause = clauses[key]
-        except (KeyError, TypeError):  # new, not an array, or unhashable and so malformed
-            clause = clauses[key] = Clause(_parsed("clause", tokens, literals))
+        clause = Clause(_parsed("clause", record["clause"], literals))
     if "witness" in record:
         members = _parsed("witness", record["witness"], literals)
         if not all(l.positive for l in members):
@@ -160,10 +155,10 @@ def load_trace(text: str) -> Trace:
     a first record with an ``index`` or a ``rule`` is a step, not a header.
     Lines end at ``"\\n"`` alone, so a string may hold any other line
     separator raw, and a ``"\\r"`` before it is JSON whitespace. Every
-    record's fields are checked; literal tokens and clause arrays map
-    through memos local to the load, so each distinct one is parsed
-    once. A malformed line's error names it, blank lines counted."""
-    literals, clauses = _Memo(parse_literal_token), {}
+    record's fields are checked; literal tokens map through a memo
+    local to the load, so each distinct one is parsed once. A malformed
+    line's error names it, blank lines counted."""
+    literals = _Memo(parse_literal_token)
     header, steps = None, []
     for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -180,7 +175,7 @@ def load_trace(text: str) -> Trace:
                 raise ParseError(f"index is not an integer: {quote(index)}")
             if type(digest) is not str:
                 raise ParseError(f"trail digest is not a string: {quote(digest)}")
-            transition = _transition(record, literals, clauses)
+            transition = _transition(record, literals)
             steps.append(_make_record(engine.TraceStep, (index, transition, digest)))
         except ParseError as exc:
             raise ParseError(f"trace line {number}: {exc}") from None

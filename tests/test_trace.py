@@ -232,7 +232,8 @@ class TestSerialization:
     @pytest.mark.parametrize("clause", [{"a": 1, "b": 1}, "ab"], ids=["object", "string"])
     def test_a_clause_that_is_no_array_never_meets_an_earlier_array(self, clause):
         """``tuple`` of the object or the string equals ``("a", "b")``,
-        the key of the first record's clause."""
+        the tokens of the first record's clause; it is refused all the
+        same."""
         good = '{"index": 1, "rule": "Learn", "clause": ["a", "b"]}'
         bad = json.dumps({"index": 2, "rule": "Learn", "clause": clause})
         with pytest.raises(ParseError, match="^trace line 3: clause is not a JSON array: "):
