@@ -107,7 +107,11 @@ def _cmd_solve(args) -> int:
     theory, report_kind, report_atoms, pcid = _build(args.mode, args.format, _read(args.input))
 
     if args.self_check and pcid is not None and args.mode == "minisatid":
-        if oracles.at_desk_scale(pcid) and not oracles.is_total(pcid):
+        if not oracles.at_desk_scale(pcid):
+            limit = oracles.DESK_CHECK_ATOM_LIMIT
+            print(f"totality not checked: {len(pcid.atoms)} atoms,"
+                  f" above the desk-scale limit of {limit}", file=sys.stderr)
+        elif not oracles.is_total(pcid):
             print("input theory is not total; this pipeline requires totality",
                   file=sys.stderr)
             return EXIT_INPUT_ERROR

@@ -69,6 +69,15 @@ class SelfCheckError(RuntimeError):
     """A verdict contradicted the semantic oracle."""
 
 
+class Inapplicable(ValueError):
+    """:func:`step`'s refusal, formatted as ``template.format(*values)``
+    only when read: :func:`applicable` reads none of its refusals."""
+
+    def __str__(self) -> str:
+        template, *values = self.args
+        return template.format(*values)
+
+
 class Transition(NamedTuple):
     rule: str
     literal: Optional[Literal] = None
@@ -166,64 +175,46 @@ def digest_trail(trail: Trail) -> str:
     return hashlib.sha256(" ".join(map(entry_token, trail)).encode()).hexdigest()[:16]
 
 
-def applicable_unit_propagate(state: AugmentedState, theory: SmaspTheory,
-                              include_learned: bool = False) -> list[tuple[Literal, Clause]]:
-    """All unit-propagation candidates ``(l, clause)``: the clause's
-    other literals are falsified and ``l`` itself is not yet on the
-    trail (its dual may be: that is how conflicts enter). Ordered by
-    the clause set, then the program reading, then learned clauses."""
-    if state.failed:
-        return []
-    sources = list(_context(theory).up_sources)
-    if include_learned:
-        seen = set(sources)
-        for c in state.learned:
-            if c not in seen:
-                sources.append(c)
-                seen.add(c)
-    m = state.trail.literal_set
-    out: list[tuple[Literal, Clause]] = []
-    for c in sources:
-        falsified = sum(1 for l in c if l.dual in m)
-        if falsified < len(c) - 1:
+def _accepted(state: AugmentedState, theory: SmaspTheory,
+              candidates: Iterable[Transition]) -> list[Transition]:
+    """The ``candidates`` that :func:`step` accepts: every rule's filter."""
+    ctx, out = _context(theory), []
+    for tr in candidates:
+        try:
+            step(state, tr, theory, ctx)
+        except ValueError:
             continue
-        for l in c:
-            if l in m:
-                continue
-            if all(o.dual in m for o in c if o != l):
-                out.append((l, c))
+        out.append(tr)
     return out
 
 
-def applicable_decide(state: AugmentedState, theory: SmaspTheory) -> list[Literal]:
-    """Both polarities of every unassigned atom; only offered on
-    consistent trails (every strategy ranks conflict handling above
-    Decide, so this guard never changes reachable behavior)."""
-    if state.failed or not state.trail.is_consistent:
-        return []
-    out = []
-    for a in _context(theory).atoms:
-        if state.trail.is_unassigned(Literal(a)):
-            out.append(Literal(a))
-            out.append(Literal(a, positive=False))
-    return out
+def applicable_unit_propagate(state: AugmentedState, theory: SmaspTheory,
+                              include_learned: bool = False) -> list[Transition]:
+    """UnitPropagate's edges, or UnitPropagateLearn's with
+    ``include_learned``: each literal of each source clause, then of
+    each learned clause not among them."""
+    rule = RULE_UNIT_PROPAGATE_LEARN if include_learned else RULE_UNIT_PROPAGATE
+    learned = state.learned if include_learned else ()
+    clauses = dict.fromkeys(_context(theory).up_sources + learned)
+    return _accepted(state, theory, (Transition(rule, l, c) for c in clauses for l in c))
 
 
-def applicable_unfounded(state: AugmentedState, theory: SmaspTheory) -> list[tuple[Literal, tuple[Atom, ...]]]:
-    """Negations of the greatest unfounded set's members not already on
-    the trail, each carrying the set as witness. Inapplicable on
-    inconsistent trails (unfoundedness is undefined there)."""
-    if state.failed or not state.trail.is_consistent:
+def applicable_decide(state: AugmentedState, theory: SmaspTheory) -> list[Transition]:
+    """Decide's edges: both polarities of each atom, in atom order."""
+    return _accepted(state, theory, (Transition(RULE_DECIDE, Literal(a, positive))
+                                     for a in _context(theory).atoms for positive in (True, False)))
+
+
+def applicable_unfounded(state: AugmentedState, theory: SmaspTheory) -> list[Transition]:
+    """Unfounded's edges: the negation of each member of the greatest
+    unfounded set of the opened program, with the set as witness. The
+    set is undefined on an inconsistent trail, which offers none."""
+    if not state.trail.is_consistent:
         return []
     opened = translations.open_program(theory.program, theory.atoms)
-    gus = oracles.greatest_unfounded_set(state.trail.literal_set, opened)
-    witness = sorted_atoms(gus)
-    out = []
-    for a in witness:
-        lit = Literal(a, positive=False)
-        if lit not in state.trail:
-            out.append((lit, witness))
-    return out
+    witness = sorted_atoms(oracles.greatest_unfounded_set(state.trail.literal_set, opened))
+    return _accepted(state, theory, (Transition(RULE_UNFOUNDED, Literal(a, False), witness=witness)
+                                     for a in witness))
 
 
 def unfounded_reason(atom: Atom, u: Iterable[Atom], trail: Trail, pi: Program) -> Clause:
@@ -325,10 +316,9 @@ _CONFLICT_RULES = frozenset({RULE_FAIL, RULE_BACKTRACK, RULE_BACKJUMP})
 
 
 def conflict_guard(trail: Trail, rule: str) -> bool:
-    """The guard :func:`applicable` puts on the conflict rules: Fail
-    applies to an inconsistent trail without a decision, Backtrack and
-    Backjump to one with a decision. Telling them apart needs no
-    conflict analysis."""
+    """The guard :func:`step` puts on the conflict rules: Fail applies to
+    an inconsistent trail without a decision, Backtrack and Backjump to
+    one with a decision. Telling them apart needs no conflict analysis."""
     return (rule in _CONFLICT_RULES and not trail.is_consistent
             and bool(trail.decision_indices) != (rule == RULE_FAIL))
 
@@ -339,42 +329,43 @@ def conflict_rule(trail: Trail, strategy: Strategy) -> str:
     return next(r for r in strategy.priority[0] if conflict_guard(trail, r))
 
 
-def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Transition]:
-    """Every candidate of ``rule`` in ``state``, in canonical order: the
-    edges ``rule`` labels out of ``state``. The conflict rules apply
-    under :func:`conflict_guard`; Backjump's one candidate is the clause
-    :func:`analyze_conflict` learns. Learn has none: it is :func:`run`'s
-    learning policy, not a priority slot."""
+def conflict_candidate(state: AugmentedState, rule: str) -> Transition:
+    """The one candidate of a conflict ``rule`` that passes
+    :func:`conflict_guard` in ``state``: Backtrack flips the last
+    decision, and Backjump learns what :func:`analyze_conflict` learns."""
     trail = state.trail
-    if state.failed or rule == RULE_LEARN:
-        return []
-    if rule in _CONFLICT_RULES:
-        if not conflict_guard(trail, rule):
-            return []
-        if rule == RULE_FAIL:
-            return [Transition(RULE_FAIL)]
-        if rule == RULE_BACKTRACK:  # the new trail repeats no literal
-            last = trail.decision_indices[-1]
-            flipped = trail.entries[last].literal.dual
-            if any(e.literal == flipped for e in trail.entries[:last]):
-                return []
-            return [Transition(RULE_BACKTRACK, literal=flipped)]
-        learned, asserting, kept = analyze_conflict(state, conflicting_clause(state))
-        return [Transition(RULE_BACKJUMP, literal=asserting, clause=learned, prefix_length=kept)]
+    if rule == RULE_FAIL:
+        return Transition(RULE_FAIL)
+    if rule == RULE_BACKTRACK:
+        return Transition(RULE_BACKTRACK, trail.entries[trail.decision_indices[-1]].literal.dual)
+    learned, asserting, kept = analyze_conflict(state, conflicting_clause(state))
+    return Transition(RULE_BACKJUMP, literal=asserting, clause=learned, prefix_length=kept)
+
+
+def applicable(state: AugmentedState, theory: SmaspTheory, rule: str) -> list[Transition]:
+    """Every edge ``rule`` labels out of ``state``, in canonical order:
+    the rule's candidates that :func:`step` accepts. Learn has none: it
+    is :func:`run`'s learning policy, not a priority slot."""
     if rule == RULE_DECIDE:
-        return [Transition(rule, literal=l) for l in applicable_decide(state, theory)]
+        return applicable_decide(state, theory)
     if rule == RULE_UNFOUNDED:
-        return [Transition(rule, literal=l, witness=w) for l, w in applicable_unfounded(state, theory)]
+        return applicable_unfounded(state, theory)
     if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-        return [Transition(rule, literal=l, clause=c) for l, c in applicable_unit_propagate(
-            state, theory, include_learned=(rule == RULE_UNIT_PROPAGATE_LEARN))]
+        return applicable_unit_propagate(state, theory, rule == RULE_UNIT_PROPAGATE_LEARN)
+    if rule in _CONFLICT_RULES:
+        if not conflict_guard(state.trail, rule):
+            return []
+        return _accepted(state, theory, (conflict_candidate(state, rule),))
+    if rule == RULE_LEARN:
+        return []
     raise ValueError(f"unknown transition rule: {rule!r}")
 
 
 def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
          ctx: Optional[_TheoryContext] = None) -> AugmentedState:
     """Apply a transition after checking that it carries its rule's
-    payload (:data:`RULE_PAYLOADS`) and is applicable in ``state``.
+    payload (:data:`RULE_PAYLOADS`) and is applicable in ``state``: the
+    one guard of every rule, which :func:`applicable` filters through.
     ``ctx`` is ``_context(theory)``, looked up here when not given.
 
     An Unfounded witness must be unfounded in the opened program, where
@@ -385,16 +376,14 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
     if carries is None:
         raise ValueError(f"unknown transition rule: {rule!r}")
     if carries != (lit is not None, cl is not None, witness is not None, plen is not None):
-        raise ValueError(f"{rule} carries {', '.join(RULE_PAYLOADS[rule]) or 'no payload'}"
-                         f" and nothing else: {transition}")
+        raise Inapplicable("{} carries {} and nothing else: {}", rule,
+                           ", ".join(RULE_PAYLOADS[rule]) or "no payload", transition)
     trail, learned, failed = state
     if failed:
         raise ValueError("no transition applies to the failed state")
     if ctx is None:
         ctx = _context(theory)
 
-    # UnitPropagate(Learn) and Decide accept exactly the candidates that
-    # applicable_unit_propagate / applicable_decide list, checked locally
     if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
         m = trail.literal_set
         known = cl in ctx.source_set or (rule == RULE_UNIT_PROPAGATE_LEARN and cl in learned)
@@ -404,38 +393,39 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
                     break
             else:
                 return _make_record(AugmentedState, (trail.append(lit, False, cl), learned, False))
-        raise ValueError(f"inapplicable {rule}: {transition}")
+        raise Inapplicable("inapplicable {}: {}", rule, transition)
 
     if rule == RULE_DECIDE:
         if not (isinstance(lit, Literal) and trail.is_consistent
                 and lit.atom in ctx.atom_set and trail.is_unassigned(lit)):
-            raise ValueError(f"inapplicable Decide: {transition}")
+            raise Inapplicable("inapplicable Decide: {}", transition)
         return _make_record(AugmentedState, (trail.append(lit, True), learned, False))
 
     if rule == RULE_FAIL:
-        if transition not in applicable(state, theory, rule):
+        if not conflict_guard(trail, rule):
             raise ValueError("Fail requires an inconsistent, decision-free trail")
         return AugmentedState(Trail(), learned, True)
 
     if rule == RULE_BACKTRACK:
-        if transition not in applicable(state, theory, rule):
-            raise ValueError(f"inapplicable Backtrack: {transition}")
-        last = trail.decision_indices[-1]
-        return AugmentedState(trail.truncate(last).append(lit), learned, False)
+        if conflict_guard(trail, rule) and transition == conflict_candidate(state, rule):
+            kept = trail.truncate(trail.decision_indices[-1])
+            if lit not in kept:  # the new trail repeats no literal
+                return AugmentedState(kept.append(lit), learned, False)
+        raise Inapplicable("inapplicable Backtrack: {}", transition)
 
     if rule == RULE_UNFOUNDED:
         if not trail.is_consistent:
             raise ValueError("Unfounded requires a consistent trail")
         if (lit.positive or lit.atom not in witness or lit in trail
                 or len(frozenset(witness)) < len(witness) or not ctx.atom_set.issuperset(witness)):
-            raise ValueError(f"inapplicable Unfounded: {transition}")
+            raise Inapplicable("inapplicable Unfounded: {}", transition)
         if not oracles.is_unfounded(witness, trail.literal_set, ctx.program):
-            raise ValueError(f"witness {witness} is not unfounded on the trail")
+            raise Inapplicable("witness {} is not unfounded on the trail", witness)
         reason = unfounded_reason(lit.atom, witness, trail, ctx.program)
         return AugmentedState(trail.append(lit, reason=reason), learned, False)
 
     if rule == RULE_BACKJUMP:
-        if trail.is_consistent or not trail.decision_indices:
+        if not conflict_guard(trail, rule):
             raise ValueError("Backjump requires an inconsistent trail with a decision")
         if not (0 <= plen < len(trail)) or not trail.entries[plen].is_decision:
             raise ValueError("Backjump prefix must end right before a decision literal")
@@ -549,9 +539,10 @@ class PropagationIndex:
         self.decide_from = min(self.decide_from, x >> 1)
 
     def first_unit(self, include_learned: bool) -> Optional[tuple[Literal, Clause]]:
-        """``applicable_unit_propagate(...)[0]`` on a consistent trail:
-        the smallest unit or falsified clause with its only unfalsified
-        literal, or its first literal when all are falsified."""
+        """``applicable(...)[0]`` of UnitPropagate, or of UnitPropagateLearn
+        with ``include_learned``, on a consistent trail: the smallest unit
+        or falsified clause with its only unfalsified literal, or its first
+        literal when all are falsified."""
         pending, n_true, n_open, codes = self.pending, self.n_true, self.n_open, self.codes
         while pending:
             i = pending[0]
@@ -571,7 +562,7 @@ class PropagationIndex:
         return self.literals[x], self.clauses[i]
 
     def first_unassigned(self) -> Optional[Literal]:
-        """``applicable_decide(...)[0]`` on a consistent trail."""
+        """``applicable(..., Decide)[0]``'s literal on a consistent trail."""
         true, x = self.true, 2 * self.decide_from
         while x < len(true) and (true[x] or true[x + 1]):
             x += 2
@@ -579,7 +570,7 @@ class PropagationIndex:
         return self.literals[x] if x < len(true) else None
 
     def first_unfounded(self) -> Optional[tuple[Literal, tuple[Atom, ...]]]:
-        """``applicable_unfounded(...)[0]`` on a consistent trail. Without
+        """``applicable(..., Unfounded)[0]`` on a consistent trail. Without
         rule heads every atom is open, so unfounded only when false, and
         nothing is offered."""
         if self.founding is None:
@@ -758,15 +749,15 @@ class Walk:
 
     def choose(self, before: int = sys.maxsize) -> Optional[Transition]:
         """The first candidate of the highest-priority applicable rule:
-        :func:`conflict_rule`'s on an inconsistent trail (a Backtrack has
-        one on any trail :func:`step` built, as a decided literal had
-        neither polarity before it), else the first the index offers,
+        :func:`conflict_rule`'s on an inconsistent trail (:func:`step`
+        takes a Backtrack's on any trail it built, as a decided literal
+        had neither polarity before it), else the first the index offers,
         asking only the groups ranked before ``before`` (all by default)."""
         state = self.state
         if state.failed:
             return None
         if state.trail.first_conflict_index is not None:
-            return applicable(state, self.theory, conflict_rule(state.trail, self.strategy))[0]
+            return conflict_candidate(state, conflict_rule(state.trail, self.strategy))
         for rank, offer in self.offers:
             if rank >= before:
                 return None

@@ -108,16 +108,17 @@ def reference_strict_violation(state, theory, strategy, rule):
         return None  # the learning policy, not a priority slot
     if not any(rule in group for group in strategy.priority):
         return f"rule {rule} is not part of mode {strategy.mode!r}"
-    applicable = [[r for r in group if _applies(state, theory, r)] for group in strategy.priority]
-    first = next((i for i, names in enumerate(applicable) if names), None)
+    # the first group with an applicable rule, and that group's first such rule
+    first, name = next(((i, r) for i, group in enumerate(strategy.priority)
+                        for r in group if _applies(state, theory, r)), (None, None))
     if first is None:
         return f"no rule of mode {strategy.mode!r} is applicable"
     mine = next(i for i, group in enumerate(strategy.priority) if rule in group)
     if rule in strategy.priority[first] or (mine < first and rule != engine.RULE_LEARN):
         return None
     if mine < first:  # Learn, outside the learning policy
-        return f"{rule} must sit in the group of {applicable[first][0]}"
-    return f"higher-priority rule {applicable[first][0]} was applicable"
+        return f"{rule} must sit in the group of {name}"
+    return f"higher-priority rule {name} was applicable"
 
 
 def reference_strict_replay(trace, theory, strategy):

@@ -1,10 +1,10 @@
 """The engine against its definitional side.
 
-``run`` picks transitions from an incremental index, strict
-``validate_trace`` asks the same index for the canonical choice, and
-``step`` checks transitions locally; all three must agree exactly with
-``engine.applicable``, which enumerates every candidate of every rule
-from scratch.
+``run`` picks transitions from an incremental index, and strict
+``validate_trace`` asks the same index for the canonical choice; both
+must agree exactly with ``engine.applicable``, which lists every
+candidate of every rule from scratch and keeps those ``step`` accepts.
+The index keeps its own counts, so these checks also test ``step``.
 """
 
 import functools
@@ -18,7 +18,7 @@ import gen
 from helpers import reference_choice, reference_strict_replay
 from smasp import engine, oracles
 from smasp.engine import AugmentedState, TraceStep, Transition, run, step
-from smasp.model import Atom, Clause, Literal, Program, SmaspTheory, Trail, TrailEntry
+from smasp.model import Atom, Clause, Literal, Program, SmaspTheory, Trail
 from smasp.trace import Trace, TraceHeader, theory_digest, validate_trace
 
 
@@ -69,19 +69,16 @@ def _mixed_runs():
     return runs
 
 
-def test_runs_and_strict_replays_ask_applicable_only_about_conflicts(monkeypatch):
-    """On a consistent trail ``Walk.choose`` reads the index alone: in
-    every mode neither ``run`` nor a strict replay calls
-    ``engine.applicable`` there."""
-    asked = set()
-    applicable = engine.applicable
+def test_runs_and_strict_replays_never_ask_applicable(monkeypatch):
+    """``Walk.choose`` reads the index on a consistent trail and takes
+    the conflict candidate on an inconsistent one: in every mode neither
+    ``run`` nor a strict replay lists a rule's edges."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an edge list was asked for")
 
-    def on_conflicts_only(state, theory, rule):
-        assert not state.trail.is_consistent, rule
-        asked.add(rule)
-        return applicable(state, theory, rule)
-
-    monkeypatch.setattr(engine, "applicable", on_conflicts_only)
+    for name in ("applicable", "applicable_unit_propagate", "applicable_decide",
+                 "applicable_unfounded"):
+        monkeypatch.setattr(engine, name, forbidden)
     taken = set()
     for mode, theory in _mixed_runs():
         out = run(theory, mode, self_check=False)
@@ -89,7 +86,6 @@ def test_runs_and_strict_replays_ask_applicable_only_about_conflicts(monkeypatch
         tr = Trace(TraceHeader(mode, theory_digest(theory)), out.steps)
         assert validate_trace(tr, theory, mode, strict_strategy=True).ok
     assert taken == engine.ALL_RULES
-    assert asked == {engine.RULE_FAIL, engine.RULE_BACKTRACK, engine.RULE_BACKJUMP}
 
 
 def test_strict_replays_ask_the_index_only_about_groups_above_the_step(monkeypatch):
@@ -320,78 +316,50 @@ def test_strict_check_matches_the_reference_with_learn_in_the_second_group(learn
     assert learning or "Learn must sit in the group of Decide" in reasons
 
 
-# -- step accepts exactly the definitional candidates ------------------------
+# -- the index offers the first edge of each rule ---------------------------
 
-POOL = tuple(Atom(n) for n in "abcde")
-THEORY_ATOMS = POOL[:4]  # trails may also mention an atom outside the theory
+POOL = tuple(Atom(n) for n in "abcd")
 
 literals = st.builds(Literal, st.sampled_from(POOL), st.booleans())
-outside = st.builds(Literal, st.just(POOL[-1]), st.booleans())
-theory_literals = st.builds(Literal, st.sampled_from(THEORY_ATOMS), st.booleans())
-clauses = st.lists(theory_literals, min_size=1, max_size=3).map(lambda ls: Clause(tuple(ls)))
+clauses = st.lists(literals, min_size=1, max_size=3).map(lambda ls: Clause(tuple(ls)))
 programs = st.one_of(
     st.just(Program()),
     st.integers(0, 2 ** 16).map(
         lambda seed: gen.random_program(random.Random(seed), n_atoms=4, max_rules=3)))
-rules = st.sampled_from((engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN,
-                         engine.RULE_DECIDE, engine.RULE_FAIL, engine.RULE_BACKTRACK))
 
 
-def _accepts(state, transition, theory):
-    try:
-        step(state, transition, theory)
-    except ValueError:
-        return False
-    return True
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(clauses, min_size=1, max_size=5), programs,
-       st.lists(clauses, max_size=3, unique=True),
-       st.sampled_from((False,) * 9 + (True,)), rules, st.data())
-def test_step_accepts_exactly_the_definitional_candidates(
-        theory_clauses, program, learned, failed, rule, data):
+@settings(max_examples=300, deadline=None)
+@given(st.lists(clauses, min_size=1, max_size=5), programs, st.data())
+def test_the_index_offers_the_first_edge_of_each_rule_on_random_states(
+        theory_clauses, program, data):
+    """On consistent trails with learned clauses, which no run builds in
+    this order, each index query equals ``applicable(...)[0]``: the
+    index keeps its own counts, so it checks the edges ``step`` accepts."""
     theory = SmaspTheory(tuple(theory_clauses), program)
-    forced = []
-    if rule == engine.RULE_DECIDE:
-        own = [st.builds(Literal, st.sampled_from(theory.atoms), st.booleans())] * 2
-        literal = data.draw(st.one_of(*own, literals, outside, st.none()))
-        transition = Transition(rule, literal=literal)
-    elif rule in (engine.RULE_UNIT_PROPAGATE, engine.RULE_UNIT_PROPAGATE_LEARN):
-        offered = list(engine._context(theory).up_sources) + list(learned)
-        # hypothesis leans towards the first branch: offered clauses, then
-        # their own literals, make up most draws
-        picks = [st.sampled_from(offered)] * (2 if offered else 0)
-        picks += [st.sampled_from(learned)] if learned else []
-        clause = data.draw(st.one_of(*picks, clauses, st.none()))
-        picks = [st.sampled_from(clause.literals)] * 2 if clause is not None else []
-        literal = data.draw(st.one_of(*picks, literals, st.none()))
-        transition = Transition(rule, literal=literal, clause=clause)
-        # falsify the clause's other literals, or some of all its
-        # literals, so that it is often unit or falsified
-        if clause is not None:
-            others = [l.dual for l in clause if l != literal]
-            duals = [l.dual for l in clause]
-            forced = data.draw(st.one_of(
-                st.just(others), st.lists(st.sampled_from(duals), unique=True)))
-    conflict = rule in (engine.RULE_FAIL, engine.RULE_BACKTRACK)
-    extra = data.draw(st.lists(literals, min_size=conflict, max_size=4))
-    if extra and data.draw(st.booleans()):  # an inconsistent trail
-        extra.append(data.draw(st.sampled_from(extra)).dual)
-    order = data.draw(st.permutations(list(dict.fromkeys(forced + extra))))
-    # conflict rules often draw a trail without decisions, which Fail
-    # needs, or with one decision first, whose flip Backtrack can take
-    n = len(order)
-    fixed = [st.just([False] * n), st.just([True] + [False] * (n - 1))] if conflict else []
-    decisions = data.draw(st.one_of(*fixed, st.lists(st.booleans(), min_size=n, max_size=n)))
-    trail = Trail(tuple(TrailEntry(l, d) for l, d in zip(order, decisions)))
-    state = AugmentedState(Trail() if failed else trail, tuple(learned), failed)
-    if conflict:
-        # a Backtrack flips the last decision, or another one; a Fail
-        # carrying a literal is malformed
-        flips = [e.literal.dual for e in trail if e.is_decision]
-        backtrack = rule == engine.RULE_BACKTRACK and flips
-        picks = [st.just(flips[-1]), st.sampled_from(flips)] if backtrack else []
-        transition = Transition(rule, literal=data.draw(st.one_of(*picks, st.none(), literals)))
-    definitional = transition in engine.applicable(state, theory, rule)
-    assert _accepts(state, transition, theory) == definitional
+    own = st.builds(Literal, st.sampled_from(theory.atoms), st.booleans())
+    learned = data.draw(st.lists(st.lists(own, min_size=1, max_size=3).map(
+        lambda ls: Clause(tuple(ls))), max_size=3, unique=True))
+    chosen = data.draw(st.lists(own, unique_by=lambda l: l.atom, max_size=len(theory.atoms)))
+    index, trail = engine.PropagationIndex(engine._context(theory)), Trail()
+    learn_at = data.draw(st.integers(0, len(chosen)))  # the store grows mid-trail
+    for i, literal in enumerate(chosen + [None]):
+        if i == learn_at:
+            for c in learned:
+                index.learn(c)
+        if literal is not None:
+            trail = trail.append(literal, data.draw(st.booleans()))
+            index.follow(trail)
+    state = AugmentedState(trail, tuple(learned))
+
+    def first(rule):
+        edges = engine.applicable(state, theory, rule)
+        return edges[0] if edges else None
+
+    for rule, learning in ((engine.RULE_UNIT_PROPAGATE, False),
+                           (engine.RULE_UNIT_PROPAGATE_LEARN, True)):
+        edge = first(rule)
+        assert index.first_unit(learning) == (edge and (edge.literal, edge.clause))
+    edge = first(engine.RULE_DECIDE)
+    assert index.first_unassigned() == (edge and edge.literal)
+    edge = first(engine.RULE_UNFOUNDED)
+    assert index.first_unfounded() == (edge and (edge.literal, edge.witness))

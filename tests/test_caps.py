@@ -1,5 +1,6 @@
 """The caps a run stops at, where the atom caps and the clause budget
-are defined, and how the package's modules import one another.
+are defined, how the package's modules import one another, and which
+of their names the benchmark's tracer wraps.
 
 ``run`` checks ``max_steps`` and the learned-store cap at one point,
 just before a step is taken: a run that needs exactly N steps returns
@@ -10,6 +11,7 @@ is used and set by no caller; a test lowers it with ``monkeypatch``.
 """
 
 import ast
+import importlib.util
 import random
 import tokenize
 from pathlib import Path
@@ -114,6 +116,7 @@ def test_the_desk_scale_is_compared_only_in_at_desk_scale():
         ("oracles.py", "DESK_CHECK_ATOM_LIMIT = 14"),
         ("oracles.py", "return len(theory.atoms) <= DESK_CHECK_ATOM_LIMIT"),
         ("cli.py", "from .oracles import DESK_CHECK_ATOM_LIMIT as ORACLE_CHECK_ATOM_LIMIT"),
+        ("cli.py", "limit = oracles.DESK_CHECK_ATOM_LIMIT"),  # named when totality is not checked
     }
 
 
@@ -230,3 +233,18 @@ def test_the_package_imports_follow_its_layers():
     assert {module: inside for module, (inside, _) in graph.items()} == IMPORTS
     test_modules = {path.stem for path in Path(__file__).parent.glob("*.py")} | {"tests"}
     assert all(not outside & (test_modules | {"smasp"}) for _, outside in graph.values())
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_on_the_package():
+    """``perfbench/tracing.py`` swaps the functions its ``LAYERS`` name
+    for span-recording wrappers, and fails on a name that is gone."""
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, owner, names in tracing.LAYERS:
+        module, _, cls = owner.partition(".")
+        owner = importlib.import_module("smasp." + module)
+        owner = getattr(owner, cls) if cls else owner
+        for name in names:
+            assert callable(getattr(owner, name, None)), (owner, name)

@@ -321,6 +321,17 @@ class TestSelfCheck:
                      "--self-check", pcid0]) == 10
         assert parsed == [PCID0]
 
+    def test_totality_above_desk_scale_is_reported_unchecked(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.oracles, "DESK_CHECK_ATOM_LIMIT", 2)
+        p = tmp_path / "three.pcid"
+        p.write_text("#theory\n#program\na :- not b.\nb :- not a.\nc.\n")
+        assert main(["solve", "--mode", "minisatid", "--format", "pcid",
+                     "--self-check", str(p)]) == 10
+        assert capsys.readouterr().err == (
+            "totality not checked: 3 atoms, above the desk-scale limit of 2\n")
+        assert main(["solve", "--mode", "minisatid", "--format", "pcid", str(p)]) == 10
+        assert capsys.readouterr().err == ""
+
     def test_non_total_pcid_is_rejected_by_the_definitional_pipeline(self, tmp_path):
         p = tmp_path / "nontotal.pcid"
         p.write_text("#theory\n#program\na :- not b.\nb :- not a.\n")

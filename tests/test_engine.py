@@ -38,34 +38,87 @@ def state(trail_spec, reasons=None, learned=()):
     return AugmentedState(trail(trail_spec, reasons), tuple(learned))
 
 
+def up(token, *clause, rule="UnitPropagate"):
+    return Transition(rule, literal=lit(token), clause=cl(*clause))
+
+
+def decide(token):
+    return Transition("Decide", literal=lit(token))
+
+
+def unfounded(token, witness):
+    return Transition("Unfounded", literal=lit(token), witness=atoms(witness))
+
+
+def refuses(s, transition, theory, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        step(s, transition, theory)
+
+
 class TestUnitPropagate:
     def test_single_unit_after_decision(self):
-        out = applicable_unit_propagate(state("a*"), F1)
-        assert out == [(lit("c"), cl("-a", "c"))]
+        assert applicable_unit_propagate(state("a*"), F1) == [up("c", "-a", "c")]
 
     def test_nothing_unit_initially(self):
         assert applicable_unit_propagate(state(""), F1) == []
 
     def test_unit_clauses_of_the_alias_completion(self):
         t = SmaspTheory(ed_completion(PI0), PI0)
-        out = applicable_unit_propagate(state(""), t)
-        assert out == [(lit("b"), cl("b")), (lit("-c"), cl("-c"))]
+        assert applicable_unit_propagate(state(""), t) == [up("b", "b"), up("-c", "-c")]
 
     def test_fully_falsified_clause_offers_its_duals(self):
         t = SmaspTheory((cl("-a"),))
-        assert applicable_unit_propagate(state("a*"), t) == [(lit("-a"), cl("-a"))]
+        assert applicable_unit_propagate(state("a*"), t) == [up("-a", "-a")]
+
+    def test_learned_clauses_follow_the_sources_once(self):
+        s = state("a* c", learned=[cl("-a", "-c", "b"), cl("-a", "c")])
+        assert applicable_unit_propagate(s, F1, include_learned=True) == [
+            up("b", "-a", "-c", "b", rule="UnitPropagateLearn")]
+        assert applicable(s, F1, "UnitPropagate") == []
+
+    @pytest.mark.parametrize("rule", ["UnitPropagate", "UnitPropagateLearn"])
+    def test_step_refuses_what_is_not_a_unit_edge(self, rule):
+        message = "inapplicable {}: {}".format
+        learned = state("a* c", learned=[cl("-a", "-c", "b")])
+        for s, tr in (
+            (state("a*"), up("b", "a", "b", rule=rule)),  # a clause of no source
+            (state("a* -c"), up("b", "-a", "c", rule=rule)),  # a literal not in the clause
+            (state("a* c"), up("c", "-a", "c", rule=rule)),  # a literal already true
+            (state("-c*"), up("c", "-a", "c", rule=rule)),  # another literal not falsified
+        ):
+            refuses(s, tr, F1, message(rule, tr))
+        tr = up("b", "-a", "-c", "b", rule=rule)
+        if rule == "UnitPropagate":  # a learned clause is UnitPropagateLearn's alone
+            refuses(learned, tr, F1, message(rule, tr))
+        else:
+            assert step(learned, tr, F1).trail.entries[-1].reason == cl("-a", "-c", "b")
+
+    def test_a_unit_edge_may_make_the_trail_inconsistent(self):
+        s = step(state("a* -c"), up("c", "-a", "c"), F1)
+        assert not s.trail.is_consistent
 
 
 class TestDecide:
     def test_all_unassigned_polarities_in_order(self):
         assert applicable_decide(state(""), F1) == [
-            lit("a"), lit("-a"), lit("b"), lit("-b"), lit("c"), lit("-c")]
+            decide("a"), decide("-a"), decide("b"), decide("-b"), decide("c"), decide("-c")]
 
     def test_complete_trail_offers_nothing(self):
         assert applicable_decide(state("a* c b*"), F1) == []
 
     def test_mid_path_example(self):
-        assert applicable_decide(state("a* c"), F1) == [lit("b"), lit("-b")]
+        assert applicable_decide(state("a* c"), F1) == [decide("b"), decide("-b")]
+
+    def test_step_refuses_what_is_not_a_decide_edge(self):
+        for s, tr in (
+            (state("a b -b"), decide("c")),  # an inconsistent trail
+            (state(""), decide("z")),  # an atom outside the theory
+            (state("a*"), decide("a")),  # an assigned atom, either polarity
+            (state("a*"), decide("-a")),
+        ):
+            refuses(s, tr, F1, f"inapplicable Decide: {tr}")
+        tr = Transition("Decide", literal="a")  # not a literal
+        refuses(state(""), tr, F1, f"inapplicable Decide: {tr}")
 
 
 class TestFailBacktrack:
@@ -84,24 +137,42 @@ class TestFailBacktrack:
         assert applicable(s, F1, "Fail") == []
         assert applicable(s, F1, "Backtrack") == []
 
+    def test_step_refuses_fail_on_a_consistent_trail_or_after_a_decision(self):
+        for spec in ("", "a b", "a* b -b", "a b* -b"):
+            refuses(state(spec), Transition("Fail"), F1,
+                    "Fail requires an inconsistent, decision-free trail")
+
+    def test_step_refuses_what_is_not_a_backtrack_edge(self):
+        for spec, token in (
+            ("a* b", "-a"),  # a consistent trail
+            ("a b -b", "-a"),  # no decision to flip
+            ("a* b* c -c", "-a"),  # a decision, but not the last
+            ("a* b* c -c", "b"),  # the last decision itself, not flipped
+        ):
+            tr = Transition("Backtrack", literal=lit(token))
+            refuses(state(spec), tr, F1, f"inapplicable Backtrack: {tr}")
+        s = step(state("a* b* c -c"), Transition("Backtrack", literal=lit("-b")), F1)
+        assert s.trail == trail("a* -b")
+
     def test_backtrack_keeps_the_trail_free_of_repeats(self):
         # unreachable, as Decide takes only unassigned atoms: flipping a*
         # would put -a on the trail twice
         s = state("-a a*")
         assert applicable(s, F1, "Backtrack") == []
-        with pytest.raises(ValueError, match="inapplicable Backtrack"):
-            step(s, Transition("Backtrack", literal=lit("-a")), F1)
+        tr = Transition("Backtrack", literal=lit("-a"))
+        refuses(s, tr, F1, f"inapplicable Backtrack: {tr}")
 
     def test_failed_state_offers_nothing(self):
         s = AugmentedState(failed=True)
         assert all(applicable(s, F1, rule) == [] for rule in engine.ALL_RULES)
+        refuses(s, decide("a"), F1, "no transition applies to the failed state")
 
 
 class TestUnfounded:
     def test_circular_program_offers_both_negations(self):
         t = SmaspTheory(completion(PI3), PI3)
         out = applicable_unfounded(state(""), t)
-        assert out == [(lit("-a"), atoms("a b")), (lit("-b"), atoms("a b"))]
+        assert out == [unfounded("-a", "a b"), unfounded("-b", "a b")]
 
     def test_founded_atoms_offer_nothing(self):
         t = SmaspTheory(completion(PI0), PI0)
@@ -110,7 +181,25 @@ class TestUnfounded:
     def test_candidates_survive_decisions(self):
         t = SmaspTheory(completion(PI3), PI3)
         out = applicable_unfounded(state("a* b"), t)
-        assert out == [(lit("-a"), atoms("a b")), (lit("-b"), atoms("a b"))]
+        assert out == [unfounded("-a", "a b"), unfounded("-b", "a b")]
+
+    def test_step_refuses_what_is_not_an_unfounded_edge(self):
+        t = SmaspTheory(completion(PI3), PI3)
+        refuses(state("a -a"), unfounded("-b", "a b"), t, "Unfounded requires a consistent trail")
+        for s, tr in (
+            (state(""), unfounded("a", "a b")),  # a positive literal
+            (state(""), unfounded("-b", "a")),  # an atom outside the witness
+            (state("-a"), unfounded("-a", "a b")),  # a literal already on the trail
+            (state(""), Transition("Unfounded", literal=lit("-a"),
+                                   witness=atoms("a a b"))),  # a repeated member
+            (state(""), unfounded("-a", "a z")),  # a member outside the theory
+        ):
+            refuses(s, tr, t, f"inapplicable Unfounded: {tr}")
+        # a :- b. b :- a. a :- c. with c open and not false: {a, b} is founded
+        pi = prog(rule("a", pos="b"), rule("b", pos="a"), rule("a", pos="c"))
+        t = SmaspTheory(completion(pi), pi)
+        refuses(state(""), unfounded("-a", "a b"), t,
+                f"witness {atoms('a b')} is not unfounded on the trail")
 
 
 class TestUnfoundedReason:

@@ -25,8 +25,8 @@ from smasp.translations import completion, ed_completion
 
 
 def _assert_index_matches_the_oracle(index, theory, current):
-    candidates = engine.applicable_unfounded(AugmentedState(current), theory)
-    assert index.first_unfounded() == (candidates[0] if candidates else None)
+    edges = engine.applicable(AugmentedState(current), theory, engine.RULE_UNFOUNDED)
+    assert index.first_unfounded() == (edges and (edges[0].literal, edges[0].witness) or None)
     if index.founding is None:  # built by the first query, unless nothing has a rule
         assert not theory.program.heads
     else:
