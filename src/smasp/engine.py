@@ -27,6 +27,7 @@ from .model import (
     SmaspTheory,
     Trail,
     _make_record,
+    by_key,
     duals,
     entry_token,
     sorted_atoms,
@@ -227,7 +228,7 @@ def unfounded_reason(atom: Atom, u: Iterable[Atom], trail: Trail, pi: Program) -
     us = frozenset(u)
     lits = {Literal(atom, positive=False)}
     bodies = {body for a in us for body in pi.bodies(a) if not (body.pos_set & us)}
-    for body in sorted(bodies, key=lambda b: b.key):
+    for body in sorted(bodies, key=by_key):
         falsified = [l for l in body.s_literals if l.dual in ms]
         if not falsified:
             raise ValueError(f"body {body} of an allegedly unfounded set is not falsified")
@@ -840,5 +841,5 @@ def run(theory: SmaspTheory, strategy: Union[Strategy, str],
         return Outcome(VERDICT_UNSAT, None, tuple(steps), stats)
     model = state.trail.literal_set
     if self_check and not oracles.is_smasp_model(theory, model):
-        raise SelfCheckError(f"halting state is not a model of the theory: {sorted(model, key=lambda l: l.key)}")
+        raise SelfCheckError(f"halting state is not a model of the theory: {sorted(model, key=by_key)}")
     return Outcome(VERDICT_MODEL, model, tuple(steps), stats)

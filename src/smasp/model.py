@@ -6,10 +6,13 @@ Atoms, literals, clauses, rule bodies and rules are interned: equal
 arguments (after sorting and deduplicating a clause's literals or a
 body's atom tuples) give the one live object, so they compare and hash
 by identity and membership tests never compare values. Each literal
-holds its dual and its printed token, each clause and body its sort
-key. No value defines an order; sorting is by ``key``, a total order,
-so that candidate enumeration is reproducible across runs (the
-trace-identity tests depend on it).
+holds its dual and its printed token, each clause its sort key; a body
+computes its sort key and its set of plain atoms when first asked. A
+constructor looks its arguments up as given before normalising them,
+and sorts nothing for a clause of one or two literals or a body part of
+one atom. No value defines an order; sorting is by ``key`` (through
+:data:`by_key`), a total order, so that candidate enumeration is
+reproducible across runs (the trace-identity tests depend on it).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 __version__ = "0.1.0"
@@ -36,14 +40,15 @@ class CapExceeded(Exception):
     """An enumeration or output budget would be exceeded."""
 
 
-_set = object.__setattr__
+def _setters(cls) -> tuple:
+    """The setters of ``cls``'s own slots in ``__slots__`` order; they
+    write past the ``__setattr__`` that keeps an instance immutable."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-def _live(table: dict, key):
-    """The live value interned under ``key`` in ``table``, or None."""
-    ref = table.get(key)
-    return None if ref is None else ref()
-
+# Each constructor reads its interning table inline, ``ref = table.get(form)``
+# then ``value = ref and ref()``: None when the form is absent or its value
+# has died (a weak reference is always true).
 
 def _enter(table: dict, key, value) -> None:
     """Intern ``value`` under ``key``; the entry goes when the value dies."""
@@ -84,7 +89,9 @@ class Atom(_Interned):
     _table: dict[tuple[str, str], weakref.ref] = {}
 
     def __new__(cls, name: str, origin: str = ORIGIN_USER) -> "Atom":
-        atom = _live(cls._table, (name, origin))
+        form = name, origin
+        ref = cls._table.get(form)
+        atom = ref and ref()
         if atom is not None:
             return atom
         if not name:
@@ -92,10 +99,10 @@ class Atom(_Interned):
         if origin not in _ORIGIN_RANK:
             raise ValueError(f"unknown atom origin: {origin!r}")
         atom = object.__new__(cls)
-        _set(atom, "name", name)
-        _set(atom, "origin", origin)
-        _set(atom, "key", (_ORIGIN_RANK[origin], name))
-        _enter(cls._table, (name, origin), atom)
+        _put_name(atom, name)
+        _put_origin(atom, origin)
+        _put_atom_key(atom, (_ORIGIN_RANK[origin], name))
+        _enter(cls._table, form, atom)
         return atom
 
     def __reduce__(self):
@@ -116,17 +123,18 @@ class Literal(_Interned):
     _table: dict[tuple[Atom, bool], weakref.ref] = {}
 
     def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
-        literal = _live(cls._table, (atom, positive))
+        ref = cls._table.get((atom, positive))
+        literal = ref and ref()
         if literal is not None:
             return literal
         pair = object.__new__(cls), object.__new__(cls)
         for literal, polarity, token in ((pair[0], True, atom.name),
                                          (pair[1], False, "-" + atom.name)):
-            _set(literal, "atom", atom)
-            _set(literal, "positive", polarity)
-            _set(literal, "key", (*atom.key, 0 if polarity else 1))
-            _set(literal, "dual", pair[polarity])
-            _set(literal, "token", token)
+            _put_atom(literal, atom)
+            _put_positive(literal, polarity)
+            _put_literal_key(literal, (*atom.key, 0 if polarity else 1))
+            _put_dual(literal, pair[polarity])
+            _put_token(literal, token)
             _enter(cls._table, (atom, polarity), literal)
         return pair[not positive]
 
@@ -141,16 +149,16 @@ def duals(literals: Iterable[Literal]) -> frozenset[Literal]:
     return frozenset(l.dual for l in literals)
 
 
-def _by_key(value):
-    return value.key
+# the one sort key of every value
+by_key = attrgetter("key")
 
 
 def sorted_literals(literals: Iterable[Literal]) -> tuple[Literal, ...]:
-    return tuple(sorted(set(literals), key=_by_key))
+    return tuple(sorted(set(literals), key=by_key))
 
 
 def sorted_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(set(atoms), key=_by_key))
+    return tuple(sorted(set(atoms), key=by_key))
 
 
 class Clause(_Interned):
@@ -164,21 +172,37 @@ class Clause(_Interned):
     _table: dict[tuple[Literal, ...], weakref.ref] = {}
 
     def __new__(cls, literals: Iterable[Literal]) -> "Clause":
-        literals = tuple(literals)
-        clause = _live(cls._table, literals)  # already in normal form
+        given = tuple(literals)
+        table = cls._table
+        ref = table.get(given)  # already in normal form
+        clause = ref and ref()
         if clause is not None:
             return clause
-        literals = sorted_literals(literals)
-        if not literals:
+        n = len(given)
+        if n == 2:
+            first, second = given
+            if first is second:
+                literals = given[:1]
+            elif second.key < first.key:
+                literals = second, first
+            else:
+                literals = given
+        elif n == 1:
+            literals = given
+        elif n:
+            literals = sorted_literals(given)
+        else:
             raise ValueError("a clause is a non-empty disjunction")
-        clause = _live(cls._table, literals)
-        if clause is not None:
-            return clause
+        if literals != given:
+            ref = table.get(literals)
+            clause = ref and ref()
+            if clause is not None:
+                return clause
         clause = object.__new__(cls)
-        _set(clause, "literals", literals)
-        _set(clause, "key", tuple(l.key for l in literals))
-        _set(clause, "_atoms", None)
-        _enter(cls._table, literals, clause)
+        _put_literals(clause, literals)
+        _put_clause_key(clause, tuple([l.key for l in literals]))
+        _put_atoms(clause, None)
+        _enter(table, literals, clause)
         return clause
 
     def __reduce__(self):
@@ -199,7 +223,7 @@ class Clause(_Interned):
         if atoms is None:
             # literals sort by atom first, so the atoms come out sorted
             atoms = tuple(dict.fromkeys(l.atom for l in self.literals))
-            _set(self, "_atoms", atoms)
+            _put_atoms(self, atoms)
         return atoms
 
     def __repr__(self) -> str:
@@ -207,39 +231,50 @@ class Clause(_Interned):
 
 
 def sorted_clauses(clauses: Iterable[Clause]) -> tuple[Clause, ...]:
-    return tuple(sorted(set(clauses), key=_by_key))
+    """Deduplicated in first-seen order, so that sorting an already
+    sorted input takes linear time."""
+    return tuple(sorted(dict.fromkeys(clauses), key=by_key))
 
 
 class Body(_Interned):
     """A rule body split into its plain, negated, and doubly negated
     parts; interned on the sorted, deduplicated parts."""
 
-    __slots__ = ("pos", "neg", "negneg", "key", "s_literals", "pos_set", "_s_duals")
+    __slots__ = ("pos", "neg", "negneg", "s_literals", "_key", "_pos_set", "_s_duals")
     _table: dict[tuple, weakref.ref] = {}
 
     def __new__(cls, pos: Iterable[Atom] = (), neg: Iterable[Atom] = (),
                 negneg: Iterable[Atom] = ()) -> "Body":
-        given = (tuple(pos), tuple(neg), tuple(negneg))
-        body = _live(cls._table, given)  # already in normal form
+        given = pos, neg, negneg = tuple(pos), tuple(neg), tuple(negneg)
+        table = cls._table
+        ref = table.get(given)  # already in normal form
+        body = ref and ref()
         if body is not None:
             return body
-        parts = tuple(sorted_atoms(part) for part in given)
-        body = _live(cls._table, parts)
-        if body is not None:
-            return body
+        if len(pos) > 1:
+            pos = sorted_atoms(pos)
+        if len(neg) > 1:
+            neg = sorted_atoms(neg)
+        if len(negneg) > 1:
+            negneg = sorted_atoms(negneg)
+        parts = pos, neg, negneg
+        if parts != given:
+            ref = table.get(parts)
+            body = ref and ref()
+            if body is not None:
+                return body
         body = object.__new__(cls)
-        pos, neg, negneg = parts
-        _set(body, "pos", pos)
-        _set(body, "neg", neg)
-        _set(body, "negneg", negneg)
-        _set(body, "key", tuple(tuple(a.key for a in part) for part in parts))
+        _put_pos(body, pos)
+        _put_neg(body, neg)
+        _put_negneg(body, negneg)
         # the body read as literals: atoms and doubly negated atoms map
         # to positive literals, negated atoms to negative ones
-        _set(body, "s_literals", sorted_literals(
+        _put_s_literals(body, sorted_literals(
             [Literal(a) for a in pos + negneg] + [Literal(a, positive=False) for a in neg]))
-        _set(body, "pos_set", frozenset(pos))
-        _set(body, "_s_duals", None)
-        _enter(cls._table, parts, body)
+        _put_body_key(body, None)
+        _put_pos_set(body, None)
+        _put_s_duals(body, None)
+        _enter(table, parts, body)
         return body
 
     def __reduce__(self):
@@ -253,13 +288,29 @@ class Body(_Interned):
         return len(self) == 0
 
     @property
+    def key(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = tuple([tuple([a.key for a in part]) for part in (self.pos, self.neg, self.negneg)])
+            _put_body_key(self, key)
+        return key
+
+    @property
+    def pos_set(self) -> frozenset[Atom]:
+        pos_set = self._pos_set
+        if pos_set is None:
+            pos_set = frozenset(self.pos)
+            _put_pos_set(self, pos_set)
+        return pos_set
+
+    @property
     def s_duals(self) -> frozenset[Literal]:
         """``duals(s_literals)``: a literal set contradicts the body when
         it meets this set."""
         s_duals = self._s_duals
         if s_duals is None:
             s_duals = duals(self.s_literals)
-            _set(self, "_s_duals", s_duals)
+            _put_s_duals(self, s_duals)
         return s_duals
 
     def __repr__(self) -> str:
@@ -278,17 +329,19 @@ class Rule(_Interned):
         body = Body(pos, neg, negneg)
         if head is None and body.is_empty:
             raise ValueError("a constraint must have a non-empty body")
-        rule = _live(cls._table, (head, body))
+        form = head, body
+        ref = cls._table.get(form)
+        rule = ref and ref()
         if rule is not None:
             return rule
         rule = object.__new__(cls)
-        _set(rule, "head", head)
-        _set(rule, "pos", body.pos)
-        _set(rule, "neg", body.neg)
-        _set(rule, "negneg", body.negneg)
-        _set(rule, "body", body)
-        _set(rule, "_clause", None)
-        _enter(cls._table, (head, body), rule)
+        _put_head(rule, head)
+        _put_rule_pos(rule, body.pos)
+        _put_rule_neg(rule, body.neg)
+        _put_rule_negneg(rule, body.negneg)
+        _put_body(rule, body)
+        _put_clause(rule, None)
+        _enter(cls._table, form, rule)
         return rule
 
     def __reduce__(self):
@@ -303,7 +356,7 @@ class Rule(_Interned):
             if self.head is not None:
                 lits.append(Literal(self.head))
             clause = Clause(lits)
-            _set(self, "_clause", clause)
+            _put_clause(self, clause)
         return clause
 
     def __repr__(self) -> str:
@@ -354,6 +407,16 @@ class Program:
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
+
+
+# the constructors' and lazy views' slot setters, bound once the classes exist
+_put_name, _put_origin, _put_atom_key = _setters(Atom)
+_put_atom, _put_positive, _put_literal_key, _put_dual, _put_token = _setters(Literal)
+_put_literals, _put_clause_key, _put_atoms = _setters(Clause)
+(_put_pos, _put_neg, _put_negneg, _put_s_literals,
+ _put_body_key, _put_pos_set, _put_s_duals) = _setters(Body)
+(_put_head, _put_rule_pos, _put_rule_neg, _put_rule_negneg,
+ _put_body, _put_clause) = _setters(Rule)
 
 
 # what ``namedtuple._make`` calls: a record built from a tuple of its
@@ -488,9 +551,7 @@ def _fill(trail: Trail, entries: tuple[TrailEntry, ...], literal_set: frozenset[
     return trail
 
 
-# the slots' own setters, past the __setattr__ that keeps a trail immutable
-_put_entries, _put_literal_set, _put_conflict, _put_decisions, _put_sha256 = (
-    getattr(Trail, name).__set__ for name in Trail.__slots__)
+_put_entries, _put_literal_set, _put_conflict, _put_decisions, _put_sha256 = _setters(Trail)
 
 
 # Set-view helpers used by the oracles and validators; literal sets are

@@ -11,7 +11,7 @@ structurally equal one.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .model import (
     Atom,
@@ -22,12 +22,25 @@ from .model import (
     Program,
     Rule,
     SmaspTheory,
+    by_key,
 )
 from .translations import desugar_choice
 
 
 class ParseError(Exception):
     pass
+
+
+class _Memo(dict):
+    """A cache local to one call: ``text`` runs once per distinct key.
+    Only results are kept, so a key that raises raises every time."""
+
+    def __init__(self, text: Callable) -> None:
+        self.text = text
+
+    def __missing__(self, key):
+        value = self[key] = self.text(key)
+        return value
 
 
 def quote(value: object) -> str:
@@ -61,7 +74,7 @@ def format_literal(literal: Literal) -> str:
 
 
 def format_literals(literals: Iterable[Literal]) -> str:
-    return " ".join(format_literal(l) for l in sorted(literals, key=lambda l: l.key))
+    return " ".join(format_literal(l) for l in sorted(literals, key=by_key))
 
 
 def parse_clause_line(line: str) -> Clause:
@@ -134,19 +147,24 @@ def _parse_atom(word: str) -> Atom:
     return Atom(word)
 
 
-def _parse_rule(text: str) -> Rule:
+# the words before a body item's atom, by the body part it joins
+_NOTS = ([], ["not"], ["not", "not"])
+
+
+def _parse_rule(text: str, atoms: _Memo) -> Rule:
+    """One rule; ``atoms`` reads each atom word once per program."""
     head, _, body = text.partition(":-")
     head = head.strip()
     parts: tuple[list[Atom], list[Atom], list[Atom]] = ([], [], [])  # pos, neg, negneg
     for item in body.split(",") if body.strip() else ():
         *nots, atom = item.split() or [""]
-        if len(nots) > 2 or any(w != "not" for w in nots):
+        if nots not in _NOTS:
             raise ParseError(f"expected a body item, found {quote(item.strip())}")
-        parts[len(nots)].append(_parse_atom(atom))
+        parts[len(nots)].append(atoms[atom])
     try:
         if head.startswith("{") and head.endswith("}"):
-            return desugar_choice([_parse_atom(a.strip()) for a in head[1:-1].split(";")], *parts)
-        return Rule(_parse_atom(head) if head else None, *parts)
+            return desugar_choice([atoms[a.strip()] for a in head[1:-1].split(";")], *parts)
+        return Rule(atoms[head] if head else None, *parts)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -159,7 +177,8 @@ def parse_lp(text: str) -> Program:
     *rules, rest = stripped.split(".")
     if rest.strip():
         raise ParseError(f"expected a period after {quote(rest.strip())}")
-    return Program(tuple(_parse_rule(r) for r in rules))
+    atoms = _Memo(_parse_atom)
+    return Program(tuple([_parse_rule(r, atoms) for r in rules]))
 
 
 def format_rule(rule: Rule) -> str:

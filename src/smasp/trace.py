@@ -9,11 +9,11 @@ import hashlib
 import json
 import weakref
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from . import engine, oracles
 from .model import Clause, Literal, SmaspTheory, __version__, _make_record, satisfies
-from .parsing import ParseError, format_clause, format_program, parse_literal_token, quote
+from .parsing import ParseError, _Memo, format_clause, format_program, parse_literal_token, quote
 
 
 class TraceHeader(NamedTuple):
@@ -48,18 +48,6 @@ def theory_digest(theory: SmaspTheory) -> str:
 
 def trace_from_outcome(outcome: engine.Outcome, mode: str, theory: SmaspTheory) -> Trace:
     return Trace(TraceHeader(mode, theory_digest(theory)), outcome.steps)
-
-
-class _Memo(dict):
-    """A cache local to one dump or load: ``text`` runs once per distinct
-    key. Only results are kept, so a key that raises raises every time."""
-
-    def __init__(self, text: Callable) -> None:
-        self.text = text
-
-    def __missing__(self, key):
-        value = self[key] = self.text(key)
-        return value
 
 
 def _payload(transition: engine.Transition) -> str:

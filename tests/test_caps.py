@@ -13,7 +13,6 @@ is used and set by no caller; a test lowers it with ``monkeypatch``.
 import ast
 import importlib.util
 import random
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -99,16 +98,40 @@ def test_choose_is_asked_once_per_step_that_is_not_a_learn(monkeypatch):
         assert calls == len(out.steps) - out.stats.get(engine.RULE_LEARN, 0) + 1
 
 
-def _code_lines(names, files="*.py"):
+def _code_lines(names, files="*.py", root=SRC):
     """``(file, line)`` for each line of the package whose code, not a
-    comment or a string, uses one of ``names``."""
+    comment or a string, uses one of ``names``: as a name, an attribute
+    or an imported name, inside an f-string too, on every Python."""
     found = set()
-    for path in sorted(SRC.glob(files)):
-        with path.open() as source:
-            for tok in tokenize.generate_tokens(source.readline):
-                if tok.type == tokenize.NAME and tok.string in names:
-                    found.add((path.name, tok.line.strip()))
+    for path in sorted(root.glob(files)):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.alias):
+                used = {node.name, node.asname}
+            else:
+                continue
+            if used & names:
+                found.add((path.name, lines[node.lineno - 1].strip()))
     return found
+
+
+def test_a_name_read_inside_an_f_string_is_found(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "from .oracles import DESK_CHECK_ATOM_LIMIT as LIMIT\n"
+        "# DESK_CHECK_ATOM_LIMIT in a comment\n"
+        "note = 'DESK_CHECK_ATOM_LIMIT in a string'\n"
+        "bare = f'at most {DESK_CHECK_ATOM_LIMIT} atoms'\n"
+        "dotted = f'at most {oracles.DESK_CHECK_ATOM_LIMIT + 1} atoms'\n")
+    assert _code_lines({"DESK_CHECK_ATOM_LIMIT"}, root=tmp_path) == {
+        ("probe.py", "from .oracles import DESK_CHECK_ATOM_LIMIT as LIMIT"),
+        ("probe.py", "bare = f'at most {DESK_CHECK_ATOM_LIMIT} atoms'"),
+        ("probe.py", "dotted = f'at most {oracles.DESK_CHECK_ATOM_LIMIT + 1} atoms'"),
+    }
 
 
 def test_the_desk_scale_is_compared_only_in_at_desk_scale():

@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gen
@@ -26,6 +26,7 @@ from smasp.model import (
     sorted_clauses,
     sorted_literals,
 )
+from smasp.parsing import ParseError, parse_lp
 
 
 def test_dual_flips_polarity():
@@ -420,3 +421,64 @@ def test_interning_tables_let_go_of_dead_values():
     assert key not in Clause._table
     again = Clause(key)
     assert Clause._table[key]() is again
+
+
+# a fresh alias sorts before user atoms; "a" and "-a" make a two-literal
+# clause whose dual pair must not collapse
+CLAUSE_POOL = [lit("a"), lit("-a"), lit("b"), lit("-c"), Literal(Atom("f{x}", ORIGIN_FRESH))]
+BODY_POOL = [atom("a"), atom("b"), atom("c"), Atom("f{y}", ORIGIN_FRESH)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CLAUSE_POOL), max_size=4))
+@example([lit("a"), lit("a")])
+@example([lit("-a"), lit("a")])
+@example([])
+def test_a_clause_is_the_clause_of_its_sorted_literals(given_literals):
+    given_literals = tuple(given_literals)
+    normal = sorted_literals(given_literals)
+    if not normal:
+        with pytest.raises(ValueError, match="^a clause is a non-empty disjunction$"):
+            Clause(given_literals)
+        return
+    clause = Clause(given_literals)  # built from the given order first
+    assert clause.literals == normal
+    assert clause is Clause(normal)
+    assert clause.key == tuple(l.key for l in normal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[st.lists(st.sampled_from(BODY_POOL), max_size=3) for _ in range(3)])
+@example([atom("a"), atom("a")], [], [atom("b"), atom("b")])
+def test_a_body_is_the_body_of_its_sorted_parts(pos, neg, negneg):
+    body = Body(pos, neg, negneg)  # built from the given order first
+    normal = sorted_atoms(pos), sorted_atoms(neg), sorted_atoms(negneg)
+    assert (body.pos, body.neg, body.negneg) == normal
+    assert body is Body(*normal)
+    assert Rule(atom("h"), pos, neg, negneg).body is body
+
+
+def test_a_body_computes_its_key_and_plain_atoms_when_first_read():
+    pos, neg, negneg = atoms("lazy-c lazy-b"), atoms("lazy-a"), atoms("lazy-d lazy-d")
+    body = Body(pos, neg, negneg)
+    key = body.key
+    assert key == tuple(tuple(a.key for a in part) for part in (body.pos, body.neg, body.negneg))
+    assert body.key is key
+    pos_set = body.pos_set
+    assert pos_set == frozenset(pos) and body.pos_set is pos_set
+    for field in ("key", "pos_set"):
+        with pytest.raises(AttributeError):
+            setattr(body, field, getattr(body, field))
+        with pytest.raises(AttributeError):
+            delattr(body, field)
+
+
+@pytest.mark.parametrize("text, word", [
+    ("a :- 1b.\nc :- 1b.", "1b"),
+    ("a :- b, c-d.\nb :- c-d.\nc-d.", "c-d"),
+    ("a :- not.\nb :- not.", "not"),
+    ("{1b}.\n{1b}.", "1b"),
+])
+def test_a_bad_atom_word_that_repeats_is_reported_where_first_met(text, word):
+    with pytest.raises(ParseError, match=f"^expected an atom, found '{word}'$"):
+        parse_lp(text)
