@@ -223,7 +223,9 @@ def unfounded_reason(atom: Atom, u: Iterable[Atom], trail: Trail, pi: Program) -
     member is false, or one of the set's external bodies has its
     already-falsified literal true. The bodies are those of the program
     opened over ``u``: a member no rule of ``pi`` defines is open, its
-    one body ``not not a`` is falsified by ``-a``, and it adds ``a``."""
+    one body ``not not a`` is falsified by ``-a``, and it adds ``a``.
+    It raises ``ValueError`` exactly when ``u`` is not unfounded there on
+    a consistent ``trail``: it is :func:`step`'s Unfounded witness check."""
     ms = trail.literal_set
     us = frozenset(u)
     lits = {Literal(atom, positive=False)}
@@ -370,8 +372,9 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
     ``ctx`` is ``_context(theory)``, looked up here when not given.
 
     An Unfounded witness must be unfounded in the opened program, where
-    a member no rule defines has only ``a :- not not a``: it is checked
-    on the program, and :func:`unfounded_reason` wants such members false."""
+    a member no rule defines has only ``a :- not not a``: the one pass of
+    :func:`unfounded_reason` over the program checks it while building
+    the reason, and its refusals are this function's."""
     rule, lit, cl, witness, plen = transition
     carries = _CARRIES.get(rule)
     if carries is None:
@@ -420,8 +423,6 @@ def step(state: AugmentedState, transition: Transition, theory: SmaspTheory,
         if (lit.positive or lit.atom not in witness or lit in trail
                 or len(frozenset(witness)) < len(witness) or not ctx.atom_set.issuperset(witness)):
             raise Inapplicable("inapplicable Unfounded: {}", transition)
-        if not oracles.is_unfounded(witness, trail.literal_set, ctx.program):
-            raise Inapplicable("witness {} is not unfounded on the trail", witness)
         reason = unfounded_reason(lit.atom, witness, trail, ctx.program)
         return AugmentedState(trail.append(lit, reason=reason), learned, False)
 
@@ -459,6 +460,8 @@ class PropagationIndex:
     falsified (no true literal, at most one open) plus stale entries
     that are dropped when they surface. On a consistent trail those
     clauses are exactly the ones offering a unit-propagation candidate.
+    Each ``first_*`` query takes a rule name and returns that rule's
+    first :class:`Transition` on a consistent trail, or None.
     """
 
     def __init__(self, ctx: _TheoryContext) -> None:
@@ -539,11 +542,11 @@ class PropagationIndex:
                 heapq.heappush(self.pending, i)
         self.decide_from = min(self.decide_from, x >> 1)
 
-    def first_unit(self, include_learned: bool) -> Optional[tuple[Literal, Clause]]:
-        """``applicable(...)[0]`` of UnitPropagate, or of UnitPropagateLearn
-        with ``include_learned``, on a consistent trail: the smallest unit
-        or falsified clause with its only unfalsified literal, or its first
-        literal when all are falsified."""
+    def first_unit(self, rule: str) -> Optional[Transition]:
+        """``applicable(..., rule)[0]`` of UnitPropagate or UnitPropagateLearn
+        on a consistent trail: the smallest unit or falsified clause with
+        its only unfalsified literal, or its first literal when all are
+        falsified; a learned clause only for UnitPropagateLearn."""
         pending, n_true, n_open, codes = self.pending, self.n_true, self.n_open, self.codes
         while pending:
             i = pending[0]
@@ -552,7 +555,7 @@ class PropagationIndex:
             heapq.heappop(pending)
         else:
             return None
-        if i >= self.n_sources and not include_learned:
+        if i >= self.n_sources and rule != RULE_UNIT_PROPAGATE_LEARN:
             return None
         x = codes[i][0]
         if n_open[i]:
@@ -560,25 +563,27 @@ class PropagationIndex:
             for x in codes[i]:
                 if not true[x ^ 1]:
                     break
-        return self.literals[x], self.clauses[i]
+        return _make_record(Transition, (rule, self.literals[x], self.clauses[i], None, None))
 
-    def first_unassigned(self) -> Optional[Literal]:
-        """``applicable(..., Decide)[0]``'s literal on a consistent trail."""
+    def first_unassigned(self, rule: str) -> Optional[Transition]:
+        """``applicable(..., rule)[0]`` of Decide on a consistent trail:
+        the positive literal of the first unassigned atom."""
         true, x = self.true, 2 * self.decide_from
         while x < len(true) and (true[x] or true[x + 1]):
             x += 2
         self.decide_from = x >> 1
-        return self.literals[x] if x < len(true) else None
+        return (_make_record(Transition, (rule, self.literals[x], None, None, None))
+                if x < len(true) else None)
 
-    def first_unfounded(self) -> Optional[tuple[Literal, tuple[Atom, ...]]]:
-        """``applicable(..., Unfounded)[0]`` on a consistent trail. Without
-        rule heads every atom is open, so unfounded only when false, and
-        nothing is offered."""
+    def first_unfounded(self, rule: str) -> Optional[Transition]:
+        """``applicable(..., rule)[0]`` of Unfounded on a consistent trail.
+        Without rule heads every atom is open, so unfounded only when
+        false, and nothing is offered."""
         if self.founding is None:
             if not self.program.heads:
                 return None
             self.founding = UnfoundedIndex(self)
-        return self.founding.first()
+        return self.founding.first(rule)
 
 
 class UnfoundedIndex:
@@ -666,8 +671,6 @@ class UnfoundedIndex:
             self.index.true, self.support, self.missing, self.head, self.duals, self.uses)
         work = []
         for a in atoms:
-            if support[a] is not None:
-                continue
             for r in self.rules[a]:
                 if not missing[r] and not any(true[y] for y in duals[r]):
                     support[a] = r
@@ -693,15 +696,15 @@ class UnfoundedIndex:
         literals = self.index.literals
         return tuple(literals[2 * a].atom for a in sorted(self.unfounded))
 
-    def first(self) -> Optional[tuple[Literal, tuple[Atom, ...]]]:
-        """The negation of the smallest unfounded atom that is not false,
-        with the whole set as witness; None when there is none."""
+    def first(self, rule: str) -> Optional[Transition]:
+        """``rule``'s negation of the smallest unfounded atom that is not
+        false, with the whole set as witness; None when there is none."""
         self._update()
         true = self.index.true
         offered = [a for a in self.unfounded if not true[2 * a + 1]]
         if not offered:
             return None
-        return self.index.literals[2 * min(offered) + 1], self.gus()
+        return Transition(rule, self.index.literals[2 * min(offered) + 1], witness=self.gus())
 
 
 def require_conflict_first(strategy: Strategy) -> None:
@@ -715,28 +718,18 @@ def require_conflict_first(strategy: Strategy) -> None:
         raise ValueError("the first priority group must hold Fail and Backtrack or Backjump only")
 
 
-def _offer(index: PropagationIndex, rule: str):
-    """How :meth:`Walk.choose` asks ``index`` for ``rule``'s first
-    candidate on a consistent trail: a call that returns its transition
-    or None. None for a rule that has no candidate there."""
-    if rule == RULE_DECIDE:
-        return lambda: (lit := index.first_unassigned()) and _make_record(
-            Transition, (rule, lit, None, None, None))
-    if rule == RULE_UNFOUNDED:
-        return lambda: (cand := index.first_unfounded()) and Transition(rule, cand[0], witness=cand[1])
-    if rule in (RULE_UNIT_PROPAGATE, RULE_UNIT_PROPAGATE_LEARN):
-        learned = rule == RULE_UNIT_PROPAGATE_LEARN
-        return lambda: (cand := index.first_unit(learned)) and _make_record(
-            Transition, (rule, cand[0], cand[1], None, None))
-    return None
+# the PropagationIndex query for each rule's first candidate on a consistent trail
+_QUERIES = {RULE_UNIT_PROPAGATE: "first_unit", RULE_UNIT_PROPAGATE_LEARN: "first_unit",
+            RULE_UNFOUNDED: "first_unfounded", RULE_DECIDE: "first_unassigned"}
 
 
 class Walk:
     """A path from the empty state, taken by :func:`run` and retraced by a
     replay. It binds the theory's context once; with a strategy it keeps
     the index that :meth:`choose` reads, each rule's rank (the number of
-    its first priority group), and in priority order each rule's
-    :func:`_offer` with its rank; conflict rules have none."""
+    its first priority group), and in priority order each rule that has
+    an index query (:data:`_QUERIES`), with its rank and that query bound
+    to the index; conflict rules have none."""
 
     def __init__(self, theory: SmaspTheory, strategy: Optional[Strategy] = None) -> None:
         self.theory, self.strategy, self.state = theory, strategy, AugmentedState()
@@ -745,8 +738,8 @@ class Walk:
             require_conflict_first(strategy)
             self.index, ranked = PropagationIndex(self.ctx), tuple(enumerate(strategy.priority))
             self.rank = {rule: rank for rank, group in reversed(ranked) for rule in group}
-            self.offers = tuple((rank, offer) for rank, group in ranked for rule in group
-                                if (offer := _offer(self.index, rule)))
+            self.queries = tuple((rank, rule, getattr(self.index, _QUERIES[rule]))
+                                 for rank, group in ranked for rule in group if rule in _QUERIES)
 
     def choose(self, before: int = sys.maxsize) -> Optional[Transition]:
         """The first candidate of the highest-priority applicable rule:
@@ -759,10 +752,10 @@ class Walk:
             return None
         if state.trail.first_conflict_index is not None:
             return conflict_candidate(state, conflict_rule(state.trail, self.strategy))
-        for rank, offer in self.offers:
+        for rank, rule, query in self.queries:
             if rank >= before:
                 return None
-            tr = offer()
+            tr = query(rule)
             if tr is not None:
                 return tr
         return None

@@ -88,6 +88,24 @@ def test_runs_and_strict_replays_never_ask_applicable(monkeypatch):
     assert taken == engine.ALL_RULES
 
 
+def test_runs_and_replays_never_ask_the_unfoundedness_oracle(monkeypatch):
+    """``step`` checks an Unfounded witness in the one pass of
+    ``unfounded_reason`` that builds its reason: in every mode neither
+    ``run`` nor a strict or lax replay calls ``oracles.is_unfounded``."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracles.is_unfounded was called")
+
+    monkeypatch.setattr(oracles, "is_unfounded", forbidden)
+    taken = set()
+    for mode, theory in _mixed_runs():
+        out = run(theory, mode, self_check=False)
+        taken.update(out.stats)
+        tr = Trace(TraceHeader(mode, theory_digest(theory)), out.steps)
+        for strict in (False, True):
+            assert validate_trace(tr, theory, mode, strict_strategy=strict).ok
+    assert engine.RULE_UNFOUNDED in taken
+
+
 def test_strict_replays_ask_the_index_only_about_groups_above_the_step(monkeypatch):
     """Before each step a strict replay asks for Decide's or Unfounded's
     first candidate only when the step's rule ranks after that rule, so
@@ -96,8 +114,8 @@ def test_strict_replays_ask_the_index_only_about_groups_above_the_step(monkeypat
     queried = {"first_unassigned": engine.RULE_DECIDE, "first_unfounded": engine.RULE_UNFOUNDED}
     for name in queried:
         query = getattr(engine.PropagationIndex, name)
-        monkeypatch.setattr(engine.PropagationIndex, name, lambda index, name=name, query=query:
-                            events.append(name) or query(index))
+        monkeypatch.setattr(engine.PropagationIndex, name, lambda index, rule, name=name,
+                            query=query: events.append(name) or query(index, rule))
     take = engine.step
     monkeypatch.setattr(engine, "step", lambda state, tr, *rest:
                         events.append(tr.rule) or take(state, tr, *rest))
@@ -351,15 +369,6 @@ def test_the_index_offers_the_first_edge_of_each_rule_on_random_states(
             index.follow(trail)
     state = AugmentedState(trail, tuple(learned))
 
-    def first(rule):
+    for rule, query in engine._QUERIES.items():  # as Walk.choose asks them
         edges = engine.applicable(state, theory, rule)
-        return edges[0] if edges else None
-
-    for rule, learning in ((engine.RULE_UNIT_PROPAGATE, False),
-                           (engine.RULE_UNIT_PROPAGATE_LEARN, True)):
-        edge = first(rule)
-        assert index.first_unit(learning) == (edge and (edge.literal, edge.clause))
-    edge = first(engine.RULE_DECIDE)
-    assert index.first_unassigned() == (edge and edge.literal)
-    edge = first(engine.RULE_UNFOUNDED)
-    assert index.first_unfounded() == (edge and (edge.literal, edge.witness))
+        assert getattr(index, query)(rule) == (edges[0] if edges else None), rule

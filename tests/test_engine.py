@@ -195,11 +195,12 @@ class TestUnfounded:
             (state(""), unfounded("-a", "a z")),  # a member outside the theory
         ):
             refuses(s, tr, t, f"inapplicable Unfounded: {tr}")
-        # a :- b. b :- a. a :- c. with c open and not false: {a, b} is founded
+        # a :- b. b :- a. a :- c. with c open and not false: {a, b} is
+        # founded, and unfounded_reason's refusal is step's
         pi = prog(rule("a", pos="b"), rule("b", pos="a"), rule("a", pos="c"))
         t = SmaspTheory(completion(pi), pi)
         refuses(state(""), unfounded("-a", "a b"), t,
-                f"witness {atoms('a b')} is not unfounded on the trail")
+                f"body {rule('a', pos='c').body} of an allegedly unfounded set is not falsified")
 
 
 class TestUnfoundedReason:
@@ -294,6 +295,8 @@ class TestStep:
         assert s.learned == (cl("-a"),)
         with pytest.raises(ValueError):
             step(s, Transition("Learn", clause=cl("-a")), t)
+        refuses(s, Transition("Learn", clause=cl("-a", "z")), t,
+                "learned clause mentions atoms outside the theory")
 
 
 class TestStrategyPriority:

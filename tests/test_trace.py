@@ -76,6 +76,28 @@ class TestValidate:
         result = validate_trace(make_trace(t, steps, mode="clasp"), t, "clasp")
         assert not result.ok and "entailed" in result.reason
 
+    def test_unentailed_backjump_is_rejected(self):
+        # every model has -a; after a* b -b the unit clause a is asserting
+        # on the empty kept prefix, so step takes the Backjump, but a is
+        # not entailed
+        t = SmaspTheory((cl("-a", "b"), cl("-a", "-b")))
+        steps = (
+            bare(1, "Decide", literal=lit("a")),
+            bare(2, "UnitPropagate", literal=lit("b"), clause=cl("-a", "b")),
+            bare(3, "UnitPropagate", literal=lit("-b"), clause=cl("-a", "-b")),
+            bare(4, "Backjump", literal=lit("a"), clause=cl("a"), prefix_length=0),
+        )
+        assert oracles.at_desk_scale(t)
+        assert validate_trace(make_trace(t, steps[:3]), t).ok
+        assert validate_trace(make_trace(t, steps), t) == Validation(
+            False, 4, "backjump literal is not entailed over the kept prefix")
+
+    def test_a_step_index_out_of_order_is_rejected(self):
+        steps = (bare(1, "Decide", literal=lit("a")), bare(3, "Decide", literal=lit("b")))
+        for strict in (False, True):
+            assert validate_trace(make_trace(F1, steps), F1, "dpll", strict) == Validation(
+                False, 2, "step index 3 out of order")
+
     def test_strict_strategy_rejects_low_priority_steps(self):
         t = SmaspTheory(completion(PI0), PI0)
         # deciding while unit propagation is available violates priorities

@@ -26,7 +26,7 @@ from smasp.translations import completion, ed_completion
 
 def _assert_index_matches_the_oracle(index, theory, current):
     edges = engine.applicable(AugmentedState(current), theory, engine.RULE_UNFOUNDED)
-    assert index.first_unfounded() == (edges and (edges[0].literal, edges[0].witness) or None)
+    assert index.first_unfounded(engine.RULE_UNFOUNDED) == (edges[0] if edges else None)
     if index.founding is None:  # built by the first query, unless nothing has a rule
         assert not theory.program.heads
     else:
@@ -61,7 +61,7 @@ def test_a_truncation_founds_a_loop_again():
     pi = prog(rule("a", pos="b"), rule("b", pos="a"), rule("a", neg="c"))
     theory = SmaspTheory((), pi)
     index = engine.PropagationIndex(engine._context(theory))
-    assert index.first_unfounded() is None
+    assert index.first_unfounded(engine.RULE_UNFOUNDED) is None
     # a false atom stays a member; a false open atom is one
     for spec, gus in (("c*", "a b"), ("c* -a", "a b"), ("-c*", "c"), ("-c* a", "c"),
                       ("-a", "b"), ("-a c", "a b")):
@@ -74,7 +74,7 @@ def test_a_program_without_rule_heads_builds_no_index():
     theory = SmaspTheory((), prog(rule(None, pos="a", neg="b")))
     index = engine.PropagationIndex(engine._context(theory))
     index.follow(trail("-a"))
-    assert index.first_unfounded() is None and index.founding is None
+    assert index.first_unfounded(engine.RULE_UNFOUNDED) is None and index.founding is None
 
 
 def _forbid(monkeypatch, module, name):
