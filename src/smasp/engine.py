@@ -11,11 +11,11 @@ resulting trail.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import sys
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Union
 
 from . import oracles, translations
@@ -502,23 +502,29 @@ class PropagationIndex:
         for x in codes:
             self.occurs[x].append(i)
         if not true and open_ <= 1:
-            heapq.heappush(self.pending, i)
+            heappush(self.pending, i)
 
     def learn(self, c: Clause) -> None:
+        """Add a learned clause, counted against the index's own
+        assignment: later assigns and unassigns keep its counts as they
+        keep every clause's, so it may join while the index lags."""
         if c not in self.sources:  # a source keeps its place in the order
             self._add(c)
 
-    def follow(self, trail: Trail) -> None:
-        """Catch up with ``trail``: a prefix of the indexed trail plus
-        one literal, which is what every trail-changing rule yields. A
-        cut below what the unfounded-set index has read lowers its
-        ``done``."""
-        keep, assigned = len(trail.entries) - 1, self.trail
-        while len(assigned) > keep:
+    def follow(self, trail: Trail, kept: int) -> None:
+        """Catch up with ``trail``, whose first ``kept`` entries the index
+        holds: unassign the rest of the indexed trail, then assign the
+        rest of ``trail``. :meth:`Walk.choose` calls it when it reaches
+        a query. A cut below what the unfounded-set index has read lowers
+        its ``done``."""
+        assigned = self.trail
+        while len(assigned) > kept:
             self._unassign(assigned.pop())
-        if self.founding is not None and keep < self.founding.done:
-            self.founding.done = keep
-        self._assign(self.code[trail.entries[keep].literal])
+        if self.founding is not None and kept < self.founding.done:
+            self.founding.done = kept
+        code = self.code
+        for e in trail.entries[kept:]:
+            self._assign(code[e.literal])
 
     def _assign(self, x: int) -> None:
         self.true[x] = True
@@ -529,7 +535,7 @@ class PropagationIndex:
         for i in self.occurs[x ^ 1]:
             n_open[i] -= 1
             if not n_true[i] and n_open[i] == 1:
-                heapq.heappush(self.pending, i)
+                heappush(self.pending, i)
 
     def _unassign(self, x: int) -> None:
         self.true[x] = False
@@ -539,8 +545,9 @@ class PropagationIndex:
         for i in self.occurs[x]:
             n_true[i] -= 1
             if not n_true[i] and n_open[i] <= 1:
-                heapq.heappush(self.pending, i)
-        self.decide_from = min(self.decide_from, x >> 1)
+                heappush(self.pending, i)
+        if x >> 1 < self.decide_from:
+            self.decide_from = x >> 1
 
     def first_unit(self, rule: str) -> Optional[Transition]:
         """``applicable(..., rule)[0]`` of UnitPropagate or UnitPropagateLearn
@@ -552,7 +559,7 @@ class PropagationIndex:
             i = pending[0]
             if not n_true[i] and n_open[i] <= 1:
                 break
-            heapq.heappop(pending)
+            heappop(pending)
         else:
             return None
         if i >= self.n_sources and rule != RULE_UNIT_PROPAGATE_LEARN:
@@ -729,11 +736,19 @@ class Walk:
     the index that :meth:`choose` reads, each rule's rank (the number of
     its first priority group), and in priority order each rule that has
     an index query (:data:`_QUERIES`), with its rank and that query bound
-    to the index; conflict rules have none."""
+    to the index; conflict rules have none.
+
+    The index lags behind the trail: :meth:`advance` only lowers
+    ``kept``, the shortest prefix the trail has kept since the index
+    last read it, and the index catches up (:meth:`PropagationIndex.follow`)
+    when :meth:`choose` reaches a query. A literal assigned and undone
+    between two catch-ups never reaches the index, nor, in :func:`run`,
+    does the one that makes a trail inconsistent: a conflict rule,
+    which no query answers, undoes it."""
 
     def __init__(self, theory: SmaspTheory, strategy: Optional[Strategy] = None) -> None:
         self.theory, self.strategy, self.state = theory, strategy, AugmentedState()
-        self.ctx, self.index = _context(theory), None
+        self.ctx, self.index, self.kept = _context(theory), None, 0
         if strategy is not None:
             require_conflict_first(strategy)
             self.index, ranked = PropagationIndex(self.ctx), tuple(enumerate(strategy.priority))
@@ -746,30 +761,42 @@ class Walk:
         :func:`conflict_rule`'s on an inconsistent trail (:func:`step`
         takes a Backtrack's on any trail it built, as a decided literal
         had neither polarity before it), else the first the index offers,
-        asking only the groups ranked before ``before`` (all by default)."""
+        asking only the groups ranked before ``before`` (all by default).
+        The index catches up with the trail before the first query."""
         state = self.state
         if state.failed:
             return None
-        if state.trail.first_conflict_index is not None:
-            return conflict_candidate(state, conflict_rule(state.trail, self.strategy))
+        trail = state.trail
+        if trail.first_conflict_index is not None:
+            return conflict_candidate(state, conflict_rule(trail, self.strategy))
+        kept, n = self.kept, len(trail.entries)
         for rank, rule, query in self.queries:
             if rank >= before:
                 return None
+            if kept < n:
+                index = self.index
+                if kept == len(index.trail) == n - 1:  # one literal behind, as at most of a run's steps
+                    index._assign(index.code[trail.entries[kept].literal])
+                else:
+                    index.follow(trail, kept)
+                kept = self.kept = n
             tr = query(rule)
             if tr is not None:
                 return tr
         return None
 
     def advance(self, transition: Transition) -> str:
-        """Take one edge through :func:`step`; the index follows the new
-        trail, or learns a Learn's clause. Returns the digest of the new
-        trail."""
+        """Take one edge through :func:`step`. Every trail-changing rule
+        yields a prefix of the trail plus one literal, and ``kept`` drops
+        to that prefix; the index reads nothing until :meth:`choose`
+        queries it, but learns a Learn's clause at once. Returns the
+        digest of the new trail."""
         state = self.state = step(self.state, transition, self.theory, self.ctx)
         if self.index is not None:
             if transition.rule == RULE_LEARN:
                 self.index.learn(transition.clause)
-            elif not state.failed:
-                self.index.follow(state.trail)
+            elif not state.failed and len(state.trail.entries) <= self.kept:
+                self.kept = len(state.trail.entries) - 1
         return state.trail.digest
 
 

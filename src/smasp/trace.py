@@ -88,38 +88,22 @@ def write_trace(path: str, trace: Trace) -> None:
         handle.writelines(_lines(trace))
 
 
-def _parsed(key: str, tokens, literals: _Memo) -> tuple[Literal, ...]:
-    if type(tokens) is not list:
-        raise ParseError(f"{key} is not a JSON array: {quote(tokens)}")
-    for token in tokens:
+def _literals(key: str, value, tokens: dict[str, Literal]) -> tuple[Literal, ...]:
+    """A clause's or a witness's literals, every entry a string, each
+    distinct token parsed once per load through ``tokens``."""
+    if type(value) is not list:
+        raise ParseError(f"{key} is not a JSON array: {quote(value)}")
+    try:
+        return tuple([tokens[t] for t in value])  # every key is a token that parsed
+    except (KeyError, TypeError):  # a new token, or one that is not a string
+        pass
+    for token in value:
         if type(token) is not str:
             raise ParseError(f"literal token is not a string: {quote(token)}")
-    return tuple(literals[t] for t in tokens)
-
-
-def _transition(record: dict, literals: _Memo) -> engine.Transition:
-    """The transition a record's payload names, once its fields pass
-    their checks."""
-    rule = record.get("rule")
-    if type(rule) is not str or rule not in engine.ALL_RULES:
-        raise ParseError(f"unknown trace rule: {quote(rule)}")
-    prefix_length = record.get("prefix_length")  # null reads as absent
-    if prefix_length is not None and type(prefix_length) is not int:
-        raise ParseError(f"prefix_length is not an integer: {quote(prefix_length)}")
-    literal = clause = witness = None
-    if "literal" in record:
-        token = record["literal"]
-        if type(token) is not str:
-            raise ParseError(f"literal token is not a string: {quote(token)}")
-        literal = literals[token]
-    if "clause" in record:
-        clause = Clause(_parsed("clause", record["clause"], literals))
-    if "witness" in record:
-        members = _parsed("witness", record["witness"], literals)
-        if not all(l.positive for l in members):
-            raise ParseError(f"witness entries are atom names: {quote(record['witness'])}")
-        witness = tuple(l.atom for l in members)
-    return _make_record(engine.Transition, (rule, literal, clause, witness, prefix_length))
+    for token in value:
+        if token not in tokens:
+            tokens[token] = parse_literal_token(token)
+    return tuple([tokens[t] for t in value])
 
 
 def _header(record: dict) -> TraceHeader:
@@ -138,33 +122,70 @@ def _header(record: dict) -> TraceHeader:
     return header
 
 
+# the C scanner behind ``json.loads``: a value and where it ends
+_scan = json.JSONDecoder().scan_once
+
+
 def load_trace(text: str) -> Trace:
     """A header line, then a step record per line, blank lines skipped;
     a first record with an ``index`` or a ``rule`` is a step, not a header.
     Lines end at ``"\\n"`` alone, so a string may hold any other line
-    separator raw, and a ``"\\r"`` before it is JSON whitespace. Every
-    record's fields are checked; literal tokens map through a memo
-    local to the load, so each distinct one is parsed once. A malformed
-    line's error names it, blank lines counted."""
-    literals = _Memo(parse_literal_token)
+    separator raw, and a ``"\\r"`` before it is JSON whitespace.
+
+    Each line is decoded once by the scanner behind ``json.loads``. When
+    the value it reads does not end the line (white space around it, a
+    byte order mark, text after it, or no value at all), ``json.loads``
+    decodes the line again, so every value and every error is the one it
+    gives. A record's fields are then checked in one pass; literal tokens
+    map through a dict local to the load, so each distinct one is parsed
+    once. A malformed line's error names it, blank lines counted."""
+    tokens: dict[str, Literal] = {}
+    rules, make = engine.ALL_RULES, _make_record
+    Transition, TraceStep = engine.Transition, engine.TraceStep
     header, steps = None, []
     for number, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
         try:
-            record = json.loads(line)
+            try:
+                record, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                record = json.loads(line)
             if type(record) is not dict:
                 raise ParseError(f"not a JSON object: {quote(line.strip())}")
             if header is None:
                 header = _header(record)
                 continue
-            index, digest = record.get("index"), record.get("trail", "")
+            get = record.get
+            index, digest, rule = get("index"), get("trail", ""), get("rule")
             if type(index) is not int:  # nor bool
                 raise ParseError(f"index is not an integer: {quote(index)}")
             if type(digest) is not str:
                 raise ParseError(f"trail digest is not a string: {quote(digest)}")
-            transition = _transition(record, literals)
-            steps.append(_make_record(engine.TraceStep, (index, transition, digest)))
+            if type(rule) is not str or rule not in rules:
+                raise ParseError(f"unknown trace rule: {quote(rule)}")
+            prefix_length = get("prefix_length")  # null reads as absent
+            if prefix_length is not None and type(prefix_length) is not int:
+                raise ParseError(f"prefix_length is not an integer: {quote(prefix_length)}")
+            literal = clause = witness = None
+            if "literal" in record:
+                token = record["literal"]
+                if type(token) is not str:
+                    raise ParseError(f"literal token is not a string: {quote(token)}")
+                literal = tokens.get(token)
+                if literal is None:
+                    literal = tokens[token] = parse_literal_token(token)
+            if "clause" in record:
+                clause = Clause(_literals("clause", record["clause"], tokens))
+            if "witness" in record:
+                members = _literals("witness", record["witness"], tokens)
+                if not all(l.positive for l in members):
+                    raise ParseError(f"witness entries are atom names: {quote(record['witness'])}")
+                witness = tuple(l.atom for l in members)
+            transition = make(Transition, (rule, literal, clause, witness, prefix_length))
+            steps.append(make(TraceStep, (index, transition, digest)))
         except ParseError as exc:
             raise ParseError(f"trace line {number}: {exc}") from None
         except ValueError as exc:  # malformed JSON, or an empty clause
@@ -180,11 +201,14 @@ def _strict_violation(walk: engine.Walk, rule: str, rejected: bool = False) -> O
     """No priority group ranked above the rule's may offer a transition.
     On an inconsistent trail the conflict group offers one, named by
     :func:`engine.conflict_rule`; on a consistent trail
-    :meth:`engine.Walk.choose` asks only the groups above the rule's.
-    Whether the rule applies is :func:`engine.step`'s to say; once it has
-    ``rejected`` the step, every group is asked, so that a step where no
-    rule applies is reported as such. Learn is a learning strategy's
-    policy; under another it must sit in the group of the whole choice."""
+    :meth:`engine.Walk.choose` asks the groups above the rule's, and is
+    called only when one of them has an index query, so that the conflict
+    group and the first propagation group leave the index behind the
+    trail. Whether the rule applies is :func:`engine.step`'s to say; once
+    it has ``rejected`` the step, every group is asked, so that a step
+    where no rule applies is reported as such. Learn is a learning
+    strategy's policy; under another it must sit in the group of the
+    whole choice."""
     strategy, rank = walk.strategy, walk.rank.get(rule)
     learn = rule == engine.RULE_LEARN
     if learn and strategy.learning:
@@ -194,6 +218,8 @@ def _strict_violation(walk: engine.Walk, rule: str, rejected: bool = False) -> O
     trail = walk.state.trail
     if trail.is_consistent:  # so is the failed state's empty trail
         whole = learn or rejected
+        if not (whole or walk.queries and walk.queries[0][0] < rank):
+            return None
         chosen = walk.choose() if whole else walk.choose(rank)
         if chosen is None:
             return f"no rule of mode {strategy.mode!r} is applicable" if whole else None

@@ -4,7 +4,7 @@ import json
 
 from smasp import engine
 from smasp.model import Atom, Clause, Literal, Program, Rule, Trail, TrailEntry, __version__
-from smasp.parsing import ParseError, parse_literal_token
+from smasp.parsing import ParseError, parse_literal_token, quote
 from smasp.trace import Trace, TraceHeader, Validation, validate_trace
 
 
@@ -203,3 +203,82 @@ def reference_load_trace(text):
         raise ParseError(f"malformed trace: {exc}") from None
     except RecursionError:
         raise ParseError("malformed trace: JSON nested too deeply") from None
+
+
+def _json_loads_literals(key, tokens, literals):
+    if type(tokens) is not list:
+        raise ParseError(f"{key} is not a JSON array: {quote(tokens)}")
+    for token in tokens:
+        if type(token) is not str:
+            raise ParseError(f"literal token is not a string: {quote(token)}")
+    return tuple(literals(t) for t in tokens)
+
+
+def _json_loads_header(record):
+    if "index" in record or "rule" in record:
+        raise ParseError("the trace has no header: its first record is a step")
+    header = TraceHeader(record.get("mode", ""), record.get("theory", ""),
+                         record.get("version", __version__))
+    for key, value in zip(("mode", "theory", "version"), header):
+        if not isinstance(value, str):
+            raise ParseError(f"trace header {key} is not a string: {quote(value)}")
+    if header.version != __version__:
+        raise ParseError(f"trace version {quote(header.version)} is not {__version__!r}")
+    return header
+
+
+def _json_loads_step(record, literals):
+    index, digest = record.get("index"), record.get("trail", "")
+    if type(index) is not int:
+        raise ParseError(f"index is not an integer: {quote(index)}")
+    if type(digest) is not str:
+        raise ParseError(f"trail digest is not a string: {quote(digest)}")
+    rule = record.get("rule")
+    if type(rule) is not str or rule not in engine.ALL_RULES:
+        raise ParseError(f"unknown trace rule: {quote(rule)}")
+    prefix_length = record.get("prefix_length")
+    if prefix_length is not None and type(prefix_length) is not int:
+        raise ParseError(f"prefix_length is not an integer: {quote(prefix_length)}")
+    literal = clause = witness = None
+    if "literal" in record:
+        token = record["literal"]
+        if type(token) is not str:
+            raise ParseError(f"literal token is not a string: {quote(token)}")
+        literal = literals(token)
+    if "clause" in record:
+        clause = Clause(_json_loads_literals("clause", record["clause"], literals))
+    if "witness" in record:
+        members = _json_loads_literals("witness", record["witness"], literals)
+        if not all(l.positive for l in members):
+            raise ParseError(f"witness entries are atom names: {quote(record['witness'])}")
+        witness = tuple(l.atom for l in members)
+    return engine.TraceStep(
+        index, engine.Transition(rule, literal, clause, witness, prefix_length), digest)
+
+
+def json_loads_trace(text):
+    """:func:`smasp.trace.load_trace` as the plain per-line loop: every
+    non-blank line through ``json.loads``, each record checked field by
+    field in the same order, with the same messages, and each literal
+    token parsed afresh."""
+    header, steps = None, []
+    for number, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise ParseError(f"not a JSON object: {quote(line.strip())}")
+            if header is None:
+                header = _json_loads_header(record)
+            else:
+                steps.append(_json_loads_step(record, parse_literal_token))
+        except ParseError as exc:
+            raise ParseError(f"trace line {number}: {exc}") from None
+        except ValueError as exc:
+            raise ParseError(f"trace line {number} is malformed: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"trace line {number} is malformed: JSON nested too deeply") from None
+    if header is None:
+        raise ParseError("empty trace file")
+    return Trace(header, tuple(steps))

@@ -9,6 +9,7 @@ The index keeps its own counts, so these checks also test ``step``.
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -366,9 +367,62 @@ def test_the_index_offers_the_first_edge_of_each_rule_on_random_states(
                 index.learn(c)
         if literal is not None:
             trail = trail.append(literal, data.draw(st.booleans()))
-            index.follow(trail)
+            index.follow(trail, len(trail) - 1)
     state = AugmentedState(trail, tuple(learned))
 
     for rule, query in engine._QUERIES.items():  # as Walk.choose asks them
         edges = engine.applicable(state, theory, rule)
         assert getattr(index, query)(rule) == (edges[0] if edges else None), rule
+
+
+# -- a walk's index lags behind the trail and catches up when asked ---------
+
+def _eager_choice(state, strategy, index, queries, before):
+    """:meth:`engine.Walk.choose` over an index that followed every step."""
+    if state.failed:
+        return None
+    if not state.trail.is_consistent:
+        return engine.conflict_candidate(state, engine.conflict_rule(state.trail, strategy))
+    for rank, rule, _ in queries:
+        if rank >= before:
+            return None
+        tr = getattr(index, engine._QUERIES[rule])(rule)
+        if tr is not None:
+            return tr
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_lagging_walk_answers_as_an_index_that_follows_every_step(rng):
+    """A walk replays a run's steps and is queried at random points, each
+    time with a random rank bound: every answer is that of a fresh index
+    that followed the trail step by step, and once it has caught up the
+    walk's index holds the same counts, assignment and trail."""
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 6), max_rules=10)
+    runs = list(gen.theories_per_mode(pi))
+    runs += [(rng.choice(engine.MODES), gen.random_3sat(rng, rng.randint(10, 20)))]
+    for mode, theory in runs:
+        strategy = engine.for_mode(mode)
+        walk = engine.Walk(theory, strategy)
+        eager = engine.PropagationIndex(walk.ctx)
+        bounds = [0, 1, 2, 3, sys.maxsize]
+        for recorded in run(theory, strategy, self_check=False).steps + (None,):
+            if rng.random() < 0.4:
+                before, state = rng.choice(bounds), walk.state
+                want = _eager_choice(state, strategy, eager, walk.queries, before)
+                assert walk.choose(before) == want
+                asked = not state.failed and state.trail.is_consistent and walk.queries[0][0] < before
+                caught_up = not state.failed and walk.kept == len(state.trail)
+                assert caught_up or not asked
+                if caught_up:
+                    for field in ("n_true", "n_open", "true", "trail"):
+                        assert getattr(walk.index, field) == getattr(eager, field), field
+            if recorded is None:
+                break
+            tr = recorded.transition
+            walk.advance(tr)
+            if tr.rule == engine.RULE_LEARN:
+                eager.learn(tr.clause)
+            elif not walk.state.failed:
+                eager.follow(walk.state.trail, len(walk.state.trail) - 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from helpers import PI0, PI3, cl, lit, prog, reference_load_trace, rule
+from helpers import PI0, PI3, cl, json_loads_trace, lit, prog, reference_load_trace, rule
 from smasp import engine, oracles
 from smasp.engine import Strategy, TraceStep, Transition, run
 from smasp.model import ORIGIN_FRESH, Atom, Clause, Literal, SmaspTheory, Trail, __version__
@@ -15,6 +15,7 @@ from smasp.trace import (
     Trace,
     TraceHeader,
     Validation,
+    _strict_violation,
     dump_trace,
     load_trace,
     theory_digest,
@@ -179,6 +180,25 @@ def test_strict_strategy_reports_a_step_past_the_end_as_such(mode, rule):
         assert validate_trace(trace, theory, mode, strict_strategy=True) == Validation(
             False, len(steps) + 1, f"no rule of mode {mode!r} is applicable")
         assert not validate_trace(trace, theory, mode).ok
+
+
+def test_a_strategy_without_index_queries_leaves_the_strict_check_to_step():
+    """With conflict rules alone no group has an index query: the strict
+    check asks nothing above a rule, and reports a rejected step on a
+    consistent trail as a step where no rule applies."""
+    bare_strategy = Strategy("conflicts", ((engine.RULE_FAIL, engine.RULE_BACKTRACK),), False)
+    walk = engine.Walk(THREE, bare_strategy)
+    assert walk.queries == ()
+    assert _strict_violation(walk, engine.RULE_BACKTRACK) is None
+    assert _strict_violation(walk, engine.RULE_FAIL, rejected=True) == \
+        "no rule of mode 'conflicts' is applicable"
+    assert _strict_violation(walk, engine.RULE_DECIDE) == "rule Decide is not part of mode 'conflicts'"
+    decide = make_trace(THREE, [bare(1, "Decide", literal=lit("x1"))], mode="conflicts")
+    assert validate_trace(decide, THREE, bare_strategy, strict_strategy=True) == Validation(
+        False, 1, "rule Decide is not part of mode 'conflicts'")
+    fail = make_trace(THREE, [bare(1, "Fail")], mode="conflicts")
+    assert validate_trace(fail, THREE, bare_strategy, strict_strategy=True) == Validation(
+        False, 1, "no rule of mode 'conflicts' is applicable")
 
 
 class TestSerialization:
@@ -492,10 +512,10 @@ _FIELDS = ("index", "rule", "literal", "clause", "witness", "prefix_length", "tr
 # each JSON type, with values that compare equal across int, float and
 # bool, and the payloads of the records above
 _TRICKY = (None, True, False, 0, 1, 0.0, 1.0, "a", "-b", "Decide", "1", "", [], ["a", "b"],
-           ["-a", "b"], ["-a", "f{b}"], [1], [True], [1.0], [None], [[]], {}, {"a": 1})
+           ["-a", "b"], ["-a", "f{b}"], [1], [True], [1.0], [None], [[]], ["-", 1], {}, {"a": 1})
 _odd_values = st.one_of(
     st.sampled_from(_TRICKY), st.integers(-3, 3), st.floats(allow_nan=False),
-    st.lists(st.sampled_from(["a", "-b", 1, 1.0, True, None, [], {}]), max_size=3),
+    st.lists(st.sampled_from(["a", "-b", "-", "", 1, 1.0, True, None, [], {}]), max_size=3),
     st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from([1, True, "a"]), max_size=2))
 _mutations = st.lists(st.tuples(st.sampled_from(("set", "drop", "before", "after")),
                                 st.sampled_from(_FIELDS), _odd_values), min_size=1, max_size=3)
@@ -530,6 +550,7 @@ def _assert_loads_as_the_reference(lines):
     else:
         got = load_trace(text)
         assert got == want and repr(got) == repr(want)  # repr tells 1 from 1.0 and True
+    _assert_loads_as_json_loads(text)  # and with json.loads's value or message
 
 
 def test_the_payload_memo_decodes_each_single_mutation_as_a_decoder_without_one():
@@ -551,6 +572,85 @@ def test_the_payload_memo_decodes_as_a_decoder_without_one(mutated, picks, blank
     lines = [_record_line(record, mutations) for record, mutations in mutated]
     lines += [_record_line(record) for record in _VALID_RECORDS]
     _assert_loads_as_the_reference([""] * blank + [lines[i % len(lines)] for i in picks])
+
+
+# -- load_trace against the plain json.loads loop ------------------------------
+
+def _load_outcome(loader, text):
+    """What a loader makes of ``text``: the trace and its repr, or the
+    parse error's message."""
+    try:
+        got = loader(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return got, repr(got)
+
+
+def _assert_loads_as_json_loads(text):
+    assert _load_outcome(load_trace, text) == _load_outcome(json_loads_trace, text)
+
+
+def _perturbed(line, kind, pad):
+    """``line`` spoilt as ``kind`` says, or padded with ``pad``."""
+    return {
+        "lead": pad + line,
+        "trail": line + pad,
+        "around": pad + line + pad,
+        "cr": line + "\r",
+        "bom": "\ufeff" + line,
+        "text after": line + " x",
+        "glued": line + line,
+        "glued spaced": line + " " + line,
+        "scalar": json.dumps(len(line)),
+        "string": json.dumps(line[:8]),
+        "array": "[" + line + "]",
+        "literal": "nul",
+        "deep": "[" * 100_000,
+        "half": line[:len(line) // 2],
+    }[kind]
+
+
+_PERTURBATIONS = ("lead", "trail", "around", "cr", "bom", "text after", "glued",
+                  "glued spaced", "scalar", "string", "array", "literal", "deep", "half")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(_PERTURBATIONS),
+                          st.text(" \t", min_size=1, max_size=3)), max_size=3))
+def test_load_trace_decodes_as_json_loads_on_run_traces_and_perturbed_lines(rng, perturbations):
+    """Dumped traces of random runs in all five modes load to equal
+    traces; with lines spoilt or padded, both loaders give the same
+    trace or the same error message."""
+    pi = gen.random_program(rng, n_atoms=rng.randint(1, 5), max_rules=8)
+    for mode, theory in gen.theories_per_mode(pi):
+        text = dump_trace(trace_from_outcome(run(theory, mode, self_check=False), mode, theory))
+        assert load_trace(text) == json_loads_trace(text)
+        _assert_loads_as_json_loads(text)
+        lines = text.split("\n")
+        for where, kind, pad in perturbations:
+            at = where % len(lines)  # the empty line after the last newline included
+            lines[at] = _perturbed(lines[at], kind, pad)
+        _assert_loads_as_json_loads("\n".join(lines))
+
+
+def test_load_trace_decodes_each_perturbation_of_each_line_as_json_loads():
+    theory = SmaspTheory(completion(PI0), PI0)
+    text = dump_trace(trace_from_outcome(run(theory, "dpll", self_check=False), "dpll", theory))
+    lines = text.split("\n")
+    assert len(lines) > 3
+    for at in range(len(lines)):
+        for kind in _PERTURBATIONS:
+            for pad in (" ", "\t", " \t "):
+                spoilt = lines[:at] + [_perturbed(lines[at], kind, pad)] + lines[at + 1:]
+                _assert_loads_as_json_loads("\n".join(spoilt))
+    with pytest.raises(ParseError, match="trace line 2 is malformed: Extra data"):
+        load_trace("\n".join([lines[0], lines[1] + " x"]))
+    with pytest.raises(ParseError, match="trace line 1 is malformed: Unexpected UTF-8 BOM"):
+        load_trace("\ufeff" + text)
+    with pytest.raises(ParseError, match="trace line 2 is malformed: JSON nested too deeply"):
+        load_trace("\n".join([lines[0], "[" * 100_000]))
+    assert load_trace(text.replace("\n", " \t\r\n")) == load_trace(text)
 
 
 # -- dump_trace against the trace format's definition -------------------------

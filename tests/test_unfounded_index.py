@@ -52,7 +52,7 @@ def test_index_equals_the_greatest_unfounded_set_after_assigns_and_truncations(r
             free = [a for a in theory.atoms if current.is_unassigned(Literal(a))]
         current = current.append(Literal(rng.choice(free), rng.random() < 0.5),
                                  decision=rng.random() < 0.5)
-        index.follow(current)
+        index.follow(current, len(current) - 1)
     _assert_index_matches_the_oracle(index, theory, current)
 
 
@@ -65,7 +65,7 @@ def test_a_truncation_founds_a_loop_again():
     # a false atom stays a member; a false open atom is one
     for spec, gus in (("c*", "a b"), ("c* -a", "a b"), ("-c*", "c"), ("-c* a", "c"),
                       ("-a", "b"), ("-a c", "a b")):
-        index.follow(trail(spec))
+        index.follow(trail(spec), len(trail(spec)) - 1)
         assert [a.name for a in index.founding.gus()] == gus.split()
         _assert_index_matches_the_oracle(index, theory, trail(spec))
 
@@ -73,7 +73,7 @@ def test_a_truncation_founds_a_loop_again():
 def test_a_program_without_rule_heads_builds_no_index():
     theory = SmaspTheory((), prog(rule(None, pos="a", neg="b")))
     index = engine.PropagationIndex(engine._context(theory))
-    index.follow(trail("-a"))
+    index.follow(trail("-a"), 0)
     assert index.first_unfounded(engine.RULE_UNFOUNDED) is None and index.founding is None
 
 
