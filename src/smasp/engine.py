@@ -774,11 +774,7 @@ class Walk:
             if rank >= before:
                 return None
             if kept < n:
-                index = self.index
-                if kept == len(index.trail) == n - 1:  # one literal behind, as at most of a run's steps
-                    index._assign(index.code[trail.entries[kept].literal])
-                else:
-                    index.follow(trail, kept)
+                self.index.follow(trail, kept)
                 kept = self.kept = n
             tr = query(rule)
             if tr is not None:

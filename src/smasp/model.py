@@ -349,16 +349,12 @@ class Rule(_Interned):
 
     @property
     def clause(self) -> Clause:
-        """The rule read as a clause: head against the body literals. The
-        duals of the sorted body literals are sorted unless an atom occurs
-        in both polarities, and the head literal goes in at its key, so
-        the clause is mostly made from its normal form."""
+        """The rule read as a clause: head against the body literals."""
         clause = self._clause
         if clause is None:
             lits = [l.dual for l in self.body.s_literals]
             if self.head is not None:
-                head = Literal(self.head)
-                lits.insert(bisect_left(lits, head.key, key=by_key), head)
+                lits.append(Literal(self.head))
             clause = Clause(lits)
             _put_clause(self, clause)
         return clause

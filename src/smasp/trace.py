@@ -201,14 +201,14 @@ def _strict_violation(walk: engine.Walk, rule: str, rejected: bool = False) -> O
     """No priority group ranked above the rule's may offer a transition.
     On an inconsistent trail the conflict group offers one, named by
     :func:`engine.conflict_rule`; on a consistent trail
-    :meth:`engine.Walk.choose` asks the groups above the rule's, and is
-    called only when one of them has an index query, so that the conflict
-    group and the first propagation group leave the index behind the
-    trail. Whether the rule applies is :func:`engine.step`'s to say; once
-    it has ``rejected`` the step, every group is asked, so that a step
-    where no rule applies is reported as such. Learn is a learning
-    strategy's policy; under another it must sit in the group of the
-    whole choice."""
+    :meth:`engine.Walk.choose` asks the groups above the rule's, and
+    brings the index up to date only once it reaches one with an index
+    query, so a step of the conflict group or of the first propagation
+    group leaves the index behind the trail. Whether the rule applies is
+    :func:`engine.step`'s to say; once it has ``rejected`` the step, every
+    group is asked, so that a step where no rule applies is reported as
+    such. Learn is a learning strategy's policy; under another it must
+    sit in the group of the whole choice."""
     strategy, rank = walk.strategy, walk.rank.get(rule)
     learn = rule == engine.RULE_LEARN
     if learn and strategy.learning:
@@ -218,8 +218,6 @@ def _strict_violation(walk: engine.Walk, rule: str, rejected: bool = False) -> O
     trail = walk.state.trail
     if trail.is_consistent:  # so is the failed state's empty trail
         whole = learn or rejected
-        if not (whole or walk.queries and walk.queries[0][0] < rank):
-            return None
         chosen = walk.choose() if whole else walk.choose(rank)
         if chosen is None:
             return f"no rule of mode {strategy.mode!r} is applicable" if whole else None

@@ -141,80 +141,16 @@ def reference_strict_replay(trace, theory, strategy):
     return lax
 
 
-def _reference_integer(value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"not an integer: {value!r}")
-    return value
-
-
-def _reference_literals(tokens):
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ParseError(f"not an array of literal tokens: {tokens!r}")
-    return tuple(parse_literal_token(t) for t in tokens)
-
-
-def _reference_step(record):
-    """One step record, every field checked and built from scratch."""
-    rule = record.get("rule")
-    if not isinstance(rule, str) or rule not in engine.ALL_RULES:
-        raise ParseError(f"unknown trace rule: {rule!r}")
-    index = _reference_integer(record["index"])
-    prefix_length = record.get("prefix_length")  # null reads as absent
-    if prefix_length is not None:
-        _reference_integer(prefix_length)
-    digest = record.get("trail", "")
-    if not isinstance(digest, str):
-        raise ParseError(f"trail digest is not a string: {digest!r}")
-    literal = clause = witness = None
-    if "literal" in record:
-        literal = _reference_literals([record["literal"]])[0]
-    if "clause" in record:
-        clause = Clause(_reference_literals(record["clause"]))
-    if "witness" in record:
-        members = _reference_literals(record["witness"])
-        if not all(l.positive for l in members):
-            raise ParseError(f"witness entries are atom names: {record['witness']!r}")
-        witness = tuple(l.atom for l in members)
-    return engine.TraceStep(
-        index, engine.Transition(rule, literal, clause, witness, prefix_length), digest)
-
-
-def reference_load_trace(text):
-    """:func:`smasp.trace.load_trace` by definition, without its memo:
-    ``json.loads`` of every non-blank line, the first the header (which
-    holds neither ``index`` nor ``rule``), each step record checked and
-    built on its own."""
-    lines = [l for l in text.split("\n") if l.strip()]
-    if not lines:
-        raise ParseError("empty trace file")
-    try:
-        records = [json.loads(l) for l in lines]
-        if not all(isinstance(r, dict) for r in records):
-            raise ParseError("a trace line is not a JSON object")
-        first = records[0]
-        if "index" in first or "rule" in first:
-            raise ParseError(f"the trace has no header: its first record is a step: {first!r}")
-        header = TraceHeader(first.get("mode", ""), first.get("theory", ""),
-                             first.get("version", __version__))
-        if not all(isinstance(v, str) for v in header) or header.version != __version__:
-            raise ParseError(f"bad trace header: {first!r}")
-        return Trace(header, tuple(_reference_step(r) for r in records[1:]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed trace: {exc}") from None
-    except RecursionError:
-        raise ParseError("malformed trace: JSON nested too deeply") from None
-
-
-def _json_loads_literals(key, tokens, literals):
+def _reference_literals(key, tokens):
     if type(tokens) is not list:
         raise ParseError(f"{key} is not a JSON array: {quote(tokens)}")
     for token in tokens:
         if type(token) is not str:
             raise ParseError(f"literal token is not a string: {quote(token)}")
-    return tuple(literals(t) for t in tokens)
+    return tuple(parse_literal_token(t) for t in tokens)
 
 
-def _json_loads_header(record):
+def _reference_header(record):
     if "index" in record or "rule" in record:
         raise ParseError("the trace has no header: its first record is a step")
     header = TraceHeader(record.get("mode", ""), record.get("theory", ""),
@@ -227,7 +163,7 @@ def _json_loads_header(record):
     return header
 
 
-def _json_loads_step(record, literals):
+def _reference_step(record):
     index, digest = record.get("index"), record.get("trail", "")
     if type(index) is not int:
         raise ParseError(f"index is not an integer: {quote(index)}")
@@ -236,7 +172,7 @@ def _json_loads_step(record, literals):
     rule = record.get("rule")
     if type(rule) is not str or rule not in engine.ALL_RULES:
         raise ParseError(f"unknown trace rule: {quote(rule)}")
-    prefix_length = record.get("prefix_length")
+    prefix_length = record.get("prefix_length")  # null reads as absent
     if prefix_length is not None and type(prefix_length) is not int:
         raise ParseError(f"prefix_length is not an integer: {quote(prefix_length)}")
     literal = clause = witness = None
@@ -244,11 +180,11 @@ def _json_loads_step(record, literals):
         token = record["literal"]
         if type(token) is not str:
             raise ParseError(f"literal token is not a string: {quote(token)}")
-        literal = literals(token)
+        literal = parse_literal_token(token)
     if "clause" in record:
-        clause = Clause(_json_loads_literals("clause", record["clause"], literals))
+        clause = Clause(_reference_literals("clause", record["clause"]))
     if "witness" in record:
-        members = _json_loads_literals("witness", record["witness"], literals)
+        members = _reference_literals("witness", record["witness"])
         if not all(l.positive for l in members):
             raise ParseError(f"witness entries are atom names: {quote(record['witness'])}")
         witness = tuple(l.atom for l in members)
@@ -256,11 +192,12 @@ def _json_loads_step(record, literals):
         index, engine.Transition(rule, literal, clause, witness, prefix_length), digest)
 
 
-def json_loads_trace(text):
-    """:func:`smasp.trace.load_trace` as the plain per-line loop: every
-    non-blank line through ``json.loads``, each record checked field by
-    field in the same order, with the same messages, and each literal
-    token parsed afresh."""
+def reference_load_trace(text):
+    """:func:`smasp.trace.load_trace` by definition, as the plain per-line
+    loop: every non-blank line through ``json.loads``, the first the
+    header (which holds neither ``index`` nor ``rule``), each step record
+    checked field by field in the same order and with the same messages,
+    and each literal token parsed afresh."""
     header, steps = None, []
     for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -270,9 +207,9 @@ def json_loads_trace(text):
             if type(record) is not dict:
                 raise ParseError(f"not a JSON object: {quote(line.strip())}")
             if header is None:
-                header = _json_loads_header(record)
+                header = _reference_header(record)
             else:
-                steps.append(_json_loads_step(record, parse_literal_token))
+                steps.append(_reference_step(record))
         except ParseError as exc:
             raise ParseError(f"trace line {number}: {exc}") from None
         except ValueError as exc:
